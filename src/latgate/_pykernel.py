@@ -21,15 +21,14 @@ from math import isqrt
 __all__ = ["dfs_enumerate", "brute_scan"]
 
 
-def dfs_enumerate(n, W, M, T, D, C, shrink=False, top_lo=None, top_hi=None, small=False):
+def dfs_enumerate(n, W, M, T, D, C, shrink=False, small=False):
     """Depth-first search over levels n-1 .. 0, ascending coordinate order.
 
     Returns (results, nodes, prunes) where results is a list of
     (coordinates, scaled_norm) pairs in visit order.  With shrink=True the
     acceptance bound drops to each new best norm (callers filter to the
-    final minimum).  top_lo/top_hi clamp the level n-1 interval so the range
-    can be split across workers.  `small` is a no-op here; the compiled
-    kernel uses it to pick a machine-word fast path.
+    final minimum).  `small` is a no-op here; the compiled kernel uses it to
+    pick a machine-word fast path.
     """
     results: list[tuple[tuple[int, ...], int]] = []
     nodes = 0
@@ -53,10 +52,6 @@ def dfs_enumerate(n, W, M, T, D, C, shrink=False, top_lo=None, top_hi=None, smal
     s = isqrt(bound // W[i])
     lo = -((s + ei) // D2)
     hi = (s - ei) // D2
-    if top_lo is not None and lo < top_lo:
-        lo = top_lo
-    if top_hi is not None and hi > top_hi:
-        hi = top_hi
     if lo > hi:
         prunes += 1
     cur[i] = lo

@@ -42,10 +42,10 @@ cdef inline long long _fdiv(long long a, long long b):
     return q
 
 
-def dfs_enumerate(n, W, M, T, D, C, shrink=False, top_lo=None, top_hi=None, small=False):
+def dfs_enumerate(n, W, M, T, D, C, shrink=False, small=False):
     if small and n <= MAXN:
-        return _dfs_small(n, W, M, T, D, C, bool(shrink), top_lo, top_hi)
-    return _dfs_object(n, W, M, T, D, C, bool(shrink), top_lo, top_hi)
+        return _dfs_small(n, W, M, T, D, C, bool(shrink))
+    return _dfs_object(n, W, M, T, D, C, bool(shrink))
 
 
 def brute_scan(n, gram, T, D, C2, box, small=False):
@@ -54,8 +54,7 @@ def brute_scan(n, gram, T, D, C2, box, small=False):
     return _brute_object(n, gram, T, D, C2, box)
 
 
-cdef _dfs_small(int n, W, M, T, long long D, long long C,
-                bint shrink, top_lo, top_hi):
+cdef _dfs_small(int n, W, M, T, long long D, long long C, bint shrink):
     cdef long long Wc[MAXN]
     cdef long long Tc[MAXN]
     cdef long long Mc[MAXN * MAXN]
@@ -68,10 +67,6 @@ cdef _dfs_small(int n, W, M, T, long long D, long long C,
     cdef long long D2, bound, ei, s, lo, hi, ui, S, tot, b, q
     cdef long long nodes = 0, prunes = 0
     cdef int i, j
-    cdef bint clamp_lo = top_lo is not None
-    cdef bint clamp_hi = top_hi is not None
-    cdef long long tlo = top_lo if clamp_lo else 0
-    cdef long long thi = top_hi if clamp_hi else 0
 
     results = []
     if C < 0:
@@ -92,10 +87,6 @@ cdef _dfs_small(int n, W, M, T, long long D, long long C,
     s = _llsqrt(bound / Wc[i])
     lo = -_fdiv(s + ei, D2)
     hi = _fdiv(s - ei, D2)
-    if clamp_lo and lo < tlo:
-        lo = tlo
-    if clamp_hi and hi > thi:
-        hi = thi
     if lo > hi:
         prunes += 1
     cur[i] = lo
@@ -146,8 +137,7 @@ cdef _dfs_small(int n, W, M, T, long long D, long long C,
     return results, nodes, prunes
 
 
-cdef _dfs_object(int n, W, M, T, object D, object C,
-                 bint shrink, top_lo, top_hi):
+cdef _dfs_object(int n, W, M, T, object D, object C, bint shrink):
     cdef int i, j
     cdef long long nodes = 0, prunes = 0
 
@@ -170,10 +160,6 @@ cdef _dfs_object(int n, W, M, T, object D, object C,
     s = isqrt(bound // W[i])
     lo = -((s + ei) // D2)
     hi = (s - ei) // D2
-    if top_lo is not None and lo < top_lo:
-        lo = top_lo
-    if top_hi is not None and hi > top_hi:
-        hi = top_hi
     if lo > hi:
         prunes += 1
     cur[i] = lo

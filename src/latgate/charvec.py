@@ -44,6 +44,7 @@ __all__ = [
     "signature_mod8_check",
     "count_unit_vectors",
     "charvec_report",
+    "charvec_report_with_stats",
 ]
 
 
@@ -158,7 +159,7 @@ def solve_char_coset(g: GramMatrix) -> CharCoset:
 
 
 def min_char_vector_with_stats(
-    g: GramMatrix, *, workers: int = 1, rank_cap: int = DEFAULT_RANK_CAP
+    g: GramMatrix, *, rank_cap: int = DEFAULT_RANK_CAP
 ) -> tuple[CharVecResult, EnumStats]:
     """Like `min_char_vector` but also returns the search counters."""
     n = g.rank
@@ -177,7 +178,6 @@ def min_char_vector_with_stats(
     pairs, scale, stats = _search(
         EnumQuery(form=g, shift=shift, radius=radius),
         shrink=True,
-        workers=workers,
         rank_cap=rank_cap,
     )
     if not pairs:
@@ -201,18 +201,17 @@ def min_char_vector_with_stats(
     return result, stats
 
 
-def min_char_vector(g: GramMatrix, *, workers: int = 1,
-                    rank_cap: int = DEFAULT_RANK_CAP) -> CharVecResult:
+def min_char_vector(g: GramMatrix, *, rank_cap: int = DEFAULT_RANK_CAP) -> CharVecResult:
     """Minimal-norm characteristic vector data of a positive definite
     unimodular form: lex-least minimizer, its norm m, k = (n - m)/8, and the
     number of minimizers."""
-    result, _ = min_char_vector_with_stats(g, workers=workers, rank_cap=rank_cap)
+    result, _ = min_char_vector_with_stats(g, rank_cap=rank_cap)
     return result
 
 
-def elkies_verdict(g: GramMatrix, *, workers: int = 1) -> ElkiesVerdict:
+def elkies_verdict(g: GramMatrix) -> ElkiesVerdict:
     """Identity iff the minimal characteristic norm equals the rank."""
-    result = min_char_vector(g, workers=workers)
+    result = min_char_vector(g)
     return ElkiesVerdict(identity=result.norm_m == g.rank, result=result)
 
 
@@ -237,26 +236,32 @@ def signature_mod8_check(g: GramMatrix) -> bool:
     return (m - signature(g)) % 8 == 0
 
 
-def count_unit_vectors(g: GramMatrix, *, workers: int = 1) -> int:
+def count_unit_vectors(g: GramMatrix) -> int:
     """Number of lattice vectors of norm exactly 1 (2n for the standard form)."""
     zero_shift = tuple(Fraction(0) for _ in range(g.rank))
-    res = enumerate_coset(
-        EnumQuery(form=g, shift=zero_shift, radius=Fraction(1)), workers=workers
-    )
+    res = enumerate_coset(EnumQuery(form=g, shift=zero_shift, radius=Fraction(1)))
     return sum(1 for nu in res.norms if nu == 1)
 
 
-def charvec_report(g: GramMatrix, form_id: str, *, workers: int = 1) -> dict:
-    """JSON-ready summary of the dichotomy data for a form."""
-    verdict = elkies_verdict(g, workers=workers)
-    result = verdict.result
-    return {
+def charvec_report_with_stats(
+    g: GramMatrix, form_id: str
+) -> tuple[dict, CharVecResult, EnumStats]:
+    """`charvec_report` plus the min-char result and search counters it came from."""
+    result, stats = min_char_vector_with_stats(g)
+    m = result.norm_m
+    report = {
         "form_id": form_id,
         "n": g.rank,
-        "m": result.norm_m,
+        "m": m,
         "k": result.k,
         "minimizer": list(result.minimizer),
-        "verdict": verdict.kind,
-        "unit_vector_count": count_unit_vectors(g, workers=workers),
-        "mod8_ok": signature_mod8_check(g),
+        "verdict": ElkiesVerdict(identity=m == g.rank, result=result).kind,
+        "unit_vector_count": count_unit_vectors(g),
+        "mod8_ok": (m - signature(g)) % 8 == 0,
     }
+    return report, result, stats
+
+
+def charvec_report(g: GramMatrix, form_id: str) -> dict:
+    """JSON-ready summary of the dichotomy data for a form."""
+    return charvec_report_with_stats(g, form_id)[0]

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage or parse errors, 2 verification failures
-(a failed self-test, a failed oracle cross-check, or a mathematical
-precondition that does not hold for the given input).
+Exit codes: 0 success, 1 usage, parse or input errors (including a rank
+above the search cap), 2 verification failures (a failed self-test, a
+failed oracle cross-check, or a mathematical precondition that does not
+hold for the given input).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 from . import selftest as selftest_mod
 from .catalog import catalog_get
-from .charvec import min_char_vector_with_stats, solve_char_coset
+from .charvec import charvec_report_with_stats, solve_char_coset
 from .core import (
     Definiteness,
     GramMatrix,
@@ -25,13 +26,14 @@ from .core import (
     parity,
     signature,
 )
-from .enumeration import EnumQuery, brute_force_coset, enumerate_coset, kernel_name, sufficient_box
+from .enumeration import EnumQuery, brute_force_coset, kernel_name, sufficient_box
 from .errors import (
     BadShapeError,
     InvalidParameterError,
     LatgateError,
     NotSymmetricError,
     ParseError,
+    RankCapExceededError,
     UnknownIdError,
 )
 from .formats import (
@@ -52,10 +54,15 @@ _USAGE_ERRORS = (
     InvalidParameterError,
     BadShapeError,
     NotSymmetricError,
+    RankCapExceededError,
     OSError,
 )
 
 _ORACLE_CELL_CAP = 200_000
+
+# the search is serial; --workers is still accepted so that existing command
+# lines keep working, and it has no effect
+_IGNORED_HELP = "accepted for compatibility; has no effect"
 
 
 class _UsageError(Exception):
@@ -88,7 +95,7 @@ def _build_parser() -> _Parser:
     analyze.add_argument(
         "--stats", action="store_true", help="include search counters in the output"
     )
-    analyze.add_argument("--workers", type=int, default=1, help="parallel search workers")
+    analyze.add_argument("--workers", type=int, default=1, help=_IGNORED_HELP)
 
     donaldson = sub.add_parser(
         "donaldson", help="run the realizability pipeline on a closed-manifold descriptor"
@@ -100,37 +107,13 @@ def _build_parser() -> _Parser:
         "--negate", action="store_true", help="negate the catalog form (with --catalog)"
     )
     donaldson.add_argument("--json", action="store_true", help="emit the JSON report")
-    donaldson.add_argument("--workers", type=int, default=1, help="parallel search workers")
+    donaldson.add_argument("--workers", type=int, default=1, help=_IGNORED_HELP)
 
     selftest = sub.add_parser("selftest", help="run the built-in invariant suite")
     selftest.add_argument(
         "--max-rank", type=int, default=16, help="skip checks on forms above this rank"
     )
     return parser
-
-
-def _charvec_block(gram: GramMatrix, form_id: str, workers: int):
-    result, stats = min_char_vector_with_stats(gram, workers=workers)
-    units = sum(
-        1
-        for nu in enumerate_coset(
-            EnumQuery(form=gram, shift=tuple(Fraction(0) for _ in range(gram.rank)),
-                      radius=Fraction(1)),
-            workers=workers,
-        ).norms
-        if nu == 1
-    )
-    block = {
-        "form_id": form_id,
-        "n": gram.rank,
-        "m": result.norm_m,
-        "k": result.k,
-        "minimizer": list(result.minimizer),
-        "verdict": "Identity" if result.norm_m == gram.rank else "HasShortCharVector",
-        "unit_vector_count": units,
-        "mod8_ok": (result.norm_m - signature(gram)) % 8 == 0,
-    }
-    return block, result, stats
 
 
 def _oracle_block(gram: GramMatrix, result) -> dict:
@@ -200,7 +183,7 @@ def _cmd_analyze(args) -> int:
     elif not is_unimodular(gram):
         report["charvec_skipped"] = f"determinant {det} is not +-1"
     else:
-        report["charvec"], result, stats = _charvec_block(gram, form_id, args.workers)
+        report["charvec"], result, stats = charvec_report_with_stats(gram, form_id)
     if args.stats and stats is not None:
         report["stats"] = {"kernel": kernel_name(), "nodes": stats.nodes, "prunes": stats.prunes}
     oracle = None
@@ -253,7 +236,7 @@ def _cmd_donaldson(args) -> int:
         if args.negate:
             gram = negate(gram)
         descriptor = ManifoldDescriptor(b1=args.b1, form=gram)
-    report = donaldson_verdict(descriptor, workers=args.workers)
+    report = donaldson_verdict(descriptor)
 
     if args.json:
         sys.stdout.write(dumps_canonical(moduli_report_to_obj(report, descriptor)))

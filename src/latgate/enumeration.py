@@ -10,7 +10,6 @@ integer square roots only.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
@@ -182,8 +181,7 @@ def _dfs_is_small(n, W, M, T, D, C, box: int) -> bool:
     return all(x < _SMALL_LIMIT for x in checks)
 
 
-def _search(query: EnumQuery, *, shrink: bool = False, workers: int = 1,
-            rank_cap: int = DEFAULT_RANK_CAP):
+def _search(query: EnumQuery, *, shrink: bool = False, rank_cap: int = DEFAULT_RANK_CAP):
     """Run the kernel; returns (sorted (coords, scaled_norm) pairs, scale, stats)."""
     n = query.form.rank
     if n > rank_cap:
@@ -192,56 +190,18 @@ def _search(query: EnumQuery, *, shrink: bool = False, workers: int = 1,
     W, M, T, D, C, scale = _scaled_problem(chol, query.shift, query.radius)
     box = _coordinate_bound(chol, query.shift, query.radius)
     small = _dfs_is_small(n, W, M, T, D, C, box)
-
-    if workers <= 1 or C < 0:
-        pairs, nodes, prunes = _kernel.dfs_enumerate(
-            n, W, M, T, D, C, shrink, None, None, small
-        )
-    else:
-        # split the top-level interval into contiguous chunks; the union of
-        # chunk results equals the single-worker result set
-        top = n - 1
-        e_top = D * T[top]
-        s = isqrt(C // W[top])
-        d2 = D * D
-        lo = -((s + e_top) // d2)
-        hi = (s - e_top) // d2
-        if lo > hi:
-            pairs, nodes, prunes = [], 0, 1
-        else:
-            total = hi - lo + 1
-            count = min(workers, total)
-            base, rem = divmod(total, count)
-            chunks = []
-            start = lo
-            for c in range(count):
-                size = base + (1 if c < rem else 0)
-                chunks.append((start, start + size - 1))
-                start += size
-            with ThreadPoolExecutor(max_workers=count) as pool:
-                outs = list(
-                    pool.map(
-                        lambda span: _kernel.dfs_enumerate(
-                            n, W, M, T, D, C, shrink, span[0], span[1], small
-                        ),
-                        chunks,
-                    )
-                )
-            pairs = [p for out in outs for p in out[0]]
-            nodes = sum(out[1] for out in outs)
-            prunes = sum(out[2] for out in outs)
+    pairs, nodes, prunes = _kernel.dfs_enumerate(n, W, M, T, D, C, shrink=shrink, small=small)
     pairs.sort()
     return pairs, scale, EnumStats(nodes=nodes, prunes=prunes)
 
 
-def enumerate_coset(query: EnumQuery, *, workers: int = 1, with_stats: bool = False,
+def enumerate_coset(query: EnumQuery, *, with_stats: bool = False,
                     rank_cap: int = DEFAULT_RANK_CAP) -> EnumResult:
     """All u with Q(u + shift) <= radius, sorted lexicographically.
 
-    Deterministic for any worker count.  Raises on non-positive-definite
-    forms and on rank above `rank_cap`.
+    Raises on non-positive-definite forms and on rank above `rank_cap`.
     """
-    pairs, scale, stats = _search(query, shrink=False, workers=workers, rank_cap=rank_cap)
+    pairs, scale, stats = _search(query, shrink=False, rank_cap=rank_cap)
     return EnumResult(
         vectors=tuple(p[0] for p in pairs),
         norms=tuple(Fraction(p[1], scale) for p in pairs),

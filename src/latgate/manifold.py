@@ -188,13 +188,13 @@ def reduce_to_b1_zero(m: ManifoldDescriptor) -> ManifoldDescriptor:
     return current
 
 
-def choose_line_bundle(m: ManifoldDescriptor, *, workers: int = 1) -> LineBundleClass:
+def choose_line_bundle(m: ManifoldDescriptor) -> LineBundleClass:
     """Line bundle with c1^2 = -(minimal characteristic norm of -form)."""
     if definiteness(m.form) is not Definiteness.NEGATIVE_DEFINITE:
         raise NotNegativeDefiniteError("line bundle selection needs a negative definite form")
     if not is_unimodular(m.form):
         raise NotUnimodularError("line bundle selection needs determinant +-1")
-    result = min_char_vector(negate(m.form), workers=workers)
+    result = min_char_vector(negate(m.form))
     return LineBundleClass(c1_squared=-result.norm_m, k=result.k, source=result)
 
 
@@ -241,7 +241,17 @@ def sw_boundary_number(k: int) -> BoundaryNumber:
     return BoundaryNumber(value=value, nonzero=bool(value))
 
 
-def donaldson_verdict(m: ManifoldDescriptor, *, workers: int = 1) -> ModuliReport:
+# every definiteness class except negative definite is outside the hypothesis
+_NOT_APPLICABLE_REASONS = {
+    Definiteness.POSITIVE_DEFINITE:
+        "positive definite orientation: no reducible solution to anchor the argument",
+    Definiteness.INDEFINITE:
+        "indefinite intersection form is outside the negative definite hypothesis",
+    Definiteness.DEGENERATE: "degenerate intersection form",
+}
+
+
+def donaldson_verdict(m: ManifoldDescriptor) -> ModuliReport:
     """Full pipeline: surger to b1 = 0, then classify the intersection form.
 
     Negative definite unimodular forms get the dichotomy treatment; other
@@ -254,35 +264,11 @@ def donaldson_verdict(m: ManifoldDescriptor, *, workers: int = 1) -> ModuliRepor
         certificates.append(step.certificate)
         current = step.descriptor
 
-    kind = definiteness(current.form)
-    if kind is Definiteness.POSITIVE_DEFINITE:
+    reason = _NOT_APPLICABLE_REASONS.get(definiteness(current.form))
+    if reason is not None:
         return ModuliReport(
             verdict=Verdict.NOT_APPLICABLE,
-            reason="positive definite orientation: no reducible solution to anchor the argument",
-            k=None,
-            virtual_dim=None,
-            based_dim=None,
-            boundary=None,
-            sw_number_nonzero=None,
-            line_bundle=None,
-            surgery_certificates=tuple(certificates),
-        )
-    if kind is Definiteness.INDEFINITE:
-        return ModuliReport(
-            verdict=Verdict.NOT_APPLICABLE,
-            reason="indefinite intersection form is outside the negative definite hypothesis",
-            k=None,
-            virtual_dim=None,
-            based_dim=None,
-            boundary=None,
-            sw_number_nonzero=None,
-            line_bundle=None,
-            surgery_certificates=tuple(certificates),
-        )
-    if kind is Definiteness.DEGENERATE:
-        return ModuliReport(
-            verdict=Verdict.NOT_APPLICABLE,
-            reason="degenerate intersection form",
+            reason=reason,
             k=None,
             virtual_dim=None,
             based_dim=None,
@@ -295,7 +281,7 @@ def donaldson_verdict(m: ManifoldDescriptor, *, workers: int = 1) -> ModuliRepor
     if not is_unimodular(current.form):
         raise NotUnimodularError("intersection forms of closed manifolds are unimodular")
 
-    bundle = choose_line_bundle(current, workers=workers)
+    bundle = choose_line_bundle(current)
     dim = virtual_dimension(current, bundle)
     if bundle.k == 0:
         return ModuliReport(

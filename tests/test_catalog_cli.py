@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -9,14 +10,17 @@ from latgate import (
     NotSymmetricError,
     ParseError,
     UnknownIdError,
+    basis_change,
     builtin_ids,
     catalog_get,
+    charvec_report,
     count_unit_vectors,
     dumps_canonical,
     elkies_verdict,
     gram_from_obj,
     gram_to_obj,
     min_char_vector,
+    random_unimodular,
 )
 from latgate.cli import main
 from latgate.formats import load_gram, load_manifold
@@ -185,6 +189,18 @@ class TestCliAnalyze:
         assert main(["analyze", "--catalog", "E7"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_rank_over_cap_exit_1(self, capsys):
+        assert main(["analyze", "--catalog", "Zn:25"]) == 1
+        err = capsys.readouterr().err
+        assert "latgate: error: rank 25 exceeds the cap of 24" in err
+        assert "verification failure" not in err
+
+    @pytest.mark.parametrize("fid", ["D12plus", "Zn:2"])
+    def test_charvec_block_matches_report(self, capsys, fid):
+        assert main(["analyze", "--catalog", fid, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["charvec"] == charvec_report(catalog_get(fid).gram, fid)
+
     def test_no_input_exit_1(self, capsys):
         assert main(["analyze"]) == 1
         capsys.readouterr()
@@ -206,6 +222,14 @@ class TestCliAnalyze:
         first = capsys.readouterr().out
         assert main(["analyze", "--catalog", "E8", "--json", "--workers", "3"]) == 0
         assert capsys.readouterr().out == first
+        # a conjugate whose shrinking search gives different counters when
+        # its top level is split, so --stats shows that --workers is ignored
+        g = basis_change(catalog_get("D12plus").gram, random_unimodular(12, random.Random(2)))
+        doc = dumps_canonical(gram_to_obj(g))
+        assert main(["analyze", doc, "--json", "--stats"]) == 0
+        serial = capsys.readouterr().out
+        assert main(["analyze", doc, "--json", "--stats", "--workers", "4"]) == 0
+        assert capsys.readouterr().out == serial
 
 
 class TestCliDonaldson:

@@ -55,18 +55,6 @@ def test_dfs_small_path(name, gram, W, M, T, D, C, box):
 
 
 @pytest.mark.parametrize("name,gram,W,M,T,D,C,box", PROBLEMS, ids=IDS)
-def test_dfs_split_intervals(name, gram, W, M, T, D, C, box):
-    # worker split: clamped top-level runs must union to the full run
-    n = gram.rank
-    full = _pykernel.dfs_enumerate(n, W, M, T, D, C)
-    for kernel in (_pykernel, _speedups):
-        left = kernel.dfs_enumerate(n, W, M, T, D, C, top_lo=None, top_hi=-1)
-        right = kernel.dfs_enumerate(n, W, M, T, D, C, top_lo=0, top_hi=None)
-        assert sorted(left[0] + right[0]) == sorted(full[0])
-        assert left[1] + right[1] == full[1]
-
-
-@pytest.mark.parametrize("name,gram,W,M,T,D,C,box", PROBLEMS, ids=IDS)
 def test_brute_scan_parity(name, gram, W, M, T, D, C, box):
     n = gram.rank
     if (2 * box + 1) ** n > 300000:
