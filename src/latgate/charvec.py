@@ -76,12 +76,12 @@ class ElkiesVerdict:
         return "Identity" if self.identity else "HasShortCharVector"
 
 
-def _solve_gf2(g: GramMatrix) -> int:
-    """Lex-least 0/1 solution of G w = diag(G) mod 2, as a bitmask.
+def _solve_gf2(g: GramMatrix) -> IntVector:
+    """Lex-least 0/1 solution of G w = diag(G) mod 2.
 
-    Coordinate j sits at bit (n-1-j), so numeric order on masks equals
-    lexicographic order on coordinate tuples.  Pivot order is fixed
-    (columns left to right) to keep the result deterministic.
+    Internally coordinate j sits at bit (n-1-j) of a mask, so numeric order
+    on masks equals lexicographic order on coordinate tuples.  Pivot order
+    is fixed (columns left to right) to keep the result deterministic.
     """
     n = g.rank
     rows = []
@@ -137,7 +137,7 @@ def _solve_gf2(g: GramMatrix) -> int:
     for h in range(n - 1, -1, -1):
         if top[h] and (x >> h) & 1:
             x ^= top[h]
-    return x
+    return tuple((x >> (n - 1 - j)) & 1 for j in range(n))
 
 
 def solve_char_coset(g: GramMatrix) -> CharCoset:
@@ -152,10 +152,7 @@ def solve_char_coset(g: GramMatrix) -> CharCoset:
             "form is not unimodular; characteristic coset may be empty or non-unique",
             stacklevel=2,
         )
-    x = _solve_gf2(g)
-    n = g.rank
-    base = tuple((x >> (n - 1 - j)) & 1 for j in range(n))
-    return CharCoset(base=base, lattice=g)
+    return CharCoset(base=_solve_gf2(g), lattice=g)
 
 
 def min_char_vector_with_stats(
@@ -167,10 +164,7 @@ def min_char_vector_with_stats(
         raise NotPositiveDefiniteError("minimal characteristic vectors need a positive definite form")
     if not is_unimodular(g):
         raise NotUnimodularError("minimal characteristic vectors need determinant +-1")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        coset = solve_char_coset(g)
-    w0 = coset.base
+    w0 = _solve_gf2(g)  # unique, as g is unimodular
     # w = w0 + 2u, so (w, w) = 4 Q(u + w0/2); a characteristic vector of
     # norm <= n always exists, hence the initial radius min(Q(w0), n)/4
     radius = Fraction(min(evaluate(g, w0), n), 4)

@@ -3,12 +3,19 @@
 Everything runs over arbitrary-precision integers and `Fraction`; no code
 path here (or anywhere downstream) touches floating point.  Gram matrices
 are immutable values and safe to share across threads.
+
+One fraction-free elimination (`_bareiss`) serves every invariant: it gives
+the determinant, the leading principal minors whose signs give the inertia
+(congruence diagonalization takes over when one of them vanishes), and the
+Cholesky pivots as ratios of consecutive leading minors.  Each `GramMatrix`
+computes its determinant and inertia once, on first use, and keeps them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -84,6 +91,20 @@ class GramMatrix:
     def to_rows(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
 
+    @cached_property
+    def _det_and_inertia(self) -> tuple[int, tuple[int, int, int]]:
+        """(determinant, inertia) from one elimination, computed on first use.
+
+        The inertia follows the signs of the leading principal minors when
+        all of them are nonzero, and congruence diagonalization otherwise.
+        """
+        det, pivot_rows = _bareiss(self.entries)
+        if det == 0 or len(pivot_rows) < self.rank:
+            return det, _inertia_by_diagonalization(self)
+        minors = [row[k] for k, row in enumerate(pivot_rows)]
+        neg = sum((a > 0) != (b > 0) for a, b in zip([1] + minors, minors))
+        return det, (self.rank - neg, neg, 0)
+
 
 @dataclass(frozen=True)
 class RationalCholesky:
@@ -129,10 +150,17 @@ def validate(g: GramMatrix) -> None:
                 )
 
 
-def _det_bareiss(rows: Sequence[Sequence[int]]) -> int:
-    """Fraction-free determinant; every division below is exact."""
+def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """Fraction-free elimination (Bareiss 1968); every division is exact.
+
+    Returns (det, pivot_rows), the rows eliminated before the first row
+    swap.  By Sylvester's identity pivot row k holds the leading principal
+    minor d_{k+1} on the diagonal.  All n rows come back exactly when no
+    leading minor of size < n vanishes; otherwise the next one is zero.
+    """
     n = len(rows)
     m = [list(row) for row in rows]
+    pivot_rows: list[list[int]] = []
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -143,45 +171,25 @@ def _det_bareiss(rows: Sequence[Sequence[int]]) -> int:
                     sign = -sign
                     break
             else:
-                return 0
+                return 0, pivot_rows
+        elif len(pivot_rows) == k:
+            pivot_rows.append(m[k])
         pivot = m[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    if len(pivot_rows) == n - 1:
+        pivot_rows.append(m[n - 1])
+    return sign * m[n - 1][n - 1], pivot_rows
 
 
 def determinant(g: GramMatrix) -> int:
-    return _det_bareiss(g.entries)
+    return g._det_and_inertia[0]
 
 
 def is_unimodular(g: GramMatrix) -> bool:
     return determinant(g) in (1, -1)
-
-
-def _principal_minors(g: GramMatrix) -> list[int] | None:
-    """Leading principal minors d_1..d_n, or None if an interior one vanishes.
-
-    No row swaps: swapping would break the principal-minor correspondence,
-    so a zero pivot before the last step makes the chain inconclusive.
-    """
-    n = g.rank
-    m = [list(row) for row in g.entries]
-    minors: list[int] = []
-    prev = 1
-    for k in range(n):
-        d = m[k][k]
-        minors.append(d)
-        if k == n - 1:
-            break
-        if d == 0:
-            return None
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * d - m[i][k] * m[k][j]) // prev
-        prev = d
-    return minors
 
 
 def _inertia_by_diagonalization(g: GramMatrix) -> tuple[int, int, int]:
@@ -222,21 +230,8 @@ def _inertia_by_diagonalization(g: GramMatrix) -> tuple[int, int, int]:
 
 
 def inertia(g: GramMatrix) -> tuple[int, int, int]:
-    """(positive, negative, zero) eigenvalue counts, computed exactly.
-
-    Uses the leading-principal-minor sign rule when the whole chain is
-    nonzero, otherwise falls back to congruence diagonalization.
-    """
-    minors = _principal_minors(g)
-    if minors is not None and all(d != 0 for d in minors):
-        neg = 0
-        prev = 1
-        for d in minors:
-            if (prev > 0) != (d > 0):
-                neg += 1
-            prev = d
-        return g.rank - neg, neg, 0
-    return _inertia_by_diagonalization(g)
+    """(positive, negative, zero) eigenvalue counts, computed exactly."""
+    return g._det_and_inertia[1]
 
 
 def definiteness(g: GramMatrix) -> Definiteness:
@@ -288,7 +283,7 @@ def basis_change(g: GramMatrix, u: Sequence[Sequence[int]]) -> GramMatrix:
         for x in row:
             if isinstance(x, bool) or not isinstance(x, int):
                 raise BadShapeError(f"transform entry is not an integer: {x!r}")
-    d = _det_bareiss(urows)
+    d, _ = _bareiss(urows)
     if d not in (1, -1):
         raise NotUnimodularTransformError(f"transform determinant is {d}, need +-1")
     # t = g @ u, then result = u^T @ t
@@ -301,22 +296,27 @@ def basis_change(g: GramMatrix, u: Sequence[Sequence[int]]) -> GramMatrix:
 
 
 def cholesky(g: GramMatrix) -> RationalCholesky:
-    """Exact completed-squares decomposition of a positive definite form."""
+    """Exact completed-squares decomposition of a positive definite form.
+
+    Read off one fraction-free elimination: diag[i] is the ratio d_{i+1}/d_i
+    of consecutive leading principal minors (d_0 = 1), and upper[i][j] is
+    entry j of pivot row i over d_{i+1}.
+    """
     n = g.rank
-    q = [[Fraction(x) for x in row] for row in g.entries]
+    _, pivot_rows = _bareiss(g.entries)
     diag: list[Fraction] = []
-    upper = [[Fraction(0)] * n for _ in range(n)]
+    upper: list[tuple[Fraction, ...]] = []
+    prev = 1
     for i in range(n):
-        d = q[i][i]
+        minor = pivot_rows[i][i] if i < len(pivot_rows) else 0
+        d = Fraction(minor, prev)
         if d <= 0:
             raise NotPositiveDefiniteError(f"pivot {i} is {d}, form is not positive definite")
         diag.append(d)
-        for j in range(i + 1, n):
-            upper[i][j] = q[i][j] / d
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] -= q[i][k] * q[i][l] / d
-    return RationalCholesky(tuple(diag), tuple(tuple(row) for row in upper))
+        row = pivot_rows[i]
+        upper.append((Fraction(0),) * (i + 1) + tuple(Fraction(x, minor) for x in row[i + 1:]))
+        prev = minor
+    return RationalCholesky(tuple(diag), tuple(upper))
 
 
 def evaluate(g: GramMatrix, x: Sequence[int]) -> int:

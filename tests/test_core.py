@@ -1,8 +1,12 @@
+import json
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+from latgate import core
 from latgate import (
     BadShapeError,
     Definiteness,
@@ -13,12 +17,15 @@ from latgate import (
     NotUnimodularTransformError,
     Parity,
     basis_change,
+    builtin_ids,
     catalog_get,
     cholesky,
     definiteness,
     determinant,
     direct_sum,
+    dumps_canonical,
     evaluate,
+    gram_to_obj,
     inertia,
     is_unimodular,
     negate,
@@ -28,6 +35,7 @@ from latgate import (
     signature,
     validate,
 )
+from latgate.cli import main
 from oracle_helpers import det_gauss
 
 
@@ -206,6 +214,38 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefiniteError):
             cholesky(diag(1, 0))
 
+    @pytest.mark.parametrize(
+        "gram, message",
+        [
+            (diag(1, -1), "pivot 1 is -1"),
+            (GramMatrix.from_rows([[0, 1], [1, 0]]), "pivot 0 is 0"),
+            (GramMatrix.from_rows([[2, 3], [3, 2]]), "pivot 1 is -5/2"),
+            (diag(1, 0), "pivot 1 is 0"),
+        ],
+    )
+    def test_rejection_message_names_first_bad_pivot(self, gram, message):
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            cholesky(gram)
+        assert str(info.value) == f"{message}, form is not positive definite"
+
+    def test_rebuilds_gram_and_determinant(self):
+        # G = U^T diag U with U unit upper triangular, and prod(diag) = det G
+        rng = random.Random(41)
+        forms = [catalog_get(fid).gram for fid in builtin_ids()]  # ranks 1..16
+        forms += [basis_change(g, random_unimodular(g.rank, rng)) for g in forms[::3]]
+        for gram in forms:
+            chol = cholesky(gram)
+            n = gram.rank
+            unit = [[Fraction(1) if i == j else chol.upper[i][j] for j in range(n)] for i in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    entry = sum(unit[k][i] * chol.diag[k] * unit[k][j] for k in range(n))
+                    assert entry == gram.entries[i][j]
+            product = Fraction(1)
+            for d in chol.diag:
+                product *= d
+            assert product == determinant(gram)
+
     def test_reconstruction_identity_on_random_vectors(self):
         rng = random.Random(31)
         gram = basis_change(catalog_get("Zn:5").gram, random_unimodular(5, rng))
@@ -230,3 +270,68 @@ class TestEvaluatePairing:
         x, y, z = (1, 0, -2, 1), (0, 3, 1, -1), (2, -1, 0, 1)
         left = pairing(gram, x, tuple(a + b for a, b in zip(y, z)))
         assert left == pairing(gram, x, y) + pairing(gram, x, z)
+
+
+class TestClassifiedOnce:
+    """Each command eliminates its input form once for the determinant and
+    inertia, plus once per Cholesky decomposition of that same form."""
+
+    def _count(self, monkeypatch, form, argv):
+        calls = {"bareiss": 0, "cholesky": 0}
+        bareiss = core._bareiss
+        chol = core.cholesky
+
+        def counting_bareiss(rows):
+            if tuple(map(tuple, rows)) == form.entries:
+                calls["bareiss"] += 1
+            return bareiss(rows)
+
+        def counting_cholesky(g):
+            if g.entries == form.entries:
+                calls["cholesky"] += 1
+            return chol(g)
+
+        monkeypatch.setattr(core, "_bareiss", counting_bareiss)
+        for module in ("core", "enumeration"):
+            monkeypatch.setattr(f"latgate.{module}.cholesky", counting_cholesky)
+        assert main(argv) == 0
+        return calls
+
+    def test_analyze_conjugate(self, monkeypatch, capsys):
+        form = basis_change(catalog_get("D12plus").gram, random_unimodular(12, random.Random(2)))
+        calls = self._count(monkeypatch, form, ["analyze", "--json", dumps_canonical(gram_to_obj(form))])
+        assert json.loads(capsys.readouterr().out)["charvec"]["m"] == 4
+        assert calls["cholesky"] >= 1
+        assert calls["bareiss"] == 1 + calls["cholesky"]
+
+    def test_donaldson_negated_e8(self, monkeypatch, capsys):
+        form = negate(catalog_get("E8").gram)
+        doc = json.dumps({"b1": 0, "form": gram_to_obj(form)})
+        calls = self._count(monkeypatch, form, ["donaldson", "--json", doc])
+        assert json.loads(capsys.readouterr().out)["verdict"] == "Forbidden"
+        assert calls["bareiss"] == 1 + calls["cholesky"]
+
+    def test_memo_shared_across_threads(self):
+        # a form shared by threads reads one (det, inertia), however the
+        # first computations interleave
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            forms = [basis_change(catalog_get("E8+Z4").gram, random_unimodular(12, random.Random(s)))
+                     for s in range(20)]
+            seen = [[] for _ in forms]
+
+            def read():
+                for form, out in zip(forms, seen):
+                    out.append((determinant(form), inertia(form), signature(form)))
+
+            threads = [threading.Thread(target=read) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(old)
+        for out in seen:
+            assert out == [(1, (12, 0, 0), 12)] * len(threads)
