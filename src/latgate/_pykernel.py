@@ -15,7 +15,6 @@ so every accept/reject decision is exact.  No floats anywhere.
 
 from __future__ import annotations
 
-from itertools import product
 from math import isqrt
 
 __all__ = ["dfs_enumerate", "brute_scan"]
@@ -103,24 +102,42 @@ def dfs_enumerate(n, W, M, T, D, C, shrink=False, small=False):
     return results, nodes, prunes
 
 
-def brute_scan(n, gram, T, D, C2, box, small=False):
-    """Exhaustive box scan evaluating the Gram form directly.
+def brute_scan(n, gram, T, D, C2, box, *, reach):
+    """Exhaustive scan of the box |u_i| <= box, evaluating the Gram form directly.
 
     Independent of the Cholesky route on purpose: accepts u with
-    v^T gram v <= C2 where v = D*u + T.  Returns (coordinates, scaled_norm)
-    pairs; the scan order is the lexicographic product order.
+    v^T gram v <= C2 where v = D*u + T.  Each axis is clipped to
+    |v_i| <= reach[i], which the caller proves holds for every accepted v,
+    so the clip drops only cells that cannot be hits.  The odometer keeps
+    gram*v and v^T gram v up to date, so each cell costs O(n).  Returns
+    (coordinates, scaled_norm) pairs in lexicographic product order.
     """
     out: list[tuple[tuple[int, ...], int]] = []
-    rng = range(-box, box + 1)
-    for u in product(rng, repeat=n):
-        v = [D * u[i] + T[i] for i in range(n)]
-        tot = 0
-        for i in range(n):
-            gi = gram[i]
-            row = 0
-            for j in range(n):
-                row += gi[j] * v[j]
-            tot += v[i] * row
+    lo = [max(-box, -((reach[i] + T[i]) // D)) for i in range(n)]
+    hi = [min(box, (reach[i] - T[i]) // D) for i in range(n)]
+    if any(a > b for a, b in zip(lo, hi)):
+        return out
+    cur = lo[:]
+    v = [D * lo[i] + T[i] for i in range(n)]
+    gv = [sum(gram[i][j] * v[j] for j in range(n)) for i in range(n)]
+    tot = sum(v[i] * gv[i] for i in range(n))
+    while True:
         if tot <= C2:
-            out.append((u, tot))
-    return out
+            out.append((tuple(cur), tot))
+        # odometer, last coordinate fastest; moving axis i by d adds
+        # d*D*gram[i] to gram*v (gram is symmetric)
+        i = n - 1
+        while i >= 0:
+            d = 1 if cur[i] < hi[i] else lo[i] - cur[i]
+            if d:
+                cur[i] += d
+                dD = d * D
+                gi = gram[i]
+                tot += dD * (2 * gv[i] + dD * gi[i])
+                for j in range(n):
+                    gv[j] += dD * gi[j]
+            if d == 1:
+                break
+            i -= 1
+        if i < 0:
+            return out

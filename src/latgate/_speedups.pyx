@@ -5,13 +5,17 @@
 """Compiled search kernels.
 
 Same contract as latgate._pykernel (see its docstring for the rescaled
-integer problem).  Two paths per kernel: a machine-word path used when the
+integer problem).  The DFS has two paths: a machine-word path used when the
 caller's preflight proves every intermediate fits comfortably in 64 bits,
 and an object path on Python ints otherwise.  Both are exact; the parity
 tests check them against the pure kernel result for result-level equality.
+The box scan is the pure kernel's: clipped to proven per-axis extents it
+visits few enough cells that compiling it buys nothing.
 """
 
 from math import isqrt
+
+from latgate import _pykernel
 
 from libc.math cimport sqrtl
 
@@ -48,10 +52,8 @@ def dfs_enumerate(n, W, M, T, D, C, shrink=False, small=False):
     return _dfs_object(n, W, M, T, D, C, bool(shrink))
 
 
-def brute_scan(n, gram, T, D, C2, box, small=False):
-    if small and n <= MAXN:
-        return _brute_small(n, gram, T, D, C2, box)
-    return _brute_object(n, gram, T, D, C2, box)
+def brute_scan(n, gram, T, D, C2, box, *, reach):
+    return _pykernel.brute_scan(n, gram, T, D, C2, box, reach=reach)
 
 
 cdef _dfs_small(int n, W, M, T, long long D, long long C, bint shrink):
@@ -209,72 +211,3 @@ cdef _dfs_object(int n, W, M, T, object D, object C, bint shrink):
             cur[i] = lo
             hi_arr[i] = hi
     return results, nodes, prunes
-
-
-cdef _brute_small(int n, gram, T, long long D, long long C2, int box):
-    cdef long long Gc[MAXN * MAXN]
-    cdef long long Tc[MAXN]
-    cdef long long v[MAXN]
-    cdef long long cur[MAXN]
-    cdef long long tot, row
-    cdef int i, j
-    cdef long long lo = -box, hi = box
-
-    out = []
-    for i in range(n):
-        Tc[i] = T[i]
-        gi = gram[i]
-        for j in range(n):
-            Gc[i * MAXN + j] = gi[j]
-    for i in range(n):
-        cur[i] = lo
-        v[i] = D * lo + Tc[i]
-    while True:
-        tot = 0
-        for i in range(n):
-            row = 0
-            for j in range(n):
-                row += Gc[i * MAXN + j] * v[j]
-            tot += v[i] * row
-        if tot <= C2:
-            out.append((tuple([cur[j] for j in range(n)]), tot))
-        # odometer, last coordinate fastest (lexicographic product order)
-        i = n - 1
-        while i >= 0:
-            cur[i] += 1
-            if cur[i] <= hi:
-                v[i] = D * cur[i] + Tc[i]
-                break
-            cur[i] = lo
-            v[i] = D * lo + Tc[i]
-            i -= 1
-        if i < 0:
-            return out
-
-
-cdef _brute_object(int n, gram, T, object D, object C2, int box):
-    cdef int i, j
-    out = []
-    cur = [-box] * n
-    v = [D * (-box) + T[i] for i in range(n)]
-    while True:
-        tot = 0
-        for i in range(n):
-            gi = gram[i]
-            row = 0
-            for j in range(n):
-                row += gi[j] * v[j]
-            tot += v[i] * row
-        if tot <= C2:
-            out.append((tuple(cur), tot))
-        i = n - 1
-        while i >= 0:
-            cur[i] += 1
-            if cur[i] <= box:
-                v[i] = D * cur[i] + T[i]
-                break
-            cur[i] = -box
-            v[i] = D * (-box) + T[i]
-            i -= 1
-        if i < 0:
-            return out

@@ -270,7 +270,13 @@ def direct_sum(a: GramMatrix, b: GramMatrix) -> GramMatrix:
 
 
 def negate(g: GramMatrix) -> GramMatrix:
-    return GramMatrix(tuple(tuple(-x for x in row) for row in g.entries))
+    """-g; carries g's (det, inertia) when g has already computed them."""
+    out = GramMatrix(tuple(tuple(-x for x in row) for row in g.entries))
+    memo = g.__dict__.get("_det_and_inertia")
+    if memo is not None:
+        det, (pos, neg, zero) = memo
+        out.__dict__["_det_and_inertia"] = (det * (-1) ** g.rank, (neg, pos, zero))
+    return out
 
 
 def basis_change(g: GramMatrix, u: Sequence[Sequence[int]]) -> GramMatrix:

@@ -15,7 +15,15 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import Sequence
 
-from .core import Definiteness, GramMatrix, RationalCholesky, cholesky, definiteness
+from .core import (
+    Definiteness,
+    GramMatrix,
+    RationalCholesky,
+    _bareiss,
+    cholesky,
+    definiteness,
+    determinant,
+)
 from .errors import BadShapeError, NotPositiveDefiniteError, RankCapExceededError
 
 if os.environ.get("LATGATE_PURE"):
@@ -210,12 +218,33 @@ def enumerate_coset(query: EnumQuery, *, with_stats: bool = False,
     )
 
 
+def _axis_reach(form: GramMatrix, C2: int) -> list[int]:
+    """reach[i] >= |v_i| for every integer v with v^T G v <= C2.
+
+    Cauchy-Schwarz in the inner product of G gives
+    v_i^2 <= (G^-1)_ii * v^T G v, and (G^-1)_ii = adj_ii / det with adj_ii
+    the principal minor of G without row and column i (1 at rank 1).  Built
+    from determinants only, so the scan shares no Cholesky data with the
+    search it checks.
+    """
+    det = determinant(form)
+    rows = form.entries
+    reach = []
+    for i in range(form.rank):
+        minor = [row[:i] + row[i + 1:] for k, row in enumerate(rows) if k != i]
+        adj = _bareiss(minor)[0] if minor else 1
+        reach.append(isqrt(C2 * adj // det))
+    return reach
+
+
 def brute_force_coset(query: EnumQuery, box: int) -> EnumResult:
-    """Oracle twin of `enumerate_coset`: scan the cube |u_i| <= box.
+    """Oracle twin of `enumerate_coset`: every hit in the cube |u_i| <= box.
 
     Evaluates the Gram form directly (no Cholesky anywhere on this path) so
-    the two routes stay independent.  Complete whenever box >=
-    `sufficient_box(query)`.
+    the two routes stay independent.  The scan covers the cube clipped per
+    axis to the proven Cauchy-Schwarz extents of `_axis_reach`, which drops
+    only cells that cannot be hits, so the result is exactly that of the
+    full cube.  Complete whenever box >= `sufficient_box(query)`.
     """
     if box < 0:
         raise BadShapeError("box must be nonnegative")
@@ -226,11 +255,8 @@ def brute_force_coset(query: EnumQuery, box: int) -> EnumResult:
     T = [s.numerator * (D // s.denominator) for s in query.shift]
     scaled = query.radius * D * D
     C2 = scaled.numerator // scaled.denominator
-    g_max = max(max(abs(x) for x in row) for row in query.form.entries)
-    t_abs = max((abs(t) for t in T), default=0)
-    v_abs = D * box + t_abs
-    small = n * n * g_max * v_abs * v_abs < _SMALL_LIMIT and C2 < _SMALL_LIMIT
-    pairs = _kernel.brute_scan(n, [list(r) for r in query.form.entries], T, D, C2, box, small)
+    pairs = _kernel.brute_scan(n, [list(r) for r in query.form.entries], T, D, C2, box,
+                               reach=_axis_reach(query.form, C2))
     pairs.sort()
     return EnumResult(
         vectors=tuple(p[0] for p in pairs),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 
 def det_gauss(rows) -> int:
@@ -161,3 +162,23 @@ def dn_plus_char_minimum(n: int):
         elif norm == best:
             minimizers.append(w)
     return best, len(minimizers), set(minimizers)
+
+
+def cube_scan(gram_rows, shift, radius, box):
+    """Every u with |u_i| <= box and Q(u + shift) <= radius, as (u, norm)
+    pairs in lexicographic order: the whole cube, each cell evaluated on
+    the Gram matrix.  Norms are computed on D*(u + shift), D the common
+    denominator of the shift, so the loop runs on integers."""
+    n = len(gram_rows)
+    d = 1
+    for s in shift:
+        d = d * s.denominator // gcd(d, s.denominator)
+    t = [int(s * d) for s in shift]
+    bound = radius * d * d
+    out = []
+    for u in product(range(-box, box + 1), repeat=n):
+        v = [d * a + b for a, b in zip(u, t)]
+        scaled = pair(gram_rows, v, v)
+        if scaled <= bound:
+            out.append((u, Fraction(scaled, d * d)))
+    return out

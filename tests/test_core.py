@@ -311,6 +311,39 @@ class TestClassifiedOnce:
         assert json.loads(capsys.readouterr().out)["verdict"] == "Forbidden"
         assert calls["bareiss"] == 1 + calls["cholesky"]
 
+    def test_negation_reuses_classification(self, monkeypatch, capsys):
+        # choose_line_bundle negates the classified input: -(-E8) takes its
+        # (det, inertia) from -E8, so only -E8 and E8's Cholesky eliminate
+        rows_seen = []
+        bareiss = core._bareiss
+
+        def counting_bareiss(rows):
+            rows_seen.append(rows)
+            return bareiss(rows)
+
+        monkeypatch.setattr(core, "_bareiss", counting_bareiss)
+        doc = json.dumps({"b1": 0, "form": gram_to_obj(negate(catalog_get("E8").gram))})
+        assert main(["donaldson", "--json", doc]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "Forbidden"
+        assert len(rows_seen) == 2
+
+    @pytest.mark.parametrize("rows", [
+        diag(1, 2, 3).entries,
+        diag(-1, 1).entries,
+        diag(0, 1, -1).entries,
+        [[0, 1], [1, 0]],
+        [[1, 2, 0], [2, 1, 0], [0, 0, 0]],
+        catalog_get("E8").gram.entries,
+        catalog_get("D5").gram.entries,
+    ])
+    def test_negate_memo_matches_fresh(self, rows):
+        g = GramMatrix.from_rows(rows)
+        assert "_det_and_inertia" not in negate(g).__dict__
+        determinant(g)
+        carried = negate(g)
+        fresh = GramMatrix(carried.entries)
+        assert carried.__dict__["_det_and_inertia"] == fresh._det_and_inertia
+
     def test_memo_shared_across_threads(self):
         # a form shared by threads reads one (det, inertia), however the
         # first computations interleave

@@ -5,6 +5,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latgate import (
     BadShapeError,
@@ -22,7 +24,7 @@ from latgate import (
     sufficient_box,
 )
 from latgate import _pykernel
-from oracle_helpers import e8_ambient_count_norm_le2
+from oracle_helpers import cube_scan, e8_ambient_count_norm_le2
 
 
 def query(fid, shift=None, radius=1):
@@ -113,6 +115,58 @@ class TestOracleEquivalence:
                 slow = brute_force_coset(q, sufficient_box(q))
                 assert fast.vectors == slow.vectors
                 assert fast.norms == slow.norms
+
+
+# the reference scans every cell, so each conjugate takes radii in
+# increasing order while its cube at sufficient_box stays this small
+CUBE_CELLS = 40_000
+CLIP_FORMS = ("Zn:1", "Zn:2", "Zn:3", "Zn:4", "D4", "D5")
+
+
+class TestClippedScan:
+    """brute_force_coset clips the cube per axis; the result must be that of
+    the whole cube, for boxes below, at and above what the hits need."""
+
+    @pytest.mark.parametrize("fid", CLIP_FORMS)
+    def test_matches_full_cube(self, fid):
+        gram = catalog_get(fid).gram
+        n = gram.rank
+        rng = random.Random(41)
+        checked = 0
+        for _ in range(3):
+            conj = basis_change(gram, random_unimodular(n, rng))
+            whole = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
+            frac = tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(n))
+            for shift, radii in ((whole, (0,)), (frac, (0, Fraction(1, 4), Fraction(1, 2), 1, 2))):
+                for radius in radii:
+                    q = EnumQuery(form=conj, shift=shift, radius=radius)
+                    box = sufficient_box(q)
+                    if (2 * box + 1) ** n > CUBE_CELLS:
+                        break
+                    for b in (0, 1, box // 2, box):
+                        ref = cube_scan(conj.entries, shift, radius, b)
+                        res = brute_force_coset(q, b)
+                        assert res.vectors == tuple(u for u, _ in ref)
+                        assert res.norms == tuple(nu for _, nu in ref)
+                    checked += 1
+        assert checked >= 6
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        fid=st.sampled_from(CLIP_FORMS),
+        seed=st.integers(0, 2**32 - 1),
+        shift=st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                       min_size=5, max_size=5),
+        radius=st.fractions(min_value=0, max_value=5, max_denominator=4),
+    )
+    def test_enumerate_equals_oracle(self, fid, seed, shift, radius):
+        gram = catalog_get(fid).gram
+        conj = basis_change(gram, random_unimodular(gram.rank, random.Random(seed)))
+        q = EnumQuery(form=conj, shift=shift[:gram.rank], radius=radius)
+        fast = enumerate_coset(q)
+        slow = brute_force_coset(q, sufficient_box(q))
+        assert fast.vectors == slow.vectors
+        assert fast.norms == slow.norms
 
 
 class TestSufficientBox:

@@ -52,14 +52,3 @@ def test_dfs_small_path(name, gram, W, M, T, D, C, box):
     fast = _speedups.dfs_enumerate(n, W, M, T, D, C, small=True)
     assert fast == plain
     assert _pykernel.dfs_enumerate(n, W, M, T, D, C, small=True) == plain
-
-
-@pytest.mark.parametrize("name,gram,W,M,T,D,C,box", PROBLEMS, ids=IDS)
-def test_brute_scan_parity(name, gram, W, M, T, D, C, box):
-    n = gram.rank
-    if (2 * box + 1) ** n > 300000:
-        pytest.skip("box too large for the scan half of the parity check")
-    # parity only needs identical inputs on both sides
-    py = _pykernel.brute_scan(n, [list(r) for r in gram.entries], T, D, C, box)
-    cy = _speedups.brute_scan(n, [list(r) for r in gram.entries], T, D, C, box)
-    assert py == cy
