@@ -6,6 +6,13 @@ G w = diag(G).  The solution set is a coset of 2*Z^n; its minimal-norm
 members drive the identity-or-short-vector dichotomy: a positive definite
 unimodular form is the standard Z^n form exactly when the minimal
 characteristic norm m equals the rank, and otherwise m <= rank - 8.
+
+Both searches here (the minimal characteristic vector and the unit-vector
+count) run on the form's exact LLL-reduced basis, which each `GramMatrix`
+computes once and keeps: m, the number of minimizers and the unit-vector
+count do not depend on the basis, and the minimizers are mapped back to
+the caller's coordinates before the lex-least one is chosen.  A form that
+LLL leaves unchanged is searched as given.
 """
 
 from __future__ import annotations
@@ -13,10 +20,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .core import (
     Definiteness,
     GramMatrix,
+    IntMatrix,
     IntVector,
     definiteness,
     evaluate,
@@ -25,7 +34,14 @@ from .core import (
     negate,
     signature,
 )
-from .enumeration import DEFAULT_RANK_CAP, EnumQuery, EnumStats, _search, enumerate_coset
+from .enumeration import (
+    DEFAULT_RANK_CAP,
+    EnumQuery,
+    EnumStats,
+    _check_rank_cap,
+    _search,
+    enumerate_coset,
+)
 from .errors import (
     DegenerateFormError,
     NoSolutionError,
@@ -155,22 +171,32 @@ def solve_char_coset(g: GramMatrix) -> CharCoset:
     return CharCoset(base=_solve_gf2(g), lattice=g)
 
 
+def _reduced(g: GramMatrix, rank_cap: int) -> tuple[IntMatrix | None, GramMatrix]:
+    """(H, g') from g's memoized LLL reduction, with g' = H g H^T, or
+    (None, g) when the reduction changes nothing.  A form above the rank
+    cap is refused before it is reduced."""
+    _check_rank_cap(g.rank, rank_cap)
+    return g._lll
+
+
 def min_char_vector_with_stats(
     g: GramMatrix, *, rank_cap: int = DEFAULT_RANK_CAP
 ) -> tuple[CharVecResult, EnumStats]:
-    """Like `min_char_vector` but also returns the search counters."""
+    """Like `min_char_vector` but also returns the search counters, which
+    count the search on the reduced form."""
     n = g.rank
     if definiteness(g) is not Definiteness.POSITIVE_DEFINITE:
         raise NotPositiveDefiniteError("minimal characteristic vectors need a positive definite form")
     if not is_unimodular(g):
         raise NotUnimodularError("minimal characteristic vectors need determinant +-1")
-    w0 = _solve_gf2(g)  # unique, as g is unimodular
+    h, form = _reduced(g, rank_cap)
+    w0 = _solve_gf2(form)  # unique, as the form is unimodular
     # w = w0 + 2u, so (w, w) = 4 Q(u + w0/2); a characteristic vector of
     # norm <= n always exists, hence the initial radius min(Q(w0), n)/4
-    radius = Fraction(min(evaluate(g, w0), n), 4)
+    radius = Fraction(min(evaluate(form, w0), n), 4)
     shift = tuple(Fraction(x, 2) for x in w0)
     pairs, scale, stats = _search(
-        EnumQuery(form=g, shift=shift, radius=radius),
+        EnumQuery(form=form, shift=shift, radius=radius),
         shrink=True,
         rank_cap=rank_cap,
     )
@@ -184,13 +210,27 @@ def min_char_vector_with_stats(
     if (n - m) % 8 != 0:
         raise NoSolutionError(f"internal error: rank {n} and norm {m} differ by {n - m} mod 8")
     mins = [p[0] for p in pairs if p[1] == best]
-    u_star = mins[0]  # pairs are lex sorted and w0 + 2u preserves lex order
-    w_star = tuple(w0[i] + 2 * u_star[i] for i in range(n))
+    count = len(mins)
+    if form is g:
+        u_star = mins[0]  # pairs are lex sorted and w0 + 2u preserves lex order
+        w_star = tuple(w0[i] + 2 * u_star[i] for i in range(n))
+    else:
+        # w' = w0 + 2u in the reduced basis is w = H^T w0 + 2 H^T u in g's
+        # basis; keep the minimizers whose w is least one coordinate at a
+        # time, so most of them are mapped through one column of H only
+        cols = tuple(zip(*h))
+        for col in cols:
+            if len(mins) == 1:
+                break
+            coord = [sum(map(mul, col, u)) for u in mins]
+            low = min(coord)
+            mins = [u for u, c in zip(mins, coord) if c == low]
+        w_star = tuple(sum(map(mul, col, w0)) + 2 * sum(map(mul, col, mins[0])) for col in cols)
     result = CharVecResult(
         minimizer=w_star,
         norm_m=m,
         k=(n - m) // 8,
-        count_minimizers=len(mins),
+        count_minimizers=count,
     )
     return result, stats
 
@@ -231,9 +271,15 @@ def signature_mod8_check(g: GramMatrix) -> bool:
 
 
 def count_unit_vectors(g: GramMatrix) -> int:
-    """Number of lattice vectors of norm exactly 1 (2n for the standard form)."""
+    """Number of lattice vectors of norm exactly 1 (2n for the standard form),
+    counted on the LLL-reduced form."""
+    form = g
+    # a form that is not positive definite goes to the search as given,
+    # which refuses it naming its first non-positive pivot
+    if definiteness(g) is Definiteness.POSITIVE_DEFINITE:
+        form = _reduced(g, DEFAULT_RANK_CAP)[1]
     zero_shift = tuple(Fraction(0) for _ in range(g.rank))
-    res = enumerate_coset(EnumQuery(form=g, shift=zero_shift, radius=Fraction(1)))
+    res = enumerate_coset(EnumQuery(form=form, shift=zero_shift, radius=Fraction(1)))
     return sum(1 for nu in res.norms if nu == 1)
 
 

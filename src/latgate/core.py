@@ -9,6 +9,11 @@ the determinant, the leading principal minors whose signs give the inertia
 (congruence diagonalization takes over when one of them vanishes), and the
 Cholesky pivots as ratios of consecutive leading minors.  Each `GramMatrix`
 computes its determinant and inertia once, on first use, and keeps them.
+
+`lll_reduce` is the all-integer LLL reduction of a positive definite form
+(Lenstra, Lenstra and Lovasz 1982, in the Gram form of Cohen, Alg. 2.6.7).
+Each `GramMatrix` reduces itself once, on first use, and keeps the result
+for the searches of `latgate.charvec`.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ __all__ = [
     "negate",
     "basis_change",
     "cholesky",
+    "lll_reduce",
     "evaluate",
     "pairing",
 ]
@@ -104,6 +110,16 @@ class GramMatrix:
         minors = [row[k] for k, row in enumerate(pivot_rows)]
         neg = sum((a > 0) != (b > 0) for a, b in zip([1] + minors, minors))
         return det, (self.rank - neg, neg, 0)
+
+    @cached_property
+    def _lll(self) -> tuple[IntMatrix | None, "GramMatrix"]:
+        """`lll_reduce(self)`, computed on first use.  When the reduction
+        leaves every entry unchanged this is (None, self): the form is
+        searched as it is, and no transform is kept."""
+        h, reduced = lll_reduce(self)
+        if reduced.entries == self.entries:
+            return None, self
+        return h, reduced
 
 
 @dataclass(frozen=True)
@@ -323,6 +339,86 @@ def cholesky(g: GramMatrix) -> RationalCholesky:
         upper.append((Fraction(0),) * (i + 1) + tuple(Fraction(x, minor) for x in row[i + 1:]))
         prev = minor
     return RationalCholesky(tuple(diag), tuple(upper))
+
+
+def lll_reduce(g: GramMatrix) -> tuple[IntMatrix, GramMatrix]:
+    """All-integer LLL reduction of a positive definite form, delta = 3/4.
+
+    Returns (H, g') with det H = +-1 and g' = H g H^T: the rows of H are
+    the reduced basis in the coordinates of g.  The Gram-Schmidt data are
+    kept as integers (Cohen, Alg. 2.6.7): d[i+1] is the Gram determinant of
+    the first i+1 basis vectors (d[0] = 1) and lam[k][j] = d[j+1]*mu_kj, so
+    size reduction rounds with q = (2*lam + d) // (2*d) and every other
+    division is exact.  g' is updated in place by each step (a row and
+    column for b_k -= q*b_l, two rows and columns for a swap), never
+    recomputed from H.  Raises NotPositiveDefiniteError otherwise.
+    """
+    if definiteness(g) is not Definiteness.POSITIVE_DEFINITE:
+        raise NotPositiveDefiniteError("LLL reduction needs a positive definite form")
+    n = g.rank
+    gram = [list(row) for row in g.entries]
+    h = [[int(i == j) for j in range(n)] for i in range(n)]
+    d = [1, gram[0][0]] + [0] * (n - 1)
+    lam = [[0] * n for _ in range(n)]
+
+    def reduce(k: int, l: int) -> None:
+        dl = d[l + 1]
+        if 2 * abs(lam[k][l]) <= dl:
+            return
+        q = (2 * lam[k][l] + dl) // (2 * dl)
+        hk, hl, gk, gl = h[k], h[l], gram[k], gram[l]
+        for j in range(n):
+            hk[j] -= q * hl[j]
+            gk[j] -= q * gl[j]
+        gk[k] -= q * gk[l]
+        for j in range(n):
+            gram[j][k] = gk[j]
+        lam[k][l] -= q * dl
+        lk, ll = lam[k], lam[l]
+        for i in range(l):
+            lk[i] -= q * ll[i]
+
+    def swap(k: int) -> None:
+        h[k], h[k - 1] = h[k - 1], h[k]
+        gram[k], gram[k - 1] = gram[k - 1], gram[k]
+        for row in gram:
+            row[k], row[k - 1] = row[k - 1], row[k]
+        lk, lk1 = lam[k], lam[k - 1]
+        for j in range(k - 1):
+            lk[j], lk1[j] = lk1[j], lk[j]
+        lm = lk[k - 1]
+        b = (d[k - 1] * d[k + 1] + lm * lm) // d[k]
+        for i in range(k + 1, kmax + 1):
+            li = lam[i]
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - lm * t) // d[k]
+            li[k - 1] = (b * t + lm * li[k]) // d[k + 1]
+        d[k] = b
+
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            lk = lam[k]
+            for j in range(k + 1):
+                u = gram[k][j]
+                lj = lam[j]
+                for i in range(j):
+                    u = (d[i + 1] * u - lk[i] * lj[i]) // d[i]
+                if j < k:
+                    lk[j] = u
+                else:
+                    d[k + 1] = u
+        reduce(k, k - 1)
+        lm = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lm * lm:
+            swap(k)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+    return tuple(map(tuple, h)), GramMatrix(tuple(map(tuple, gram)))
 
 
 def evaluate(g: GramMatrix, x: Sequence[int]) -> int:

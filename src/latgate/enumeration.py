@@ -189,11 +189,16 @@ def _dfs_is_small(n, W, M, T, D, C, box: int) -> bool:
     return all(x < _SMALL_LIMIT for x in checks)
 
 
+def _check_rank_cap(n: int, rank_cap: int) -> None:
+    """Refuse a search above the rank cap before any work is spent on it."""
+    if n > rank_cap:
+        raise RankCapExceededError(f"rank {n} exceeds the cap of {rank_cap}")
+
+
 def _search(query: EnumQuery, *, shrink: bool = False, rank_cap: int = DEFAULT_RANK_CAP):
     """Run the kernel; returns (sorted (coords, scaled_norm) pairs, scale, stats)."""
     n = query.form.rank
-    if n > rank_cap:
-        raise RankCapExceededError(f"rank {n} exceeds the cap of {rank_cap}")
+    _check_rank_cap(n, rank_cap)
     chol = cholesky(query.form)
     W, M, T, D, C, scale = _scaled_problem(chol, query.shift, query.radius)
     box = _coordinate_bound(chol, query.shift, query.radius)

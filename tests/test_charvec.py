@@ -1,8 +1,12 @@
 import random
+import signal
 import warnings
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latgate import (
     DegenerateFormError,
@@ -12,16 +16,19 @@ from latgate import (
     NotUnimodularError,
     RankCapExceededError,
     basis_change,
+    brute_force_coset,
     catalog_get,
     charvec_report,
     count_unit_vectors,
     elkies_verdict,
     enumerate_coset,
+    lll_reduce,
     min_char_vector,
     negate,
     random_unimodular,
     signature_mod8_check,
     solve_char_coset,
+    sufficient_box,
 )
 from oracle_helpers import (
     char_holds_on_01_cube,
@@ -35,23 +42,43 @@ from oracle_helpers import (
 HYPERBOLIC = GramMatrix.from_rows([[0, 1], [1, 0]])
 
 
-def all_minimizers(g, result):
-    """Every characteristic minimizer, via the quarter-norm ball around w0/2."""
+def all_minimizers(g, result, scan=enumerate_coset):
+    """Every characteristic minimizer, via the quarter-norm ball around w0/2
+    searched in g's own basis (by default without any basis reduction)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         w0 = solve_char_coset(g).base
+    assert is_characteristic(g.entries, w0)
     q = EnumQuery(
         form=g,
         shift=tuple(Fraction(x, 2) for x in w0),
         radius=Fraction(result.norm_m, 4),
     )
-    ball = enumerate_coset(q)
+    ball = scan(q)
     target = Fraction(result.norm_m, 4)
     return [
         tuple(w0[i] + 2 * u[i] for i in range(g.rank))
         for u, nu in zip(ball.vectors, ball.norms)
         if nu == target
     ]
+
+
+def brute_scan(q):
+    return brute_force_coset(q, sufficient_box(q))
+
+
+@contextmanager
+def time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 class TestCharCoset:
@@ -175,6 +202,35 @@ class TestMinCharVector:
             g = catalog_get(fid).gram
             res = min_char_vector(g)
             assert res.minimizer == min(all_minimizers(g, res))
+        # conjugates that LLL changes, so the minimizers found in the
+        # reduced basis are mapped back before the lex-least is taken
+        for fid, seed in (("E8+Z2", 7), ("E8+Z4", 8), ("D12plus", 9)):
+            g = catalog_get(fid).gram
+            conj = basis_change(g, random_unimodular(g.rank, random.Random(seed)))
+            h, reduced = lll_reduce(conj)
+            assert h != tuple(tuple(int(i == j) for j in range(g.rank)) for i in range(g.rank))
+            assert reduced.entries != conj.entries
+            res = min_char_vector(conj)
+            mins = all_minimizers(conj, res)
+            assert len(mins) == res.count_minimizers == min_char_vector(g).count_minimizers
+            assert res.minimizer == min(mins)
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(fid=st.sampled_from(("Zn:1", "Zn:2", "Zn:3", "Zn:4", "Zn:5", "Zn:6", "E8",
+                                "E8+Z1", "E8+Z2", "E8+Z3", "E8+Z4", "D12plus")),
+           seed=st.integers(0, 2**32 - 1))
+    def test_conjugate_matches_oracle(self, fid, seed):
+        g = catalog_get(fid).gram
+        conj = basis_change(g, random_unimodular(g.rank, random.Random(seed)))
+        res, base = min_char_vector(conj), min_char_vector(g)
+        assert (res.norm_m, res.count_minimizers) == (base.norm_m, base.count_minimizers)
+        # the exhaustive scan in the conjugate's own coordinates wherever it
+        # is affordable; above rank 6 the scan's clipped box can pass 10^6
+        # cells, and the unreduced search of the conjugate stands in for it
+        scan = brute_scan if g.rank <= 6 or res.norm_m == 0 else enumerate_coset
+        mins = all_minimizers(conj, res, scan)
+        assert len(mins) == res.count_minimizers
+        assert res.minimizer == min(mins)
 
     def test_rejects_negative_definite(self):
         with pytest.raises(NotPositiveDefiniteError):
@@ -191,6 +247,25 @@ class TestMinCharVector:
     def test_rank_cap(self):
         with pytest.raises(RankCapExceededError):
             min_char_vector(catalog_get("Zn:5").gram, rank_cap=4)
+
+    @pytest.mark.parametrize("rows, pivot", [
+        ([[1, 0], [0, -1]], "pivot 1 is -1"),
+        ([[0, 1], [1, 0]], "pivot 0 is 0"),
+        ([[1, 0], [0, 0]], "pivot 1 is 0"),
+        ([[-1]], "pivot 0 is -1"),
+        ([[2, 1], [1, -3]], "pivot 1 is -7/2"),
+    ])
+    def test_refusals_terminate(self, rows, pivot):
+        # neither search reaches the basis reduction with a form that is not
+        # positive definite; each refuses it with the message of the check
+        g = GramMatrix.from_rows(rows)
+        with time_limit(10):
+            with pytest.raises(NotPositiveDefiniteError) as info:
+                count_unit_vectors(g)
+            assert str(info.value) == f"{pivot}, form is not positive definite"
+            with pytest.raises(NotPositiveDefiniteError) as info:
+                min_char_vector(g)
+            assert str(info.value) == "minimal characteristic vectors need a positive definite form"
 
 
 class TestVerdictAndChecks:

@@ -5,6 +5,8 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latgate import core
 from latgate import (
@@ -28,6 +30,7 @@ from latgate import (
     gram_to_obj,
     inertia,
     is_unimodular,
+    lll_reduce,
     negate,
     pairing,
     parity,
@@ -255,6 +258,76 @@ class TestCholesky:
             assert chol.form_value([Fraction(v) for v in x]) == evaluate(gram, x)
 
 
+def gram_schmidt(rows):
+    """(mu, B): Gram-Schmidt coefficients and squared lengths over Q."""
+    n = len(rows)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    b = []
+    for i in range(n):
+        for j in range(i):
+            dot = Fraction(rows[i][j]) - sum(mu[j][k] * mu[i][k] * b[k] for k in range(j))
+            mu[i][j] = dot / b[j]
+        b.append(Fraction(rows[i][i]) - sum(mu[i][k] ** 2 * b[k] for k in range(i)))
+    return mu, b
+
+
+# positive definite catalog forms up to rank 12, unimodular or not
+LLL_FORMS = ("Zn:1", "Zn:2", "Zn:3", "Zn:5", "Zn:8", "Zn:12", "D4", "D5", "E8",
+             "E8+Z1", "E8+Z2", "E8+Z3", "E8+Z4", "D12plus")
+
+
+class TestLLL:
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(fid=st.sampled_from(LLL_FORMS), seed=st.integers(0, 2**32 - 1))
+    def test_reduced_exactly(self, fid, seed):
+        gram = catalog_get(fid).gram
+        n = gram.rank
+        conj = basis_change(gram, random_unimodular(n, random.Random(seed)))
+        h, reduced = lll_reduce(conj)
+        g = conj.entries
+        assert reduced.entries == tuple(
+            tuple(sum(h[i][k] * g[k][l] * h[j][l] for k in range(n) for l in range(n))
+                  for j in range(n))
+            for i in range(n)
+        )
+        assert abs(det_gauss(h)) == 1
+        mu, b = gram_schmidt(reduced.entries)
+        for i in range(n):
+            for j in range(i):
+                assert abs(mu[i][j]) <= Fraction(1, 2)
+        for k in range(1, n):
+            assert b[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * b[k - 1]
+
+    def test_catalog_forms_it_changes(self):
+        # every Z^n is left as it is
+        forms = {fid: catalog_get(fid).gram for fid in builtin_ids(24)}
+        changed = [fid for fid, g in forms.items() if lll_reduce(g)[1].entries != g.entries]
+        assert changed == ["E8", "E8+Z1", "E8+Z2", "E8+Z3", "E8+Z4", "E8+E8", "D12plus", "D16plus"]
+
+    def test_memoized_once_per_form(self, monkeypatch):
+        calls = []
+        lll = core.lll_reduce
+        monkeypatch.setattr(core, "lll_reduce", lambda g: calls.append(g) or lll(g))
+        g = basis_change(catalog_get("E8+Z2").gram, random_unimodular(10, random.Random(3)))
+        first = g._lll
+        assert g._lll is first and len(calls) == 1
+        zn = catalog_get("Zn:6").gram
+        h, reduced = zn._lll
+        assert h is None and reduced is zn
+
+    @pytest.mark.parametrize("gram", [
+        diag(1, -1),
+        GramMatrix.from_rows([[0, 1], [1, 0]]),
+        diag(1, 0),
+        diag(-1),
+        GramMatrix.from_rows([[2, 1], [1, -3]]),
+    ])
+    def test_refuses_non_positive_definite(self, gram):
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            lll_reduce(gram)
+        assert str(info.value) == "LLL reduction needs a positive definite form"
+
+
 class TestEvaluatePairing:
     def test_evaluate_matches_pairing(self):
         gram = catalog_get("E8").gram
@@ -274,12 +347,14 @@ class TestEvaluatePairing:
 
 class TestClassifiedOnce:
     """Each command eliminates its input form once for the determinant and
-    inertia, plus once per Cholesky decomposition of that same form."""
+    inertia, plus once per Cholesky decomposition of that same form; the
+    searches of analyze decompose only the LLL-reduced form."""
 
     def _count(self, monkeypatch, form, argv):
-        calls = {"bareiss": 0, "cholesky": 0}
+        calls = {"bareiss": 0, "cholesky": 0, "cholesky_forms": [], "lll": []}
         bareiss = core._bareiss
         chol = core.cholesky
+        lll = core.lll_reduce
 
         def counting_bareiss(rows):
             if tuple(map(tuple, rows)) == form.entries:
@@ -287,22 +362,35 @@ class TestClassifiedOnce:
             return bareiss(rows)
 
         def counting_cholesky(g):
+            calls["cholesky_forms"].append(g.entries)
             if g.entries == form.entries:
                 calls["cholesky"] += 1
             return chol(g)
 
+        def counting_lll(g):
+            out = lll(g)
+            calls["lll"].append((g.entries, out[1].entries))
+            return out
+
         monkeypatch.setattr(core, "_bareiss", counting_bareiss)
+        monkeypatch.setattr(core, "lll_reduce", counting_lll)
         for module in ("core", "enumeration"):
             monkeypatch.setattr(f"latgate.{module}.cholesky", counting_cholesky)
         assert main(argv) == 0
         return calls
 
     def test_analyze_conjugate(self, monkeypatch, capsys):
+        # both searches of analyze run on the LLL-reduced form: the input is
+        # eliminated once (det and inertia) and reduced once, and every
+        # Cholesky decomposition is of the reduced form
         form = basis_change(catalog_get("D12plus").gram, random_unimodular(12, random.Random(2)))
         calls = self._count(monkeypatch, form, ["analyze", "--json", dumps_canonical(gram_to_obj(form))])
         assert json.loads(capsys.readouterr().out)["charvec"]["m"] == 4
-        assert calls["cholesky"] >= 1
-        assert calls["bareiss"] == 1 + calls["cholesky"]
+        assert calls["bareiss"] == 1
+        assert len(calls["lll"]) == 1
+        source, reduced = calls["lll"][0]
+        assert source == form.entries and reduced != form.entries
+        assert calls["cholesky_forms"] == [reduced, reduced]  # min-char search, unit count
 
     def test_donaldson_negated_e8(self, monkeypatch, capsys):
         form = negate(catalog_get("E8").gram)
