@@ -210,27 +210,21 @@ def min_char_vector_with_stats(
     if (n - m) % 8 != 0:
         raise NoSolutionError(f"internal error: rank {n} and norm {m} differ by {n - m} mod 8")
     mins = [p[0] for p in pairs if p[1] == best]
-    count = len(mins)
     if form is g:
         u_star = mins[0]  # pairs are lex sorted and w0 + 2u preserves lex order
         w_star = tuple(w0[i] + 2 * u_star[i] for i in range(n))
     else:
-        # w' = w0 + 2u in the reduced basis is w = H^T w0 + 2 H^T u in g's
-        # basis; keep the minimizers whose w is least one coordinate at a
-        # time, so most of them are mapped through one column of H only
+        # w' = w0 + 2u in the reduced basis is w = H^T w' in g's basis
         cols = tuple(zip(*h))
-        for col in cols:
-            if len(mins) == 1:
-                break
-            coord = [sum(map(mul, col, u)) for u in mins]
-            low = min(coord)
-            mins = [u for u, c in zip(mins, coord) if c == low]
-        w_star = tuple(sum(map(mul, col, w0)) + 2 * sum(map(mul, col, mins[0])) for col in cols)
+        base = [sum(map(mul, col, w0)) for col in cols]
+        w_star = min(
+            tuple(b + 2 * sum(map(mul, col, u)) for b, col in zip(base, cols)) for u in mins
+        )
     result = CharVecResult(
         minimizer=w_star,
         norm_m=m,
         k=(n - m) // 8,
-        count_minimizers=count,
+        count_minimizers=len(mins),
     )
     return result, stats
 

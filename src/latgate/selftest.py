@@ -11,7 +11,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalog import CatalogEntry, builtin_ids, catalog_get
-from .charvec import count_unit_vectors, elkies_verdict, signature_mod8_check
+from .charvec import (
+    CharVecResult,
+    count_unit_vectors,
+    elkies_verdict,
+    signature_mod8_check,
+    solve_char_coset,
+)
 from .core import (
     GramMatrix,
     Parity,
@@ -153,7 +159,30 @@ def _check_gl_invariance(entries: list[CatalogEntry], max_rank: int, rng: random
             problems.append("minimizer count moved")
         if count_unit_vectors(conj) != base_units:
             problems.append("unit count moved")
+        problems += _unreduced_search_problems(conj, other.result, base_units)
         yield CheckResult(f"gl[{entry.id}]", not problems, "; ".join(problems) or "ok")
+
+
+def _unreduced_search_problems(conj: GramMatrix, result: CharVecResult, units: int) -> list[str]:
+    """Search the conjugate's own basis, not its LLL-reduced one, and compare
+    with what the reduced search reported: the lex-least minimizer, the
+    minimizer count and the unit-vector count."""
+    n = conj.rank
+    problems = []
+    base = solve_char_coset(conj).base
+    shift = tuple(Fraction(x, 2) for x in base)
+    quarter_m = Fraction(result.norm_m, 4)
+    res = enumerate_coset(EnumQuery(form=conj, shift=shift, radius=quarter_m))
+    mins = [u for u, nu in zip(res.vectors, res.norms) if nu == quarter_m]
+    if len(mins) != result.count_minimizers or min(res.norms) != quarter_m:
+        problems.append("unreduced minimizer count differs")
+    elif tuple(base[i] + 2 * mins[0][i] for i in range(n)) != result.minimizer:
+        problems.append("unreduced lex-least minimizer differs")
+    zero = tuple(Fraction(0) for _ in range(n))
+    res = enumerate_coset(EnumQuery(form=conj, shift=zero, radius=Fraction(1)))
+    if sum(1 for nu in res.norms if nu == 1) != units:
+        problems.append("unreduced unit count differs")
+    return problems
 
 
 def _check_pipeline(entries: list[CatalogEntry], max_rank: int):

@@ -22,7 +22,6 @@ from latgate import (
     count_unit_vectors,
     elkies_verdict,
     enumerate_coset,
-    lll_reduce,
     min_char_vector,
     negate,
     random_unimodular,
@@ -30,6 +29,7 @@ from latgate import (
     solve_char_coset,
     sufficient_box,
 )
+from latgate.core import lll_reduce
 from oracle_helpers import (
     char_holds_on_01_cube,
     dn_plus_basis,
