@@ -1,8 +1,6 @@
-"""Pure-Python search kernels.
+"""The search kernels: the DFS behind every coset search and the oracle's box scan.
 
-Interchangeable with the compiled module `latgate._speedups`; both must
-return identical output for identical input, and the parity tests hold them
-to that.  The enumeration runs on a rescaled integer problem prepared by
+The enumeration runs on a rescaled integer problem prepared by
 `latgate.enumeration`:
 
     w_j = D*u_j + T_j                 (scaled coordinate, integer)
@@ -20,14 +18,13 @@ from math import isqrt
 __all__ = ["dfs_enumerate", "brute_scan"]
 
 
-def dfs_enumerate(n, W, M, T, D, C, shrink=False, small=False):
+def dfs_enumerate(n, W, M, T, D, C, shrink=False):
     """Depth-first search over levels n-1 .. 0, ascending coordinate order.
 
     Returns (results, nodes, prunes) where results is a list of
     (coordinates, scaled_norm) pairs in visit order.  With shrink=True the
     acceptance bound drops to each new best norm (callers filter to the
-    final minimum).  `small` is a no-op here; the compiled kernel uses it to
-    pick a machine-word fast path.
+    final minimum).
     """
     results: list[tuple[tuple[int, ...], int]] = []
     nodes = 0

@@ -3,18 +3,18 @@
 Finds every integer vector u with Q(u + t) <= R for a positive definite
 form Q, exact rational shift t and radius R.  The recursion is the classic
 completed-squares interval search, but run on a rescaled all-integer
-problem so that both kernels (compiled and pure) decide membership with
+problem so that the kernel (`latgate._pykernel`) decides membership with
 integer square roots only.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 from typing import Sequence
 
+from . import _pykernel as _kernel
 from .core import (
     Definiteness,
     GramMatrix,
@@ -25,20 +25,6 @@ from .core import (
     determinant,
 )
 from .errors import BadShapeError, NotPositiveDefiniteError, RankCapExceededError
-
-if os.environ.get("LATGATE_PURE"):
-    from . import _pykernel as _kernel
-
-    _KERNEL_NAME = "python"
-else:
-    try:
-        from . import _speedups as _kernel  # type: ignore[no-redef]
-
-        _KERNEL_NAME = "cython"
-    except ImportError:
-        from . import _pykernel as _kernel  # type: ignore[no-redef]
-
-        _KERNEL_NAME = "python"
 
 __all__ = [
     "DEFAULT_RANK_CAP",
@@ -53,13 +39,10 @@ __all__ = [
 
 DEFAULT_RANK_CAP = 24
 
-# the machine-word fast path must prove all intermediates fit well under 2^63
-_SMALL_LIMIT = 1 << 61
-
 
 def kernel_name() -> str:
-    """Which kernel import won: 'cython' or 'python'."""
-    return _KERNEL_NAME
+    """The search kernel's name, reported by `--stats`: always 'python'."""
+    return "python"
 
 
 @dataclass(frozen=True)
@@ -167,28 +150,6 @@ def _coordinate_bound(chol: RationalCholesky, shift: Sequence[Fraction], radius:
     return max(int(bound), 1)
 
 
-def _dfs_is_small(n, W, M, T, D, C, box: int) -> bool:
-    """Prove every intermediate of the DFS fits in a machine word."""
-    if C < 0:
-        return True
-    t_abs = max((abs(t) for t in T), default=0)
-    w_abs = D * box + t_abs
-    m_sum = max((sum(abs(x) for x in row) for row in M), default=0)
-    e_abs = D * t_abs + m_sum * w_abs
-    w_min = min(W)
-    w_max = max(W)
-    s_abs = isqrt(C // w_min)
-    checks = (
-        C,
-        D * D,
-        D * D * (box + 1) + e_abs,
-        s_abs + e_abs,
-        C + w_max * s_abs * s_abs,
-        w_abs,
-    )
-    return all(x < _SMALL_LIMIT for x in checks)
-
-
 def _check_rank_cap(n: int, rank_cap: int) -> None:
     """Refuse a search above the rank cap before any work is spent on it."""
     if n > rank_cap:
@@ -201,9 +162,7 @@ def _search(query: EnumQuery, *, shrink: bool = False, rank_cap: int = DEFAULT_R
     _check_rank_cap(n, rank_cap)
     chol = cholesky(query.form)
     W, M, T, D, C, scale = _scaled_problem(chol, query.shift, query.radius)
-    box = _coordinate_bound(chol, query.shift, query.radius)
-    small = _dfs_is_small(n, W, M, T, D, C, box)
-    pairs, nodes, prunes = _kernel.dfs_enumerate(n, W, M, T, D, C, shrink=shrink, small=small)
+    pairs, nodes, prunes = _kernel.dfs_enumerate(n, W, M, T, D, C, shrink=shrink)
     pairs.sort()
     return pairs, scale, EnumStats(nodes=nodes, prunes=prunes)
 

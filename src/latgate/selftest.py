@@ -20,7 +20,6 @@ from .charvec import (
 )
 from .core import (
     GramMatrix,
-    Parity,
     basis_change,
     determinant,
     is_unimodular,
@@ -42,7 +41,7 @@ __all__ = ["CheckResult", "random_unimodular", "run_selftest", "format_table"]
 
 _SEED = 108
 
-# ranks above these stay exact but get slow without the compiled kernel
+# ranks above these stay exact but make the self-test slow
 _ORACLE_RANK = 6
 _MOD8_RANK = 10
 _GL_RANK = 8

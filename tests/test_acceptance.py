@@ -203,6 +203,7 @@ def test_criterion_9_cli_determinism():
                 [sys.executable, "-m", "latgate", "analyze", "--catalog", "D12plus", "--json", *extra],
                 capture_output=True,
                 check=True,
+                timeout=60,  # a hung child is killed, not left behind by the hang guard
             )
             return proc.stdout
 

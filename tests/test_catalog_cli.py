@@ -228,6 +228,7 @@ class TestCliAnalyze:
         doc = dumps_canonical(gram_to_obj(g))
         assert main(["analyze", doc, "--json", "--stats"]) == 0
         serial = capsys.readouterr().out
+        assert json.loads(serial)["stats"] == {"kernel": "python", "nodes": 189, "prunes": 16}
         assert main(["analyze", doc, "--json", "--stats", "--workers", "4"]) == 0
         assert capsys.readouterr().out == serial
 
