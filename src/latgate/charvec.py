@@ -7,12 +7,20 @@ members drive the identity-or-short-vector dichotomy: a positive definite
 unimodular form is the standard Z^n form exactly when the minimal
 characteristic norm m equals the rank, and otherwise m <= rank - 8.
 
-Both searches here (the minimal characteristic vector and the unit-vector
-count) run on the form's exact LLL-reduced basis, which each `GramMatrix`
-computes once and keeps: m, the number of minimizers and the unit-vector
-count do not depend on the basis, and the minimizers are mapped back to
-the caller's coordinates before the lex-least one is chosen.  A form that
-LLL leaves unchanged is searched as given.
+Both searches here run on the form's exact LLL-reduced basis, which each
+`GramMatrix` computes once and keeps: m, the number of minimizers and the
+unit-vector count do not depend on the basis, and the minimizers are mapped
+back to the caller's coordinates before the lex-least one is chosen.  A
+form that LLL leaves unchanged is searched as given.
+
+The norm-1 vectors of a positive definite integral lattice are +-e_1, ...,
++-e_k, pairwise orthogonal, and they split off: L = Z^k (+) L' with L'
+their orthogonal complement (Elkies, "A characterization of the Z^n
+lattice", Math. Res. Lett. 2, 1995).  One radius-1 search on the reduced
+basis finds them; the unit count reads it, and the min-char search reads it
+and then searches L' alone, since m = k + m' and the number of minimizers
+is 2^k times that of L'.  Z^n itself needs no characteristic search at all.
+An even form has no norm-1 vectors and is not searched for them.
 """
 
 from __future__ import annotations
@@ -20,18 +28,21 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 from .core import (
     Definiteness,
     GramMatrix,
     IntMatrix,
     IntVector,
+    Parity,
+    cholesky,
     definiteness,
     evaluate,
     inertia,
     is_unimodular,
     negate,
+    parity,
     signature,
 )
 from .enumeration import (
@@ -40,7 +51,6 @@ from .enumeration import (
     EnumStats,
     _check_rank_cap,
     _search,
-    enumerate_coset,
 )
 from .errors import (
     DegenerateFormError,
@@ -179,17 +189,81 @@ def _reduced(g: GramMatrix, rank_cap: int) -> tuple[IntMatrix | None, GramMatrix
     return g._lll
 
 
-def min_char_vector_with_stats(
-    g: GramMatrix, *, rank_cap: int = DEFAULT_RANK_CAP
-) -> tuple[CharVecResult, EnumStats]:
-    """Like `min_char_vector` but also returns the search counters, which
-    count the search on the reduced form."""
-    n = g.rank
-    if definiteness(g) is not Definiteness.POSITIVE_DEFINITE:
-        raise NotPositiveDefiniteError("minimal characteristic vectors need a positive definite form")
-    if not is_unimodular(g):
-        raise NotUnimodularError("minimal characteristic vectors need determinant +-1")
-    h, form = _reduced(g, rank_cap)
+def _times(a: IntMatrix | None, b: IntMatrix | None) -> IntMatrix | None:
+    """The integer matrix product a b, matrices given as rows and None
+    standing for the identity."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
+def _unit_vectors(g: GramMatrix, rank_cap: int) -> tuple[IntMatrix, EnumStats]:
+    """One vector from each +- pair of norm-1 vectors of a positive definite
+    form, in the coordinates of its LLL-reduced basis g', with the counters
+    of the radius-1 search on g' that found them.
+
+    An even form has no such vectors and is not searched.  The search runs
+    once per form: its result is kept on g', next to g's LLL memo, so the
+    min-char search and the unit count of one form share it.
+    """
+    if parity(g) is Parity.EVEN:
+        return (), EnumStats(nodes=0, prunes=0)
+    form = _reduced(g, rank_cap)[1]
+    memo = form.__dict__.get("_unit_vectors")
+    if memo is None:
+        zero = (Fraction(0),) * form.rank
+        pairs, scale, stats = _search(
+            EnumQuery(form=form, shift=zero, radius=Fraction(1)), rank_cap=rank_cap
+        )
+        # of each pair +-e keep the member whose first nonzero entry is positive
+        units = tuple(u for u, norm in pairs if norm == scale and next(filter(None, u)) > 0)
+        memo = form.__dict__["_unit_vectors"] = (units, stats)
+    return memo
+
+
+def _orthogonal_complement(form: GramMatrix, units: IntMatrix) -> IntMatrix:
+    """Rows: a basis of the vectors of `form` orthogonal to every unit.
+
+    That is the integer kernel of the k x n matrix A = (e_i^T G).  Unimodular
+    column operations, Euclid's algorithm on one row at a time, bring A to
+    [L | 0] with L lower triangular; the same operations applied to the
+    identity give U with A U = [L | 0], and the last n - k columns of U are
+    a basis of the kernel.  Columns are stored as rows here.
+    """
+    n, k = form.rank, len(units)
+    a = [[sum(map(mul, e, col)) for e in units] for col in form.entries]  # G is symmetric
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for r in range(k):
+        while True:
+            p = min((c for c in range(r, n) if a[c][r]), key=lambda c: abs(a[c][r]))
+            a[r], a[p] = a[p], a[r]
+            u[r], u[p] = u[p], u[r]
+            pivot, done = a[r][r], True
+            for c in range(r + 1, n):
+                q = a[c][r] // pivot
+                if q:
+                    a[c] = [x - q * y for x, y in zip(a[c], a[r])]
+                    u[c] = [x - q * y for x, y in zip(u[c], u[r])]
+                done = done and not a[c][r]
+            if done:
+                break
+    return tuple(map(tuple, u[k:]))
+
+
+def _char_minimum(
+    form: GramMatrix, basis: IntMatrix | None, rank_cap: int
+) -> tuple[int, int, IntVector, EnumStats]:
+    """(m, number of minimizers, lex-least minimizer, counters) for the
+    characteristic vectors of a positive definite unimodular form.
+
+    The rows of `basis` are form's basis vectors in the caller's
+    coordinates (None: they are the caller's own), and the minimizer is
+    given in the caller's coordinates.
+    """
+    n = form.rank
     w0 = _solve_gf2(form)  # unique, as the form is unimodular
     # w = w0 + 2u, so (w, w) = 4 Q(u + w0/2); a characteristic vector of
     # norm <= n always exists, hence the initial radius min(Q(w0), n)/4
@@ -206,25 +280,61 @@ def min_char_vector_with_stats(
     m_scaled = Fraction(4 * best, scale)
     if m_scaled.denominator != 1:
         raise NoSolutionError(f"internal error: non-integer characteristic norm {m_scaled}")
-    m = int(m_scaled)
-    if (n - m) % 8 != 0:
-        raise NoSolutionError(f"internal error: rank {n} and norm {m} differ by {n - m} mod 8")
     mins = [p[0] for p in pairs if p[1] == best]
-    if form is g:
+    if basis is None:
         u_star = mins[0]  # pairs are lex sorted and w0 + 2u preserves lex order
         w_star = tuple(w0[i] + 2 * u_star[i] for i in range(n))
     else:
-        # w' = w0 + 2u in the reduced basis is w = H^T w' in g's basis
-        cols = tuple(zip(*h))
+        # w' = w0 + 2u in form's basis is w = basis^T w' in the caller's
+        cols = tuple(zip(*basis))
         base = [sum(map(mul, col, w0)) for col in cols]
         w_star = min(
             tuple(b + 2 * sum(map(mul, col, u)) for b, col in zip(base, cols)) for u in mins
         )
+    return int(m_scaled), len(mins), w_star, stats
+
+
+def min_char_vector_with_stats(
+    g: GramMatrix, *, rank_cap: int = DEFAULT_RANK_CAP
+) -> tuple[CharVecResult, EnumStats]:
+    """Like `min_char_vector` but also returns the search counters: those of
+    the unit-vector search plus those of the search of the complement."""
+    n = g.rank
+    if definiteness(g) is not Definiteness.POSITIVE_DEFINITE:
+        raise NotPositiveDefiniteError("minimal characteristic vectors need a positive definite form")
+    if not is_unimodular(g):
+        raise NotUnimodularError("minimal characteristic vectors need determinant +-1")
+    h, form = _reduced(g, rank_cap)
+    units, stats = _unit_vectors(g, rank_cap)
+    # L = Z^k (+) L' with L' the complement of the k units, so the
+    # characteristic vectors of L are the sums sum_i +-e_i + w' with w'
+    # characteristic in L'.  Lex order is translation invariant, so the
+    # least of them adds the lex-least of each +-e_i to the least w'.
+    m, count, minimizer = len(units), 2 ** len(units), (0,) * n
+    basis = h
+    if units:
+        for e in _times(units, h):
+            sign = -1 if next(filter(None, e)) > 0 else 1
+            minimizer = tuple(x + sign * y for x, y in zip(minimizer, e))
+        kernel = _orthogonal_complement(form, units)
+        if kernel:
+            rest = GramMatrix(_times(_times(kernel, form.entries), tuple(zip(*kernel))))
+            h_rest, form = _reduced(rest, rank_cap)
+            basis = _times(h_rest, _times(kernel, h))
+    if len(units) < n:
+        m_rest, count_rest, w_rest, rest_stats = _char_minimum(form, basis, rank_cap)
+        m += m_rest
+        count *= count_rest
+        minimizer = tuple(map(add, minimizer, w_rest))
+        stats = EnumStats(nodes=stats.nodes + rest_stats.nodes,
+                          prunes=stats.prunes + rest_stats.prunes)
+    if (n - m) % 8 != 0:
+        raise NoSolutionError(f"internal error: rank {n} and norm {m} differ by {n - m} mod 8")
     result = CharVecResult(
-        minimizer=w_star,
+        minimizer=minimizer,
         norm_m=m,
         k=(n - m) // 8,
-        count_minimizers=len(mins),
+        count_minimizers=count,
     )
     return result, stats
 
@@ -266,15 +376,12 @@ def signature_mod8_check(g: GramMatrix) -> bool:
 
 def count_unit_vectors(g: GramMatrix) -> int:
     """Number of lattice vectors of norm exactly 1 (2n for the standard form),
-    counted on the LLL-reduced form."""
-    form = g
-    # a form that is not positive definite goes to the search as given,
-    # which refuses it naming its first non-positive pivot
-    if definiteness(g) is Definiteness.POSITIVE_DEFINITE:
-        form = _reduced(g, DEFAULT_RANK_CAP)[1]
-    zero_shift = tuple(Fraction(0) for _ in range(g.rank))
-    res = enumerate_coset(EnumQuery(form=form, shift=zero_shift, radius=Fraction(1)))
-    return sum(1 for nu in res.norms if nu == 1)
+    counted on the LLL-reduced form.  An even form has none and is not
+    searched."""
+    _check_rank_cap(g.rank, DEFAULT_RANK_CAP)
+    if definiteness(g) is not Definiteness.POSITIVE_DEFINITE:
+        cholesky(g)  # refuses the form, naming its first non-positive pivot
+    return 2 * len(_unit_vectors(g, DEFAULT_RANK_CAP)[0])
 
 
 def charvec_report_with_stats(

@@ -9,6 +9,7 @@ hold for the given input).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -74,7 +75,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and building it costs far more than a parse."""
     parser = _Parser(
         prog="latgate",
         description="Exact analysis of integer quadratic forms: the characteristic-vector "

@@ -167,6 +167,13 @@ def _search(query: EnumQuery, *, shrink: bool = False, rank_cap: int = DEFAULT_R
     return pairs, scale, EnumStats(nodes=nodes, prunes=prunes)
 
 
+def _exact_norms(pairs, scale: int) -> tuple[Fraction, ...]:
+    """Fraction(scaled_norm, scale) for each pair, one Fraction per distinct
+    norm: a ball holds many vectors but few distinct norms."""
+    norms = {s: Fraction(s, scale) for s in {p[1] for p in pairs}}
+    return tuple(norms[p[1]] for p in pairs)
+
+
 def enumerate_coset(query: EnumQuery, *, with_stats: bool = False,
                     rank_cap: int = DEFAULT_RANK_CAP) -> EnumResult:
     """All u with Q(u + shift) <= radius, sorted lexicographically.
@@ -176,7 +183,7 @@ def enumerate_coset(query: EnumQuery, *, with_stats: bool = False,
     pairs, scale, stats = _search(query, shrink=False, rank_cap=rank_cap)
     return EnumResult(
         vectors=tuple(p[0] for p in pairs),
-        norms=tuple(Fraction(p[1], scale) for p in pairs),
+        norms=_exact_norms(pairs, scale),
         exhaustive=True,
         stats=stats if with_stats else None,
     )
@@ -224,7 +231,7 @@ def brute_force_coset(query: EnumQuery, box: int) -> EnumResult:
     pairs.sort()
     return EnumResult(
         vectors=tuple(p[0] for p in pairs),
-        norms=tuple(Fraction(p[1], D * D) for p in pairs),
+        norms=_exact_norms(pairs, D * D),
         exhaustive=True,
         stats=None,
     )

@@ -6,6 +6,7 @@ with generous desk-scale limits; all value checks are exact.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -198,12 +199,16 @@ def test_criterion_8_curvature_bound_sweep():
 def test_criterion_9_cli_determinism():
     desc = "analyze --catalog D12plus --json is byte-identical over 5 runs and workers 1 and 4"
     with criterion(9, desc):
+        # the child imports the package this suite imported
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(lg.__file__))}
+
         def run(extra=()):
             proc = subprocess.run(
                 [sys.executable, "-m", "latgate", "analyze", "--catalog", "D12plus", "--json", *extra],
                 capture_output=True,
                 check=True,
                 timeout=60,  # a hung child is killed, not left behind by the hang guard
+                env=env,
             )
             return proc.stdout
 

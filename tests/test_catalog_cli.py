@@ -22,6 +22,7 @@ from latgate import (
     min_char_vector,
     random_unimodular,
 )
+from latgate import cli
 from latgate.cli import main
 from latgate.formats import load_gram, load_manifold
 from latgate.selftest import CheckResult
@@ -228,7 +229,9 @@ class TestCliAnalyze:
         doc = dumps_canonical(gram_to_obj(g))
         assert main(["analyze", doc, "--json", "--stats"]) == 0
         serial = capsys.readouterr().out
-        assert json.loads(serial)["stats"] == {"kernel": "python", "nodes": 189, "prunes": 16}
+        # the radius-1 unit search (98 nodes, 32 prunes) plus the
+        # characteristic search of the complement (189 nodes, 16 prunes)
+        assert json.loads(serial)["stats"] == {"kernel": "python", "nodes": 287, "prunes": 48}
         assert main(["analyze", doc, "--json", "--stats", "--workers", "4"]) == 0
         assert capsys.readouterr().out == serial
 
@@ -307,3 +310,32 @@ class TestCliUsage:
     def test_unknown_flag(self, capsys):
         assert main(["analyze", "--catalog", "E8", "--frob"]) == 1
         capsys.readouterr()
+
+    def test_parser_reused(self, capsys):
+        # main builds its parser once per process; calls that follow each
+        # other, failed parses among them, read as with a freshly built one
+        argvs = [
+            ["analyze", "--catalog", "Zn:3", "--json"],
+            ["analyze", "--catalog", "E8", "--frob"],
+            ["donaldson", "--catalog", "E8", "--negate", "--b1", "2", "--json"],
+            [],
+            ["analyze", "--catalog", "Zn:3", "--json", "--stats", "--workers", "2"],
+            ["frobnicate"],
+            ["analyze", "--catalog", "D12plus"],
+            ["donaldson", "--catalog", "Zn:2", "--b1", "x"],
+            ["selftest", "--max-rank", "2"],
+            ["analyze"],
+        ]
+
+        def run(argv):
+            code = main(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        fresh = []
+        for argv in argvs:
+            cli._build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert [run(argv) for argv in argvs + argvs[::-1]] == fresh + fresh[::-1]
+        assert cli._build_parser() is cli._build_parser()
+        assert [code for code, _, _ in fresh] == [0, 1, 0, 1, 0, 1, 0, 1, 0, 1]

@@ -1,5 +1,8 @@
+import os
 import random
 import signal
+import subprocess
+import sys
 import warnings
 from contextlib import contextmanager
 from fractions import Fraction
@@ -23,13 +26,15 @@ from latgate import (
     elkies_verdict,
     enumerate_coset,
     min_char_vector,
+    min_char_vector_with_stats,
     negate,
     random_unimodular,
     signature_mod8_check,
     solve_char_coset,
     sufficient_box,
 )
-from latgate.core import lll_reduce
+from latgate import charvec, enumeration
+from latgate.core import direct_sum, lll_reduce
 from oracle_helpers import (
     char_holds_on_01_cube,
     dn_plus_basis,
@@ -266,6 +271,122 @@ class TestMinCharVector:
             with pytest.raises(NotPositiveDefiniteError) as info:
                 min_char_vector(g)
             assert str(info.value) == "minimal characteristic vectors need a positive definite form"
+
+
+def split_form(fid):
+    """Catalog ids plus Zk+D12plus, the standard form Z^k summed with D12plus."""
+    if fid.endswith("+D12plus"):
+        k = int(fid[1:fid.index("+")])
+        return direct_sum(catalog_get(f"Zn:{k}").gram, catalog_get("D12plus").gram)
+    return catalog_get(fid).gram
+
+
+def unit_count_by_scan(g, scan):
+    zero = tuple(Fraction(0) for _ in range(g.rank))
+    return sum(1 for nu in scan(EnumQuery(form=g, shift=zero, radius=Fraction(1))).norms if nu == 1)
+
+
+class TestUnitSplit:
+    """The norm-1 vectors split off as Z^k, and only their complement is
+    searched; every answer must equal a search that does not split."""
+
+    # (form, seed, k, m, count): Z^k (+) E8 and Z^k (+) D12plus up to rank
+    # 14, and Z^n itself, whose complement is empty
+    CASES = [
+        ("E8+Z1", 0, 1, 1, 2),
+        ("E8+Z2", 1, 2, 2, 4),
+        ("E8+Z3", 2, 3, 3, 8),
+        ("E8+Z4", 3, 4, 4, 16),
+        ("E8+Z5", 4, 5, 5, 32),
+        ("E8+Z6", 5, 6, 6, 64),
+        ("Z1+D12plus", 6, 1, 5, 48),
+        ("Z2+D12plus", 7, 2, 6, 96),
+        ("Zn:3", 8, 3, 3, 8),
+        ("Zn:6", 9, 6, 6, 64),
+    ]
+    # conjugates on which some unit is not a vector of the LLL-reduced basis,
+    # so the complement's basis comes from the general kernel computation
+    OFF_BASIS = [
+        ("E8+Z3", 131, 3, 3, 8),
+        ("E8+Z4", 15, 4, 4, 16),
+        ("E8+Z6", 43, 6, 6, 64),
+        ("Z2+D12plus", 48, 2, 6, 96),
+    ]
+
+    @pytest.mark.parametrize("fid, seed, k, m, count", CASES + OFF_BASIS)
+    def test_matches_unsplit_search(self, fid, seed, k, m, count):
+        g = split_form(fid)
+        conj = basis_change(g, random_unimodular(g.rank, random.Random(seed)))
+        res = min_char_vector(conj)
+        assert (res.norm_m, res.k, res.count_minimizers) == (m, (g.rank - m) // 8, count)
+        # the conjugate's own basis, unreduced and unsplit; the exhaustive
+        # scan where it is affordable
+        scan = brute_scan if g.rank <= 6 else enumerate_coset
+        mins = all_minimizers(conj, res, scan)
+        assert len(mins) == count
+        assert res.minimizer == min(mins)
+        assert count_unit_vectors(conj) == unit_count_by_scan(conj, scan) == 2 * k
+
+    @pytest.mark.parametrize("fid, seed, k, m, count", OFF_BASIS)
+    def test_unit_off_the_reduced_basis(self, fid, seed, k, m, count):
+        g = split_form(fid)
+        conj = basis_change(g, random_unimodular(g.rank, random.Random(seed)))
+        reduced = lll_reduce(conj)[1]
+        zero = tuple(Fraction(0) for _ in range(g.rank))
+        ball = enumerate_coset(EnumQuery(form=reduced, shift=zero, radius=Fraction(1)))
+        units = [u for u, nu in zip(ball.vectors, ball.norms) if nu == 1]
+        assert len(units) == 2 * k
+        assert any(sum(map(abs, u)) > 1 for u in units)
+
+    def test_one_unit_search_per_form(self, monkeypatch):
+        # the min-char search and the unit count of one form share a single
+        # radius-1 search, and an even form is not searched for units
+        calls = []
+        search = enumeration._search
+
+        def counting_search(query, **kwargs):
+            calls.append(kwargs.get("shrink", False))
+            return search(query, **kwargs)
+
+        monkeypatch.setattr(charvec, "_search", counting_search)
+        odd = basis_change(catalog_get("E8+Z2").gram, random_unimodular(10, random.Random(4)))
+        even = basis_change(catalog_get("E8").gram, random_unimodular(8, random.Random(4)))
+        assert min_char_vector(odd).norm_m == 2 and count_unit_vectors(odd) == 4
+        assert calls == [False, True]
+        calls.clear()
+        assert count_unit_vectors(even) == 0 and min_char_vector(even).norm_m == 0
+        assert calls == [True]
+
+    def test_stats_add_both_searches(self):
+        # Z^n needs no characteristic search: its counters are the unit
+        # search's alone, and they are never zero
+        for fid in ("Zn:1", "Zn:9"):
+            g = catalog_get(fid).gram
+            _, stats = min_char_vector_with_stats(g)
+            zero = tuple(Fraction(0) for _ in range(g.rank))
+            ball = enumerate_coset(EnumQuery(form=g, shift=zero, radius=Fraction(1)),
+                                   with_stats=True)
+            assert stats == ball.stats and stats.nodes > 0
+
+    def test_rank_cap_standard_form_in_bounded_memory(self):
+        # Z^24 has 2^24 characteristic minimizers; listing them would take
+        # gigabytes, so a regression fails here on the address-space limit
+        # instead of exhausting the machine
+        script = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from latgate import catalog_get, min_char_vector\n"
+            "r = min_char_vector(catalog_get('Zn:24').gram)\n"
+            "print(r.norm_m, r.count_minimizers, list(r.minimizer))\n"
+        )
+        src = os.path.dirname(os.path.dirname(charvec.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split(" ", 2) == ["24", str(2**24), f"{[-1] * 24}\n"]
 
 
 class TestVerdictAndChecks:

@@ -389,7 +389,7 @@ class TestClassifiedOnce:
         assert len(calls["lll"]) == 1
         source, reduced = calls["lll"][0]
         assert source == form.entries and reduced != form.entries
-        assert calls["cholesky_forms"] == [reduced, reduced]  # min-char search, unit count
+        assert calls["cholesky_forms"] == [reduced, reduced]  # unit search, min-char search
 
     def test_donaldson_negated_e8(self, monkeypatch, capsys):
         form = negate(catalog_get("E8").gram)
