@@ -27,7 +27,7 @@ from .core import (
     parity,
     signature,
 )
-from .enumeration import EnumQuery, brute_force_coset, kernel_name, sufficient_box
+from .enumeration import EnumQuery, _scan_size, brute_force_coset, kernel_name
 from .errors import (
     BadShapeError,
     InvalidParameterError,
@@ -121,17 +121,19 @@ def _build_parser() -> _Parser:
 
 
 def _oracle_block(gram: GramMatrix, result) -> dict:
-    """Independent confirmation: full brute scan when the box is affordable,
-    otherwise direct structural checks on the claimed minimizer."""
+    """Independent confirmation: the exhaustive box scan of the characteristic
+    coset when the cells it visits, clipped per axis by the determinant-only
+    Cauchy-Schwarz bound, number at most `_ORACLE_CELL_CAP`; otherwise
+    direct structural checks on the claimed minimizer."""
     n = gram.rank
     coset = solve_char_coset(gram)
     w0 = coset.base
     radius = Fraction(min(evaluate(gram, w0), n), 4)
     shift = tuple(Fraction(w, 2) for w in w0)
     query = EnumQuery(form=gram, shift=shift, radius=radius)
-    box = sufficient_box(query)
+    box, cells = _scan_size(query)
     checks: dict[str, bool] = {}
-    if (2 * box + 1) ** n <= _ORACLE_CELL_CAP:
+    if cells <= _ORACLE_CELL_CAP:
         mode = "brute"
         scan = brute_force_coset(query, box)
         best = min(scan.norms)

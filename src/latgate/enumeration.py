@@ -5,13 +5,18 @@ form Q, exact rational shift t and radius R.  The recursion is the classic
 completed-squares interval search, but run on a rescaled all-integer
 problem so that the kernel (`latgate._pykernel`) decides membership with
 integer square roots only.
+
+The oracle (`brute_force_coset`, `sufficient_box`) is a second, independent
+route: it evaluates the Gram form on every cell of a box, and takes the
+box and its per-axis clip from one Cauchy-Schwarz bound built from
+determinants of principal minors (`_axis_reach`), never from Cholesky.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 from typing import Sequence
 
 from . import _pykernel as _kernel
@@ -109,47 +114,6 @@ def _scaled_problem(chol: RationalCholesky, shift: Sequence[Fraction], radius: F
     return W, M, T, D, C, scale
 
 
-def _ceil_sqrt_bound(r: Fraction) -> Fraction:
-    """A rational s with s >= sqrt(r), tight to within 1/denominator."""
-    a, b = r.numerator, r.denominator
-    s = isqrt(a * b)
-    if s * s < a * b:
-        s += 1
-    return Fraction(s, b)
-
-
-def _coordinate_bound(chol: RationalCholesky, shift: Sequence[Fraction], radius: Fraction) -> int:
-    """Integer B with |u_i| <= B for every coordinate the search can visit.
-
-    Every visited candidate satisfies the per-level constraint
-    d_i * (y_i + sum_{j>i} mu_ij y_j)^2 <= R with y = u + shift, so writing
-    the unit triangular change of variables back gives
-    |y_i| <= sum_j |inv[i][j]| * sqrt(R/d_j).
-    """
-    n = len(chol.diag)
-    mu = chol.upper
-    inv = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n - 1, -1, -1):
-        inv[i][i] = Fraction(1)
-        for j in range(i + 1, n):
-            s = Fraction(0)
-            for k in range(i + 1, j + 1):
-                if mu[i][k]:
-                    s += mu[i][k] * inv[k][j]
-            inv[i][j] = -s
-    sq = [_ceil_sqrt_bound(radius / d) for d in chol.diag]
-    worst = Fraction(0)
-    for i in range(n):
-        b = abs(Fraction(shift[i]))
-        for j in range(i, n):
-            if inv[i][j]:
-                b += abs(inv[i][j]) * sq[j]
-        if b > worst:
-            worst = b
-    bound = -((-worst.numerator) // worst.denominator)
-    return max(int(bound), 1)
-
-
 def _check_rank_cap(n: int, rank_cap: int) -> None:
     """Refuse a search above the rank cap before any work is spent on it."""
     if n > rank_cap:
@@ -208,27 +172,51 @@ def _axis_reach(form: GramMatrix, C2: int) -> list[int]:
     return reach
 
 
-def brute_force_coset(query: EnumQuery, box: int) -> EnumResult:
-    """Oracle twin of `enumerate_coset`: every hit in the cube |u_i| <= box.
+def _scan_problem(query: EnumQuery) -> tuple[int, list[int], int, list[int]]:
+    """(D, T, C2, reach) of the oracle's box scan for `query`.
 
-    Evaluates the Gram form directly (no Cholesky anywhere on this path) so
-    the two routes stay independent.  The scan covers the cube clipped per
-    axis to the proven Cauchy-Schwarz extents of `_axis_reach`, which drops
-    only cells that cannot be hits, so the result is exactly that of the
-    full cube.  Complete whenever box >= `sufficient_box(query)`.
+    D clears the shift's denominators and T = D*shift, so u is a hit iff
+    v = D*u + T has v^T G v <= C2 = floor(D^2 * radius); reach is
+    `_axis_reach` at C2.
     """
-    if box < 0:
-        raise BadShapeError("box must be nonnegative")
     if definiteness(query.form) is not Definiteness.POSITIVE_DEFINITE:
         raise NotPositiveDefiniteError("brute-force scan requires a positive definite form")
-    n = query.form.rank
     D = lcm(*[s.denominator for s in query.shift])
     T = [s.numerator * (D // s.denominator) for s in query.shift]
     scaled = query.radius * D * D
     C2 = scaled.numerator // scaled.denominator
-    pairs = _kernel.brute_scan(n, [list(r) for r in query.form.entries], T, D, C2, box,
-                               reach=_axis_reach(query.form, C2))
-    pairs.sort()
+    return D, T, C2, _axis_reach(query.form, C2)
+
+
+def _scan_size(query: EnumQuery) -> tuple[int, int]:
+    """(box, cells): `sufficient_box(query)`, and the number of cells that
+    `brute_force_coset(query, box)` visits.
+
+    The box is the largest per-axis Cauchy-Schwarz extent
+    (reach_i + |T_i|) // D, so it never binds the clip, and the scan visits
+    the product over axes of the count of u_i with |D*u_i + T_i| <= reach_i.
+    """
+    D, T, _, reach = _scan_problem(query)
+    box = max((r + abs(t)) // D for t, r in zip(T, reach))
+    cells = prod(max(0, (r - t) // D + (r + t) // D + 1) for t, r in zip(T, reach))
+    return box, cells
+
+
+def brute_force_coset(query: EnumQuery, box: int) -> EnumResult:
+    """Oracle twin of `enumerate_coset`: every hit in the cube |u_i| <= box.
+
+    Evaluates the Gram form directly and bounds the scan by determinants
+    only (`_axis_reach`), so the two routes share no Cholesky data.  The
+    scan covers the cube clipped per axis to the proven Cauchy-Schwarz
+    extents, which drops only cells that cannot be hits, so the result is
+    exactly that of the full cube, in lexicographic order.  Complete
+    whenever box >= `sufficient_box(query)`.
+    """
+    if box < 0:
+        raise BadShapeError("box must be nonnegative")
+    D, T, C2, reach = _scan_problem(query)
+    pairs = _kernel.brute_scan(query.form.rank, [list(r) for r in query.form.entries],
+                               T, D, C2, box, reach=reach)
     return EnumResult(
         vectors=tuple(p[0] for p in pairs),
         norms=_exact_norms(pairs, D * D),
@@ -238,6 +226,10 @@ def brute_force_coset(query: EnumQuery, box: int) -> EnumResult:
 
 
 def sufficient_box(query: EnumQuery) -> int:
-    """A box size that provably contains every vector of the coset ball."""
-    chol = cholesky(query.form)
-    return _coordinate_bound(chol, query.shift, query.radius)
+    """A box size that provably contains every vector of the coset ball.
+
+    Built from determinants only (`_axis_reach`, see `_scan_size`), with no
+    Cholesky factor and no inverse.  Raises NotPositiveDefiniteError unless
+    the form is positive definite.
+    """
+    return _scan_size(query)[0]

@@ -207,16 +207,33 @@ class TestCliAnalyze:
         capsys.readouterr()
 
     def test_oracle_brute(self, capsys):
-        assert main(["analyze", "--catalog", "Zn:4", "--json", "--oracle"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["oracle"]["mode"] == "brute"
-        assert report["oracle"]["ok"]
+        # the scan runs whenever its clipped cells are within the cap: 256 on
+        # Zn:8, 12,150 on E8+Z1, and one cell on E8+E8 and D16plus
+        for fid in ("Zn:4", "Zn:8", "E8+Z1", "E8+E8", "D16plus"):
+            assert main(["analyze", "--catalog", fid, "--json", "--oracle"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["oracle"]["mode"] == "brute", fid
+            assert report["oracle"]["ok"], fid
 
     def test_oracle_structural(self, capsys):
-        assert main(["analyze", "--catalog", "D12plus", "--json", "--oracle"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["oracle"]["mode"] == "structural"
-        assert report["oracle"]["ok"]
+        # clipped scans of 661,500 cells (E8+Z2) and 4^9 (Zn:9) are over the cap
+        for fid in ("D12plus", "E8+Z2", "Zn:9"):
+            assert main(["analyze", "--catalog", fid, "--json", "--oracle"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["oracle"]["mode"] == "structural", fid
+            assert report["oracle"]["ok"], fid
+
+    def test_oracle_gate_counts_clipped_cells(self, capsys, monkeypatch):
+        # on E8+Z1 the nominal cube of the box, 5^9 cells, is over the cap,
+        # but the scan clipped per axis visits only 12,150 of them
+        sizes = []
+        size = cli._scan_size
+        monkeypatch.setattr(cli, "_scan_size", lambda q: sizes.append(size(q)) or sizes[-1])
+        assert main(["analyze", "--catalog", "E8+Z1", "--json", "--oracle"]) == 0
+        assert json.loads(capsys.readouterr().out)["oracle"]["mode"] == "brute"
+        [(box, cells)] = sizes
+        assert (box, cells) == (2, 12_150)
+        assert cells <= cli._ORACLE_CELL_CAP < (2 * box + 1) ** 9
 
     def test_deterministic_output(self, capsys):
         assert main(["analyze", "--catalog", "E8", "--json"]) == 0
@@ -275,6 +292,11 @@ class TestCliSelftest:
         out = capsys.readouterr().out
         assert "checks passed" in out
         assert "FAIL" not in out
+
+    def test_default_max_rank(self, capsys):
+        # every check up to rank 16, oracle rows included
+        assert main(["selftest"]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("133/133 checks passed")
 
     def test_corrupted_golden_detected(self):
         from latgate import run_selftest

@@ -391,6 +391,19 @@ class TestClassifiedOnce:
         assert source == form.entries and reduced != form.entries
         assert calls["cholesky_forms"] == [reduced, reduced]  # unit search, min-char search
 
+    def test_oracle_adds_no_cholesky(self, monkeypatch, capsys):
+        # the oracle bounds its scan by determinants only: the one Cholesky
+        # decomposition is still that of the min-char search (E8 is even, so
+        # there is no unit search), on the reduced form
+        form = basis_change(catalog_get("E8").gram, random_unimodular(8, random.Random(3)))
+        argv = ["analyze", "--json", "--oracle", dumps_canonical(gram_to_obj(form))]
+        calls = self._count(monkeypatch, form, argv)
+        oracle = json.loads(capsys.readouterr().out)["oracle"]
+        assert oracle["mode"] == "brute" and oracle["ok"]
+        [(_, reduced)] = calls["lll"]
+        assert calls["cholesky_forms"] == [reduced]
+        assert calls["cholesky"] == 0
+
     def test_donaldson_negated_e8(self, monkeypatch, capsys):
         form = negate(catalog_get("E8").gram)
         doc = json.dumps({"b1": 0, "form": gram_to_obj(form)})

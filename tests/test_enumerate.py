@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from latgate import (
     BadShapeError,
     EnumQuery,
+    GramMatrix,
     NotPositiveDefiniteError,
     RankCapExceededError,
     basis_change,
@@ -198,6 +199,28 @@ class TestSufficientBox:
         assert len(res.vectors) == e8_ambient_count_norm_le2()
         for u in res.vectors:
             assert max(abs(x) for x in u) <= box
+        # off the catalog basis, with fractional shifts
+        rng = random.Random(8)
+        e8 = catalog_get("E8").gram
+        for _ in range(6):
+            conj = basis_change(e8, random_unimodular(8, rng))
+            shift = tuple(Fraction(rng.randint(-3, 3), rng.choice((2, 3, 4))) for _ in range(8))
+            q = EnumQuery(form=conj, shift=shift, radius=Fraction(2))
+            box = sufficient_box(q)
+            res = enumerate_coset(q)
+            assert res.vectors
+            for u in res.vectors:
+                assert max(abs(x) for x in u) <= box
+
+    @pytest.mark.parametrize(
+        "rows", [[[1, 0], [0, -1]], [[0, 1], [1, 0]], [[1, 0], [0, 0]], [[-1]]],
+        ids=["indefinite", "hyperbolic", "degenerate", "negative"],
+    )
+    def test_not_positive_definite_rejected(self, rows):
+        gram = GramMatrix.from_rows(rows)
+        q = EnumQuery(form=gram, shift=(Fraction(0),) * gram.rank, radius=Fraction(1))
+        with pytest.raises(NotPositiveDefiniteError):
+            sufficient_box(q)
 
 
 class TestWorkersAndStats:
