@@ -1,11 +1,13 @@
 """The search kernels: the DFS behind every coset search and the oracle's box scan.
 
 The enumeration runs on a rescaled integer problem prepared by
-`latgate.enumeration`:
+`latgate.enumeration` from the pivot rows M of a fraction-free elimination:
 
     w_j = D*u_j + T_j                 (scaled coordinate, integer)
-    S_i = D*w_i + sum_{j>i} M[i][j]*w_j
+    S_i = M[i][i]*w_i + sum_{j>i} M[i][j]*w_j
     accept u  iff  sum_i W[i]*S_i**2 <= C
+
+Every M[i][i] is positive, so S_i moves by M[i][i]*D per unit step of u_i.
 
 All interval endpoints come from `math.isqrt` and integer floor division,
 so every accept/reject decision is exact.  No floats anywhere.
@@ -23,15 +25,16 @@ def dfs_enumerate(n, W, M, T, D, C, shrink=False):
 
     Returns (results, nodes, prunes) where results is a list of
     (coordinates, scaled_norm) pairs in visit order.  With shrink=True the
-    acceptance bound drops to each new best norm (callers filter to the
-    final minimum).
+    acceptance bound drops to each new best norm and the leaves above it are
+    dropped, so only the leaves at the final minimum come back.  Only the
+    entries M[i][j] with j >= i are read.
     """
     results: list[tuple[tuple[int, ...], int]] = []
     nodes = 0
     prunes = 0
     if C < 0:
         return results, nodes, prunes
-    D2 = D * D
+    step = [M[i][i] * D for i in range(n)]
     bound = C
     e = [0] * n
     hi_arr = [0] * n
@@ -42,12 +45,12 @@ def dfs_enumerate(n, W, M, T, D, C, shrink=False):
 
     i = n - 1
     # enter level n-1
-    ei = D * T[i]
+    ei = M[i][i] * T[i]
     e[i] = ei
     acc[i] = 0
     s = isqrt(bound // W[i])
-    lo = -((s + ei) // D2)
-    hi = (s - ei) // D2
+    lo = -((s + ei) // step[i])
+    hi = (s - ei) // step[i]
     if lo > hi:
         prunes += 1
     cur[i] = lo
@@ -61,7 +64,7 @@ def dfs_enumerate(n, W, M, T, D, C, shrink=False):
             cur[i] += 1
             continue
         ui = cur[i]
-        S = D2 * ui + e[i]
+        S = step[i] * ui + e[i]
         tot = acc[i] + W[i] * S * S
         if tot > bound:  # stale interval after a shrink
             cur[i] += 1
@@ -70,14 +73,15 @@ def dfs_enumerate(n, W, M, T, D, C, shrink=False):
         u[i] = ui
         w[i] = D * ui + T[i]
         if i == 0:
-            results.append((tuple(u), tot))
             if shrink and tot < bound:
+                results.clear()
                 bound = tot
+            results.append((tuple(u), tot))
             cur[i] += 1
         else:
             i -= 1
-            ei = D * T[i]
             Mi = M[i]
+            ei = Mi[i] * T[i]
             for j in range(i + 1, n):
                 ei += Mi[j] * w[j]
             e[i] = ei
@@ -90,8 +94,9 @@ def dfs_enumerate(n, W, M, T, D, C, shrink=False):
                 prunes += 1
                 continue
             s = isqrt(q)
-            lo = -((s + ei) // D2)
-            hi = (s - ei) // D2
+            si = step[i]
+            lo = -((s + ei) // si)
+            hi = (s - ei) // si
             if lo > hi:
                 prunes += 1
             cur[i] = lo
@@ -102,7 +107,7 @@ def dfs_enumerate(n, W, M, T, D, C, shrink=False):
 def brute_scan(n, gram, T, D, C2, box, *, reach):
     """Exhaustive scan of the box |u_i| <= box, evaluating the Gram form directly.
 
-    Independent of the Cholesky route on purpose: accepts u with
+    Independent of the search's pivot rows on purpose: accepts u with
     v^T gram v <= C2 where v = D*u + T.  Each axis is clipped to
     |v_i| <= reach[i], which the caller proves holds for every accepted v,
     so the clip drops only cells that cannot be hits.  The odometer keeps

@@ -36,7 +36,7 @@ from .core import (
     IntMatrix,
     IntVector,
     Parity,
-    cholesky,
+    _positive_pivots,
     definiteness,
     evaluate,
     inertia,
@@ -45,13 +45,7 @@ from .core import (
     parity,
     signature,
 )
-from .enumeration import (
-    DEFAULT_RANK_CAP,
-    EnumQuery,
-    EnumStats,
-    _check_rank_cap,
-    _search,
-)
+from .enumeration import EnumQuery, EnumStats, _check_rank_cap, _search
 from .errors import (
     DegenerateFormError,
     NoSolutionError,
@@ -181,14 +175,6 @@ def solve_char_coset(g: GramMatrix) -> CharCoset:
     return CharCoset(base=_solve_gf2(g), lattice=g)
 
 
-def _reduced(g: GramMatrix, rank_cap: int) -> tuple[IntMatrix | None, GramMatrix]:
-    """(H, g') from g's memoized LLL reduction, with g' = H g H^T, or
-    (None, g) when the reduction changes nothing.  A form above the rank
-    cap is refused before it is reduced."""
-    _check_rank_cap(g.rank, rank_cap)
-    return g._lll
-
-
 def _times(a: IntMatrix | None, b: IntMatrix | None) -> IntMatrix | None:
     """The integer matrix product a b, matrices given as rows and None
     standing for the identity."""
@@ -200,7 +186,7 @@ def _times(a: IntMatrix | None, b: IntMatrix | None) -> IntMatrix | None:
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
-def _unit_vectors(g: GramMatrix, rank_cap: int) -> tuple[IntMatrix, EnumStats]:
+def _unit_vectors(g: GramMatrix) -> tuple[IntMatrix, EnumStats]:
     """One vector from each +- pair of norm-1 vectors of a positive definite
     form, in the coordinates of its LLL-reduced basis g', with the counters
     of the radius-1 search on g' that found them.
@@ -211,13 +197,11 @@ def _unit_vectors(g: GramMatrix, rank_cap: int) -> tuple[IntMatrix, EnumStats]:
     """
     if parity(g) is Parity.EVEN:
         return (), EnumStats(nodes=0, prunes=0)
-    form = _reduced(g, rank_cap)[1]
+    form = g._lll[1]
     memo = form.__dict__.get("_unit_vectors")
     if memo is None:
         zero = (Fraction(0),) * form.rank
-        pairs, scale, stats = _search(
-            EnumQuery(form=form, shift=zero, radius=Fraction(1)), rank_cap=rank_cap
-        )
+        pairs, scale, stats = _search(EnumQuery(form=form, shift=zero, radius=Fraction(1)))
         # of each pair +-e keep the member whose first nonzero entry is positive
         units = tuple(u for u, norm in pairs if norm == scale and next(filter(None, u)) > 0)
         memo = form.__dict__["_unit_vectors"] = (units, stats)
@@ -254,7 +238,7 @@ def _orthogonal_complement(form: GramMatrix, units: IntMatrix) -> IntMatrix:
 
 
 def _char_minimum(
-    form: GramMatrix, basis: IntMatrix | None, rank_cap: int
+    form: GramMatrix, basis: IntMatrix | None
 ) -> tuple[int, int, IntVector, EnumStats]:
     """(m, number of minimizers, lex-least minimizer, counters) for the
     characteristic vectors of a positive definite unimodular form.
@@ -269,18 +253,14 @@ def _char_minimum(
     # norm <= n always exists, hence the initial radius min(Q(w0), n)/4
     radius = Fraction(min(evaluate(form, w0), n), 4)
     shift = tuple(Fraction(x, 2) for x in w0)
-    pairs, scale, stats = _search(
-        EnumQuery(form=form, shift=shift, radius=radius),
-        shrink=True,
-        rank_cap=rank_cap,
-    )
+    # the shrinking search returns the minimizers only
+    pairs, scale, stats = _search(EnumQuery(form=form, shift=shift, radius=radius), shrink=True)
     if not pairs:
         raise NoSolutionError("internal error: characteristic ball came back empty")
-    best = min(p[1] for p in pairs)
-    m_scaled = Fraction(4 * best, scale)
+    m_scaled = Fraction(4 * pairs[0][1], scale)
     if m_scaled.denominator != 1:
         raise NoSolutionError(f"internal error: non-integer characteristic norm {m_scaled}")
-    mins = [p[0] for p in pairs if p[1] == best]
+    mins = [p[0] for p in pairs]
     if basis is None:
         u_star = mins[0]  # pairs are lex sorted and w0 + 2u preserves lex order
         w_star = tuple(w0[i] + 2 * u_star[i] for i in range(n))
@@ -294,9 +274,7 @@ def _char_minimum(
     return int(m_scaled), len(mins), w_star, stats
 
 
-def min_char_vector_with_stats(
-    g: GramMatrix, *, rank_cap: int = DEFAULT_RANK_CAP
-) -> tuple[CharVecResult, EnumStats]:
+def min_char_vector_with_stats(g: GramMatrix) -> tuple[CharVecResult, EnumStats]:
     """Like `min_char_vector` but also returns the search counters: those of
     the unit-vector search plus those of the search of the complement."""
     n = g.rank
@@ -304,8 +282,9 @@ def min_char_vector_with_stats(
         raise NotPositiveDefiniteError("minimal characteristic vectors need a positive definite form")
     if not is_unimodular(g):
         raise NotUnimodularError("minimal characteristic vectors need determinant +-1")
-    h, form = _reduced(g, rank_cap)
-    units, stats = _unit_vectors(g, rank_cap)
+    _check_rank_cap(n)
+    h, form = g._lll
+    units, stats = _unit_vectors(g)
     # L = Z^k (+) L' with L' the complement of the k units, so the
     # characteristic vectors of L are the sums sum_i +-e_i + w' with w'
     # characteristic in L'.  Lex order is translation invariant, so the
@@ -319,10 +298,10 @@ def min_char_vector_with_stats(
         kernel = _orthogonal_complement(form, units)
         if kernel:
             rest = GramMatrix(_times(_times(kernel, form.entries), tuple(zip(*kernel))))
-            h_rest, form = _reduced(rest, rank_cap)
+            h_rest, form = rest._lll
             basis = _times(h_rest, _times(kernel, h))
     if len(units) < n:
-        m_rest, count_rest, w_rest, rest_stats = _char_minimum(form, basis, rank_cap)
+        m_rest, count_rest, w_rest, rest_stats = _char_minimum(form, basis)
         m += m_rest
         count *= count_rest
         minimizer = tuple(map(add, minimizer, w_rest))
@@ -339,11 +318,11 @@ def min_char_vector_with_stats(
     return result, stats
 
 
-def min_char_vector(g: GramMatrix, *, rank_cap: int = DEFAULT_RANK_CAP) -> CharVecResult:
+def min_char_vector(g: GramMatrix) -> CharVecResult:
     """Minimal-norm characteristic vector data of a positive definite
     unimodular form: lex-least minimizer, its norm m, k = (n - m)/8, and the
     number of minimizers."""
-    result, _ = min_char_vector_with_stats(g, rank_cap=rank_cap)
+    result, _ = min_char_vector_with_stats(g)
     return result
 
 
@@ -378,10 +357,10 @@ def count_unit_vectors(g: GramMatrix) -> int:
     """Number of lattice vectors of norm exactly 1 (2n for the standard form),
     counted on the LLL-reduced form.  An even form has none and is not
     searched."""
-    _check_rank_cap(g.rank, DEFAULT_RANK_CAP)
+    _check_rank_cap(g.rank)
     if definiteness(g) is not Definiteness.POSITIVE_DEFINITE:
-        cholesky(g)  # refuses the form, naming its first non-positive pivot
-    return 2 * len(_unit_vectors(g, DEFAULT_RANK_CAP)[0])
+        _positive_pivots(g)  # refuses the form, naming its first non-positive pivot
+    return 2 * len(_unit_vectors(g)[0])
 
 
 def charvec_report_with_stats(

@@ -7,8 +7,10 @@ are immutable values and safe to share across threads.
 One fraction-free elimination (`_bareiss`) serves every invariant: it gives
 the determinant, the leading principal minors whose signs give the inertia
 (congruence diagonalization takes over when one of them vanishes), and the
-Cholesky pivots as ratios of consecutive leading minors.  Each `GramMatrix`
-computes its determinant and inertia once, on first use, and keeps them.
+integer pivot rows that every lattice search reads (`_positive_pivots`).
+Each `GramMatrix` computes its determinant and inertia once, on first use,
+and keeps them.  `cholesky` reads the same rows as Fractions; no search
+uses it.
 
 `lll_reduce` is the all-integer LLL reduction of a positive definite form
 (Lenstra, Lenstra and Lovasz 1982, in the Gram form of Cohen, Alg. 2.6.7).
@@ -171,8 +173,9 @@ def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
 
     Returns (det, pivot_rows), the rows eliminated before the first row
     swap.  By Sylvester's identity pivot row k holds the leading principal
-    minor d_{k+1} on the diagonal.  All n rows come back exactly when no
-    leading minor of size < n vanishes; otherwise the next one is zero.
+    minor d_{k+1} on the diagonal (its entries left of the diagonal are
+    stale).  All n rows come back exactly when no leading minor of size < n
+    vanishes; otherwise the next one is zero.
     """
     n = len(rows)
     m = [list(row) for row in rows]
@@ -317,28 +320,37 @@ def basis_change(g: GramMatrix, u: Sequence[Sequence[int]]) -> GramMatrix:
     return GramMatrix(out)
 
 
+def _positive_pivots(g: GramMatrix) -> list[list[int]]:
+    """The `_bareiss` pivot rows P_i of a positive definite form, for which
+    Q(y) = sum_i (sum_{j>=i} P_i[j]*y_j)^2 / (d_i*d_{i+1}), d_{i+1} = P_i[i].
+
+    Raises NotPositiveDefiniteError at the first pivot d_{i+1}/d_i <= 0.
+    """
+    pivot_rows = _bareiss(g.entries)[1]
+    prev = 1
+    for i in range(g.rank):
+        minor = pivot_rows[i][i] if i < len(pivot_rows) else 0
+        if minor <= 0:
+            raise NotPositiveDefiniteError(
+                f"pivot {i} is {Fraction(minor, prev)}, form is not positive definite"
+            )
+        prev = minor
+    return pivot_rows
+
+
 def cholesky(g: GramMatrix) -> RationalCholesky:
     """Exact completed-squares decomposition of a positive definite form.
 
-    Read off one fraction-free elimination: diag[i] is the ratio d_{i+1}/d_i
-    of consecutive leading principal minors (d_0 = 1), and upper[i][j] is
+    Read off `_positive_pivots`: diag[i] is the ratio d_{i+1}/d_i of
+    consecutive leading principal minors (d_0 = 1), and upper[i][j] is
     entry j of pivot row i over d_{i+1}.
     """
-    n = g.rank
-    _, pivot_rows = _bareiss(g.entries)
-    diag: list[Fraction] = []
-    upper: list[tuple[Fraction, ...]] = []
-    prev = 1
-    for i in range(n):
-        minor = pivot_rows[i][i] if i < len(pivot_rows) else 0
-        d = Fraction(minor, prev)
-        if d <= 0:
-            raise NotPositiveDefiniteError(f"pivot {i} is {d}, form is not positive definite")
-        diag.append(d)
-        row = pivot_rows[i]
-        upper.append((Fraction(0),) * (i + 1) + tuple(Fraction(x, minor) for x in row[i + 1:]))
-        prev = minor
-    return RationalCholesky(tuple(diag), tuple(upper))
+    rows = _positive_pivots(g)
+    minors = [1] + [row[i] for i, row in enumerate(rows)]
+    diag = tuple(Fraction(b, a) for a, b in zip(minors, minors[1:]))
+    upper = tuple((Fraction(0),) * (i + 1) + tuple(Fraction(x, row[i]) for x in row[i + 1:])
+                  for i, row in enumerate(rows))
+    return RationalCholesky(diag, upper)
 
 
 def lll_reduce(g: GramMatrix) -> tuple[IntMatrix, GramMatrix]:

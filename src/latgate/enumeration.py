@@ -2,14 +2,17 @@
 
 Finds every integer vector u with Q(u + t) <= R for a positive definite
 form Q, exact rational shift t and radius R.  The recursion is the classic
-completed-squares interval search, but run on a rescaled all-integer
-problem so that the kernel (`latgate._pykernel`) decides membership with
-integer square roots only.
+completed-squares interval search (Fincke and Pohst 1985), run on a rescaled
+all-integer problem read straight off the integer pivot rows of one
+fraction-free elimination (Bareiss 1968), so that the kernel
+(`latgate._pykernel`) decides membership with integer square roots only and
+no Fraction is built before the norms are reported.
 
 The oracle (`brute_force_coset`, `sufficient_box`) is a second, independent
 route: it evaluates the Gram form on every cell of a box, and takes the
 box and its per-axis clip from one Cauchy-Schwarz bound built from
-determinants of principal minors (`_axis_reach`), never from Cholesky.
+determinants of principal minors (`_axis_reach`), never from the pivot rows
+that the search reads.
 """
 
 from __future__ import annotations
@@ -23,9 +26,8 @@ from . import _pykernel as _kernel
 from .core import (
     Definiteness,
     GramMatrix,
-    RationalCholesky,
     _bareiss,
-    cholesky,
+    _positive_pivots,
     definiteness,
     determinant,
 )
@@ -85,48 +87,41 @@ class EnumResult:
     stats: EnumStats | None = None
 
 
-def _scaled_problem(chol: RationalCholesky, shift: Sequence[Fraction], radius: Fraction):
-    """Clear denominators: returns (W, M, T, D, C, scale) with scale = L*D^4.
+def _scaled_problem(form: GramMatrix, shift: Sequence[Fraction], radius: Fraction):
+    """The kernel's integer problem: returns (W, M, T, D, C, scale).
 
-    Exact norms are recovered as Fraction(scaled_norm, scale).
+    M is the pivot rows of `_positive_pivots(form)`.  D clears the shift's
+    denominators, T = D*shift, L is the lcm of the products d_i*d_{i+1} and
+    W[i] = L / (d_i*d_{i+1}), so that scale*Q(u + shift) is
+    sum_i W[i]*(M_i . w)^2 with w = D*u + T and scale = L*D^2.  C is
+    floor(scale*radius); exact norms are Fraction(scaled_norm, scale).
     """
-    n = len(chol.diag)
-    dens = [f.denominator for f in shift]
-    for i in range(n):
-        for j in range(i + 1, n):
-            dens.append(chol.upper[i][j].denominator)
-    D = lcm(*dens) if dens else 1
-    L = lcm(*[d.denominator for d in chol.diag])
-    W = [d.numerator * (L // d.denominator) for d in chol.diag]
+    M = _positive_pivots(form)
+    minors = [1] + [row[i] for i, row in enumerate(M)]
+    products = [a * b for a, b in zip(minors, minors[1:])]
+    L = lcm(*products)
+    W = [L // p for p in products]
+    D = lcm(*[s.denominator for s in shift])
     T = [s.numerator * (D // s.denominator) for s in shift]
-    M = [
-        [
-            chol.upper[i][j].numerator * (D // chol.upper[i][j].denominator)
-            if j > i
-            else 0
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    scale = L * D**4
-    scaled = radius * scale
-    C = scaled.numerator // scaled.denominator
-    return W, M, T, D, C, scale
+    scale = L * D * D
+    return W, M, T, D, radius.numerator * scale // radius.denominator, scale
 
 
-def _check_rank_cap(n: int, rank_cap: int) -> None:
+def _check_rank_cap(n: int) -> None:
     """Refuse a search above the rank cap before any work is spent on it."""
-    if n > rank_cap:
-        raise RankCapExceededError(f"rank {n} exceeds the cap of {rank_cap}")
+    if n > DEFAULT_RANK_CAP:
+        raise RankCapExceededError(f"rank {n} exceeds the cap of {DEFAULT_RANK_CAP}")
 
 
-def _search(query: EnumQuery, *, shrink: bool = False, rank_cap: int = DEFAULT_RANK_CAP):
-    """Run the kernel; returns (sorted (coords, scaled_norm) pairs, scale, stats)."""
-    n = query.form.rank
-    _check_rank_cap(n, rank_cap)
-    chol = cholesky(query.form)
-    W, M, T, D, C, scale = _scaled_problem(chol, query.shift, query.radius)
-    pairs, nodes, prunes = _kernel.dfs_enumerate(n, W, M, T, D, C, shrink=shrink)
+def _search(query: EnumQuery, *, shrink: bool = False):
+    """Run the kernel; returns (sorted (coords, scaled_norm) pairs, scale, stats).
+
+    With shrink=True only the pairs at the least norm in the ball come back.
+    Raises NotPositiveDefiniteError, naming the first non-positive pivot,
+    unless the form is positive definite.
+    """
+    W, M, T, D, C, scale = _scaled_problem(query.form, query.shift, query.radius)
+    pairs, nodes, prunes = _kernel.dfs_enumerate(query.form.rank, W, M, T, D, C, shrink=shrink)
     pairs.sort()
     return pairs, scale, EnumStats(nodes=nodes, prunes=prunes)
 
@@ -138,13 +133,13 @@ def _exact_norms(pairs, scale: int) -> tuple[Fraction, ...]:
     return tuple(norms[p[1]] for p in pairs)
 
 
-def enumerate_coset(query: EnumQuery, *, with_stats: bool = False,
-                    rank_cap: int = DEFAULT_RANK_CAP) -> EnumResult:
+def enumerate_coset(query: EnumQuery, *, with_stats: bool = False) -> EnumResult:
     """All u with Q(u + shift) <= radius, sorted lexicographically.
 
-    Raises on non-positive-definite forms and on rank above `rank_cap`.
+    Raises on rank above `DEFAULT_RANK_CAP` and on non-positive-definite forms.
     """
-    pairs, scale, stats = _search(query, shrink=False, rank_cap=rank_cap)
+    _check_rank_cap(query.form.rank)
+    pairs, scale, stats = _search(query)
     return EnumResult(
         vectors=tuple(p[0] for p in pairs),
         norms=_exact_norms(pairs, scale),
@@ -159,7 +154,7 @@ def _axis_reach(form: GramMatrix, C2: int) -> list[int]:
     Cauchy-Schwarz in the inner product of G gives
     v_i^2 <= (G^-1)_ii * v^T G v, and (G^-1)_ii = adj_ii / det with adj_ii
     the principal minor of G without row and column i (1 at rank 1).  Built
-    from determinants only, so the scan shares no Cholesky data with the
+    from determinants only, so the scan shares no pivot rows with the
     search it checks.
     """
     det = determinant(form)
@@ -206,7 +201,7 @@ def brute_force_coset(query: EnumQuery, box: int) -> EnumResult:
     """Oracle twin of `enumerate_coset`: every hit in the cube |u_i| <= box.
 
     Evaluates the Gram form directly and bounds the scan by determinants
-    only (`_axis_reach`), so the two routes share no Cholesky data.  The
+    only (`_axis_reach`), so the two routes share no pivot rows.  The
     scan covers the cube clipped per axis to the proven Cauchy-Schwarz
     extents, which drops only cells that cannot be hits, so the result is
     exactly that of the full cube, in lexicographic order.  Complete

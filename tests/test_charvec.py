@@ -220,6 +220,23 @@ class TestMinCharVector:
             assert len(mins) == res.count_minimizers == min_char_vector(g).count_minimizers
             assert res.minimizer == min(mins)
 
+    @pytest.mark.parametrize("fid, seed", [("E8+Z4", 8), ("D12plus", 9)])
+    def test_shrink_returns_only_minimizers(self, fid, seed):
+        # the shrinking kernel on the conjugate's own characteristic ball
+        # (radius n/4, no reduction, no split) returns every minimizer and
+        # nothing else
+        g = catalog_get(fid).gram
+        conj = basis_change(g, random_unimodular(g.rank, random.Random(seed)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            w0 = solve_char_coset(conj).base
+        shift = tuple(Fraction(x, 2) for x in w0)
+        W, M, T, D, C, scale = enumeration._scaled_problem(conj, shift, Fraction(g.rank, 4))
+        pairs, _, _ = enumeration._kernel.dfs_enumerate(g.rank, W, M, T, D, C, shrink=True)
+        res = min_char_vector(conj)
+        assert {Fraction(4 * norm, scale) for _, norm in pairs} == {res.norm_m}
+        assert len(pairs) == res.count_minimizers
+
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(fid=st.sampled_from(("Zn:1", "Zn:2", "Zn:3", "Zn:4", "Zn:5", "Zn:6", "E8",
                                 "E8+Z1", "E8+Z2", "E8+Z3", "E8+Z4", "D12plus")),
@@ -251,7 +268,7 @@ class TestMinCharVector:
 
     def test_rank_cap(self):
         with pytest.raises(RankCapExceededError):
-            min_char_vector(catalog_get("Zn:5").gram, rank_cap=4)
+            min_char_vector(catalog_get("Zn:25").gram)
 
     @pytest.mark.parametrize("rows, pivot", [
         ([[1, 0], [0, -1]], "pivot 1 is -1"),

@@ -2,39 +2,46 @@ import json
 import random
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latgate import core
+from latgate import core, enumeration
 from latgate import (
     BadShapeError,
     Definiteness,
     DegenerateFormError,
+    EnumQuery,
     GramMatrix,
     NotPositiveDefiniteError,
     NotSymmetricError,
     NotUnimodularTransformError,
     Parity,
     basis_change,
+    brute_force_coset,
     builtin_ids,
     catalog_get,
     cholesky,
+    count_unit_vectors,
     definiteness,
     determinant,
     direct_sum,
     dumps_canonical,
+    enumerate_coset,
     evaluate,
     gram_to_obj,
     inertia,
     is_unimodular,
+    min_char_vector,
     negate,
     pairing,
     parity,
     random_unimodular,
     signature,
+    sufficient_box,
     validate,
 )
 from latgate.cli import main
@@ -345,71 +352,102 @@ class TestEvaluatePairing:
 
 
 class TestClassifiedOnce:
-    """Each command eliminates its input form once for the determinant and
-    inertia, plus once per Cholesky decomposition of that same form; the
-    searches of analyze decompose only the LLL-reduced form."""
+    """Each command eliminates its input form once, for the determinant and
+    inertia; each search eliminates the form it searches once more, for its
+    pivot rows, and the searches of analyze run on the LLL-reduced form."""
 
-    def _count(self, monkeypatch, form, argv):
-        calls = {"bareiss": 0, "cholesky": 0, "cholesky_forms": [], "lll": []}
+    def _count(self, monkeypatch, argv):
+        eliminated = Counter()  # rows -> fraction-free eliminations of them
+        reductions = []
         bareiss = core._bareiss
-        chol = core.cholesky
         lll = core.lll_reduce
 
         def counting_bareiss(rows):
-            if tuple(map(tuple, rows)) == form.entries:
-                calls["bareiss"] += 1
+            eliminated[tuple(map(tuple, rows))] += 1
             return bareiss(rows)
-
-        def counting_cholesky(g):
-            calls["cholesky_forms"].append(g.entries)
-            if g.entries == form.entries:
-                calls["cholesky"] += 1
-            return chol(g)
 
         def counting_lll(g):
             out = lll(g)
-            calls["lll"].append((g.entries, out[1].entries))
+            reductions.append((g.entries, out[1].entries))
             return out
 
-        monkeypatch.setattr(core, "_bareiss", counting_bareiss)
+        for module in (core, enumeration):
+            monkeypatch.setattr(module, "_bareiss", counting_bareiss)
         monkeypatch.setattr(core, "lll_reduce", counting_lll)
-        for module in ("core", "enumeration"):
-            monkeypatch.setattr(f"latgate.{module}.cholesky", counting_cholesky)
         assert main(argv) == 0
-        return calls
+        return eliminated, reductions
 
     def test_analyze_conjugate(self, monkeypatch, capsys):
-        # both searches of analyze run on the LLL-reduced form: the input is
-        # eliminated once (det and inertia) and reduced once, and every
-        # Cholesky decomposition is of the reduced form
+        # the input is eliminated once (det and inertia) and reduced once;
+        # the reduced form is eliminated once per search (unit search,
+        # min-char search)
         form = basis_change(catalog_get("D12plus").gram, random_unimodular(12, random.Random(2)))
-        calls = self._count(monkeypatch, form, ["analyze", "--json", dumps_canonical(gram_to_obj(form))])
+        argv = ["analyze", "--json", dumps_canonical(gram_to_obj(form))]
+        eliminated, reductions = self._count(monkeypatch, argv)
         assert json.loads(capsys.readouterr().out)["charvec"]["m"] == 4
-        assert calls["bareiss"] == 1
-        assert len(calls["lll"]) == 1
-        source, reduced = calls["lll"][0]
+        [(source, reduced)] = reductions
         assert source == form.entries and reduced != form.entries
-        assert calls["cholesky_forms"] == [reduced, reduced]  # unit search, min-char search
+        assert eliminated == {form.entries: 1, reduced: 2}
 
     def test_oracle_adds_no_cholesky(self, monkeypatch, capsys):
-        # the oracle bounds its scan by determinants only: the one Cholesky
-        # decomposition is still that of the min-char search (E8 is even, so
-        # there is no unit search), on the reduced form
+        # the oracle bounds its scan by determinants of principal minors
+        # only (`_axis_reach`, once for the gate and once for the scan): it
+        # eliminates neither the input nor the reduced form (E8 is even, so
+        # the min-char search is the only search)
         form = basis_change(catalog_get("E8").gram, random_unimodular(8, random.Random(3)))
         argv = ["analyze", "--json", "--oracle", dumps_canonical(gram_to_obj(form))]
-        calls = self._count(monkeypatch, form, argv)
+        eliminated, reductions = self._count(monkeypatch, argv)
         oracle = json.loads(capsys.readouterr().out)["oracle"]
         assert oracle["mode"] == "brute" and oracle["ok"]
-        [(_, reduced)] = calls["lll"]
-        assert calls["cholesky_forms"] == [reduced]
-        assert calls["cholesky"] == 0
+        [(_, reduced)] = reductions
+        minors = Counter()
+        for i in range(8):
+            minors[tuple(row[:i] + row[i + 1:] for k, row in enumerate(form.entries) if k != i)] += 2
+        assert eliminated == {form.entries: 1, reduced: 1, **minors}
 
     def test_donaldson_negated_e8(self, monkeypatch, capsys):
+        # E8 = -(-E8) carries the input's classification; the one search
+        # eliminates E8's reduced form
         form = negate(catalog_get("E8").gram)
         doc = json.dumps({"b1": 0, "form": gram_to_obj(form)})
-        calls = self._count(monkeypatch, form, ["donaldson", "--json", doc])
+        eliminated, reductions = self._count(monkeypatch, ["donaldson", "--json", doc])
         assert json.loads(capsys.readouterr().out)["verdict"] == "Forbidden"
-        assert calls["bareiss"] == 1 + calls["cholesky"]
+        [(source, reduced)] = reductions
+        assert source == catalog_get("E8").gram.entries
+        assert eliminated == {form.entries: 1, reduced: 1}
+
+    def test_searches_make_no_cholesky(self, monkeypatch):
+        # every search reads the integer pivot rows; the public Cholesky
+        # decomposition is never called, and the refusals keep their texts
+        def refuse(g):
+            raise AssertionError("a search called cholesky")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "latgate" and hasattr(module, "cholesky"):
+                monkeypatch.setattr(module, "cholesky", refuse)
+        for fid, seed, m, count, units in (("D12plus", 2, 4, 24, 0), ("E8+Z4", 8, 4, 16, 8),
+                                           ("E8", 3, 0, 1, 0), ("Zn:5", 1, 5, 32, 10)):
+            g = catalog_get(fid).gram
+            conj = basis_change(g, random_unimodular(g.rank, random.Random(seed)))
+            res = min_char_vector(conj)
+            assert (res.norm_m, res.count_minimizers) == (m, count)
+            assert evaluate(conj, res.minimizer) == m
+            assert count_unit_vectors(conj) == units
+        conj = basis_change(catalog_get("D5").gram, random_unimodular(5, random.Random(4)))
+        q = EnumQuery(form=conj, shift=(Fraction(1, 2), Fraction(-1, 3), 0, 0, Fraction(1, 2)),
+                      radius=Fraction(5, 2))
+        ball = enumerate_coset(q)
+        assert ball.vectors and ball == brute_force_coset(q, sufficient_box(q))
+        for rows, pivot in (([[1, 0], [0, -1]], "pivot 1 is -1"), ([[0, 1], [1, 0]], "pivot 0 is 0")):
+            g = GramMatrix.from_rows(rows)
+            for search in (count_unit_vectors,
+                           lambda g: enumerate_coset(EnumQuery(g, (0, 0), Fraction(1)))):
+                with pytest.raises(NotPositiveDefiniteError) as info:
+                    search(g)
+                assert str(info.value) == f"{pivot}, form is not positive definite"
+            with pytest.raises(NotPositiveDefiniteError) as info:
+                min_char_vector(g)
+            assert str(info.value) == "minimal characteristic vectors need a positive definite form"
 
     def test_negation_reuses_classification(self, monkeypatch, capsys):
         # choose_line_bundle negates the classified input: -(-E8) takes its
