@@ -1,13 +1,18 @@
 """The search kernels: the DFS behind every coset search and the oracle's box scan.
 
 The enumeration runs on a rescaled integer problem prepared by
-`latgate.enumeration` from the pivot rows M of a fraction-free elimination:
+`latgate.enumeration` from the pivot rows M of a fraction-free elimination
+of the coordinate-reversed form, whose level i is the caller's coordinate
+n-1-i:
 
-    w_j = D*u_j + T_j                 (scaled coordinate, integer)
+    w_i = D*u[n-1-i] + T_i            (scaled coordinate, integer)
     S_i = M[i][i]*w_i + sum_{j>i} M[i][j]*w_j
     accept u  iff  sum_i W[i]*S_i**2 <= C
 
-Every M[i][i] is positive, so S_i moves by M[i][i]*D per unit step of u_i.
+Every M[i][i] is positive, so S_i moves by M[i][i]*D per unit step.  The
+search fixes level n-1 (the caller's coordinate 0) outermost and level 0
+(coordinate n-1) innermost, each over an ascending interval, so leaves come
+out in lexicographic order of the caller's coordinates.
 
 All interval endpoints come from `math.isqrt` and integer floor division,
 so every accept/reject decision is exact.  No floats anywhere.
@@ -23,11 +28,12 @@ __all__ = ["dfs_enumerate", "brute_scan"]
 def dfs_enumerate(n, W, M, T, D, C, shrink=False):
     """Depth-first search over levels n-1 .. 0, ascending coordinate order.
 
-    Returns (results, nodes, prunes) where results is a list of
-    (coordinates, scaled_norm) pairs in visit order.  With shrink=True the
-    acceptance bound drops to each new best norm and the leaves above it are
-    dropped, so only the leaves at the final minimum come back.  Only the
-    entries M[i][j] with j >= i are read.
+    Level i's coordinate is stored at u[n-1-i].  Returns (results, nodes,
+    prunes) where results is a list of (coordinates, scaled_norm) pairs in
+    visit order, which is strictly increasing lexicographic order of the
+    coordinates.  With shrink=True the acceptance bound drops to each new
+    best norm and the leaves above it are dropped, so only the leaves at the
+    final minimum come back.  Only the entries M[i][j] with j >= i are read.
     """
     results: list[tuple[tuple[int, ...], int]] = []
     nodes = 0
@@ -70,7 +76,7 @@ def dfs_enumerate(n, W, M, T, D, C, shrink=False):
             cur[i] += 1
             continue
         nodes += 1
-        u[i] = ui
+        u[n - 1 - i] = ui
         w[i] = D * ui + T[i]
         if i == 0:
             if shrink and tot < bound:

@@ -262,7 +262,7 @@ def _char_minimum(
         raise NoSolutionError(f"internal error: non-integer characteristic norm {m_scaled}")
     mins = [p[0] for p in pairs]
     if basis is None:
-        u_star = mins[0]  # pairs are lex sorted and w0 + 2u preserves lex order
+        u_star = mins[0]  # pairs come in lex order and w0 + 2u preserves lex order
         w_star = tuple(w0[i] + 2 * u_star[i] for i in range(n))
     else:
         # w' = w0 + 2u in form's basis is w = basis^T w' in the caller's
@@ -298,6 +298,9 @@ def min_char_vector_with_stats(g: GramMatrix) -> tuple[CharVecResult, EnumStats]
         kernel = _orthogonal_complement(form, units)
         if kernel:
             rest = GramMatrix(_times(_times(kernel, form.entries), tuple(zip(*kernel))))
+            # L' is positive definite and unimodular, so its LLL reduction
+            # needs no elimination to classify it
+            rest.__dict__["_det_and_inertia"] = (1, (rest.rank, 0, 0))
             h_rest, form = rest._lll
             basis = _times(h_rest, _times(kernel, h))
     if len(units) < n:

@@ -7,15 +7,16 @@ are immutable values and safe to share across threads.
 One fraction-free elimination (`_bareiss`) serves every invariant: it gives
 the determinant, the leading principal minors whose signs give the inertia
 (congruence diagonalization takes over when one of them vanishes), and the
-integer pivot rows that every lattice search reads (`_positive_pivots`).
+integer pivot rows that every lattice search reads (`_reversed_pivots`, the
+rows of the coordinate-reversed form, checked as `_positive_pivots` checks).
 Each `GramMatrix` computes its determinant and inertia once, on first use,
 and keeps them.  `cholesky` reads the same rows as Fractions; no search
 uses it.
 
 `lll_reduce` is the all-integer LLL reduction of a positive definite form
 (Lenstra, Lenstra and Lovasz 1982, in the Gram form of Cohen, Alg. 2.6.7).
-Each `GramMatrix` reduces itself once, on first use, and keeps the result
-for the searches of `latgate.charvec`.
+Each `GramMatrix` reduces itself once, on first use, and keeps the result,
+in reversed basis order, for the searches of `latgate.charvec`.
 """
 
 from __future__ import annotations
@@ -115,13 +116,17 @@ class GramMatrix:
 
     @cached_property
     def _lll(self) -> tuple[IntMatrix | None, "GramMatrix"]:
-        """`lll_reduce(self)`, computed on first use.  When the reduction
-        leaves every entry unchanged this is (None, self): the form is
-        searched as it is, and no transform is kept."""
+        """`lll_reduce(self)` = (H, g'), computed on first use and stored in
+        reversed basis order: H's rows reversed and P*g'*P, P the coordinate
+        reversal.  The searches eliminate the reversed form of what they
+        search, so they eliminate g' itself and keep the LLL order of the
+        search tree.  When the reduction leaves every entry unchanged this is
+        (None, self): the form is searched as it is, and no transform is
+        kept."""
         h, reduced = lll_reduce(self)
         if reduced.entries == self.entries:
             return None, self
-        return h, reduced
+        return h[::-1], GramMatrix(tuple(row[::-1] for row in reduced.entries[::-1]))
 
 
 @dataclass(frozen=True)
@@ -335,6 +340,20 @@ def _positive_pivots(g: GramMatrix) -> list[list[int]]:
                 f"pivot {i} is {Fraction(minor, prev)}, form is not positive definite"
             )
         prev = minor
+    return pivot_rows
+
+
+def _reversed_pivots(g: GramMatrix) -> list[list[int]]:
+    """`_positive_pivots` of P*g*P, P the coordinate reversal: the pivot rows
+    that the searches read, so that their outermost level is g's
+    coordinate 0.
+
+    A form that is not positive definite is refused by `_positive_pivots(g)`,
+    so the message names g's own first non-positive pivot.
+    """
+    pivot_rows = _bareiss([row[::-1] for row in g.entries[::-1]])[1]
+    if len(pivot_rows) < g.rank or any(row[i] <= 0 for i, row in enumerate(pivot_rows)):
+        _positive_pivots(g)
     return pivot_rows
 
 

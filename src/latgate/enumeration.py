@@ -6,13 +6,15 @@ completed-squares interval search (Fincke and Pohst 1985), run on a rescaled
 all-integer problem read straight off the integer pivot rows of one
 fraction-free elimination (Bareiss 1968), so that the kernel
 (`latgate._pykernel`) decides membership with integer square roots only and
-no Fraction is built before the norms are reported.
+no Fraction is built before the norms are reported.  The elimination is of
+the coordinate-reversed form, so the search fixes coordinate 0 outermost
+and emits the points in lexicographic order: nothing sorts them.
 
 The oracle (`brute_force_coset`, `sufficient_box`) is a second, independent
 route: it evaluates the Gram form on every cell of a box, and takes the
 box and its per-axis clip from one Cauchy-Schwarz bound built from
-determinants of principal minors (`_axis_reach`), never from the pivot rows
-that the search reads.
+determinants of principal minors (`_axis_reach`, the adjugate's diagonal),
+never from the pivot rows that the search reads.
 """
 
 from __future__ import annotations
@@ -26,10 +28,8 @@ from . import _pykernel as _kernel
 from .core import (
     Definiteness,
     GramMatrix,
-    _bareiss,
-    _positive_pivots,
+    _reversed_pivots,
     definiteness,
-    determinant,
 )
 from .errors import BadShapeError, NotPositiveDefiniteError, RankCapExceededError
 
@@ -79,7 +79,7 @@ class EnumStats:
 
 @dataclass(frozen=True)
 class EnumResult:
-    """Lexicographically sorted vectors with exact norms Q(u + shift)."""
+    """Vectors in lexicographic order, with exact norms Q(u + shift)."""
 
     vectors: tuple[tuple[int, ...], ...]
     norms: tuple[Fraction, ...]
@@ -90,19 +90,22 @@ class EnumResult:
 def _scaled_problem(form: GramMatrix, shift: Sequence[Fraction], radius: Fraction):
     """The kernel's integer problem: returns (W, M, T, D, C, scale).
 
-    M is the pivot rows of `_positive_pivots(form)`.  D clears the shift's
-    denominators, T = D*shift, L is the lcm of the products d_i*d_{i+1} and
-    W[i] = L / (d_i*d_{i+1}), so that scale*Q(u + shift) is
-    sum_i W[i]*(M_i . w)^2 with w = D*u + T and scale = L*D^2.  C is
-    floor(scale*radius); exact norms are Fraction(scaled_norm, scale).
+    The problem is the coordinate-reversed one, P*G*P with P the reversal,
+    so that the kernel's outermost level is the caller's coordinate 0.  M is
+    `_reversed_pivots(form)`, the pivot rows of P*G*P, and d_{i+1} = M[i][i]
+    its leading minors.  D clears the shift's denominators, T = D*P*shift,
+    L is the lcm of the products d_i*d_{i+1} and W[i] = L / (d_i*d_{i+1}),
+    so that scale*Q(u + shift) is sum_i W[i]*(M_i . w)^2 with w = D*P*u + T
+    and scale = L*D^2.  C is floor(scale*radius); exact norms are
+    Fraction(scaled_norm, scale).
     """
-    M = _positive_pivots(form)
+    M = _reversed_pivots(form)
     minors = [1] + [row[i] for i, row in enumerate(M)]
     products = [a * b for a, b in zip(minors, minors[1:])]
     L = lcm(*products)
     W = [L // p for p in products]
     D = lcm(*[s.denominator for s in shift])
-    T = [s.numerator * (D // s.denominator) for s in shift]
+    T = [s.numerator * (D // s.denominator) for s in reversed(shift)]
     scale = L * D * D
     return W, M, T, D, radius.numerator * scale // radius.denominator, scale
 
@@ -114,15 +117,16 @@ def _check_rank_cap(n: int) -> None:
 
 
 def _search(query: EnumQuery, *, shrink: bool = False):
-    """Run the kernel; returns (sorted (coords, scaled_norm) pairs, scale, stats).
+    """Run the kernel; returns ((coords, scaled_norm) pairs, scale, stats).
 
-    With shrink=True only the pairs at the least norm in the ball come back.
+    The pairs come in strictly increasing lexicographic order of the
+    coordinates, as the kernel visits them: nothing sorts them.  With
+    shrink=True only the pairs at the least norm in the ball come back.
     Raises NotPositiveDefiniteError, naming the first non-positive pivot,
     unless the form is positive definite.
     """
     W, M, T, D, C, scale = _scaled_problem(query.form, query.shift, query.radius)
     pairs, nodes, prunes = _kernel.dfs_enumerate(query.form.rank, W, M, T, D, C, shrink=shrink)
-    pairs.sort()
     return pairs, scale, EnumStats(nodes=nodes, prunes=prunes)
 
 
@@ -134,7 +138,8 @@ def _exact_norms(pairs, scale: int) -> tuple[Fraction, ...]:
 
 
 def enumerate_coset(query: EnumQuery, *, with_stats: bool = False) -> EnumResult:
-    """All u with Q(u + shift) <= radius, sorted lexicographically.
+    """All u with Q(u + shift) <= radius, in lexicographic order: the search
+    emits them in that order, so nothing sorts them.
 
     Raises on rank above `DEFAULT_RANK_CAP` and on non-positive-definite forms.
     """
@@ -153,18 +158,24 @@ def _axis_reach(form: GramMatrix, C2: int) -> list[int]:
 
     Cauchy-Schwarz in the inner product of G gives
     v_i^2 <= (G^-1)_ii * v^T G v, and (G^-1)_ii = adj_ii / det with adj_ii
-    the principal minor of G without row and column i (1 at rank 1).  Built
-    from determinants only, so the scan shares no pivot rows with the
-    search it checks.
+    the principal minor of G without row and column i.  All n of them come
+    from one fraction-free Gauss-Jordan elimination of [G | I], which ends
+    at [det*I | adj G]: every division is exact, and G is positive definite,
+    so no pivot vanishes.  Built from determinants only, so the scan shares
+    no pivot rows with the search it checks.
     """
-    det = determinant(form)
-    rows = form.entries
-    reach = []
-    for i in range(form.rank):
-        minor = [row[:i] + row[i + 1:] for k, row in enumerate(rows) if k != i]
-        adj = _bareiss(minor)[0] if minor else 1
-        reach.append(isqrt(C2 * adj // det))
-    return reach
+    n = form.rank
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(form.entries)]
+    prev = 1
+    for k in range(n):
+        pivot_row, pivot = a[k], a[k][k]
+        for i, row in enumerate(a):
+            if i != k:
+                f = row[k]
+                for j in range(k + 1, 2 * n):
+                    row[j] = (pivot * row[j] - f * pivot_row[j]) // prev
+        prev = pivot
+    return [isqrt(C2 * a[i][n + i] // prev) for i in range(n)]
 
 
 def _scan_problem(query: EnumQuery) -> tuple[int, list[int], int, list[int]]:

@@ -354,7 +354,8 @@ class TestEvaluatePairing:
 class TestClassifiedOnce:
     """Each command eliminates its input form once, for the determinant and
     inertia; each search eliminates the form it searches once more, for its
-    pivot rows, and the searches of analyze run on the LLL-reduced form."""
+    pivot rows, and the searches of analyze run on the LLL-reduced form.
+    Every elimination goes through `core._bareiss`."""
 
     def _count(self, monkeypatch, argv):
         eliminated = Counter()  # rows -> fraction-free eliminations of them
@@ -371,8 +372,7 @@ class TestClassifiedOnce:
             reductions.append((g.entries, out[1].entries))
             return out
 
-        for module in (core, enumeration):
-            monkeypatch.setattr(module, "_bareiss", counting_bareiss)
+        monkeypatch.setattr(core, "_bareiss", counting_bareiss)
         monkeypatch.setattr(core, "lll_reduce", counting_lll)
         assert main(argv) == 0
         return eliminated, reductions
@@ -380,7 +380,8 @@ class TestClassifiedOnce:
     def test_analyze_conjugate(self, monkeypatch, capsys):
         # the input is eliminated once (det and inertia) and reduced once;
         # the reduced form is eliminated once per search (unit search,
-        # min-char search)
+        # min-char search): it is kept in reversed order, and each search
+        # eliminates the reversal of what it searches
         form = basis_change(catalog_get("D12plus").gram, random_unimodular(12, random.Random(2)))
         argv = ["analyze", "--json", dumps_canonical(gram_to_obj(form))]
         eliminated, reductions = self._count(monkeypatch, argv)
@@ -390,20 +391,38 @@ class TestClassifiedOnce:
         assert eliminated == {form.entries: 1, reduced: 2}
 
     def test_oracle_adds_no_cholesky(self, monkeypatch, capsys):
-        # the oracle bounds its scan by determinants of principal minors
-        # only (`_axis_reach`, once for the gate and once for the scan): it
-        # eliminates neither the input nor the reduced form (E8 is even, so
-        # the min-char search is the only search)
+        # the oracle bounds its scan by the adjugate's diagonal, from one
+        # Gauss-Jordan elimination of [G | I] in each `_axis_reach` (once
+        # for the gate and once for the scan): it adds no `_bareiss` run, on
+        # the input, on the reduced form or on a principal minor (E8 is
+        # even, so the min-char search is the only search)
         form = basis_change(catalog_get("E8").gram, random_unimodular(8, random.Random(3)))
+        reached = []
+        axis_reach = enumeration._axis_reach
+        monkeypatch.setattr(enumeration, "_axis_reach",
+                            lambda g, C2: reached.append(g.entries) or axis_reach(g, C2))
         argv = ["analyze", "--json", "--oracle", dumps_canonical(gram_to_obj(form))]
         eliminated, reductions = self._count(monkeypatch, argv)
         oracle = json.loads(capsys.readouterr().out)["oracle"]
         assert oracle["mode"] == "brute" and oracle["ok"]
         [(_, reduced)] = reductions
-        minors = Counter()
-        for i in range(8):
-            minors[tuple(row[:i] + row[i + 1:] for k, row in enumerate(form.entries) if k != i)] += 2
-        assert eliminated == {form.entries: 1, reduced: 1, **minors}
+        assert eliminated == {form.entries: 1, reduced: 1}
+        assert reached == [form.entries] * 2
+
+    def test_split_complement_not_classified(self, monkeypatch, capsys):
+        # after the Z^4 split the complement g'' (an E8) is built with its
+        # det and inertia known: LLL reduces it, but nothing eliminates it
+        # to classify it; its reduced form is eliminated once, by the
+        # min-char search
+        form = basis_change(catalog_get("E8+Z4").gram, random_unimodular(12, random.Random(8)))
+        argv = ["analyze", "--json", dumps_canonical(gram_to_obj(form))]
+        eliminated, reductions = self._count(monkeypatch, argv)
+        report = json.loads(capsys.readouterr().out)["charvec"]
+        assert (report["m"], report["unit_vector_count"]) == (4, 8)
+        [(source, reduced), (rest, rest_reduced)] = reductions
+        assert source == form.entries and len(rest) == 8 and rest_reduced != rest
+        assert eliminated[rest] == 0
+        assert eliminated == {form.entries: 1, reduced: 1, rest_reduced: 1}
 
     def test_donaldson_negated_e8(self, monkeypatch, capsys):
         # E8 = -(-E8) carries the input's classification; the one search
@@ -438,7 +457,10 @@ class TestClassifiedOnce:
                       radius=Fraction(5, 2))
         ball = enumerate_coset(q)
         assert ball.vectors and ball == brute_force_coset(q, sufficient_box(q))
-        for rows, pivot in (([[1, 0], [0, -1]], "pivot 1 is -1"), ([[0, 1], [1, 0]], "pivot 0 is 0")):
+        # the searches eliminate the reversed form, which fails at another
+        # pivot for diag(-1, 1) and diag(1, -1); the texts name the caller's
+        for rows, pivot in (([[1, 0], [0, -1]], "pivot 1 is -1"), ([[-1, 0], [0, 1]], "pivot 0 is -1"),
+                            ([[0, 1], [1, 0]], "pivot 0 is 0")):
             g = GramMatrix.from_rows(rows)
             for search in (count_unit_vectors,
                            lambda g: enumerate_coset(EnumQuery(g, (0, 0), Fraction(1)))):

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latgate import enumeration
 from latgate import (
     BadShapeError,
     EnumQuery,
@@ -21,7 +23,7 @@ from latgate import (
     random_unimodular,
     sufficient_box,
 )
-from oracle_helpers import cube_scan, e8_ambient_count_norm_le2
+from oracle_helpers import cube_scan, det_gauss, e8_ambient_count_norm_le2
 
 
 def query(fid, shift=None, radius=1):
@@ -164,6 +166,62 @@ class TestClippedScan:
         slow = brute_force_coset(q, sufficient_box(q))
         assert fast.vectors == slow.vectors
         assert fast.norms == slow.norms
+
+
+class TestLexOrder:
+    """The search emits its points in lexicographic order of the caller's
+    coordinates, and `_search` returns them as emitted: nothing sorts them."""
+
+    @pytest.mark.parametrize("fid", ("Zn:1", "Zn:2", "Zn:3", "D4", "D5", "Zn:6", "Zn:7", "Zn:8"))
+    def test_search_emits_lex_order(self, fid, monkeypatch):
+        emitted = []
+        dfs = enumeration._kernel.dfs_enumerate
+
+        def recording(*args, **kwargs):
+            out = dfs(*args, **kwargs)
+            emitted.append(list(out[0]))
+            return out
+
+        monkeypatch.setattr(enumeration._kernel, "dfs_enumerate", recording)
+        gram = catalog_get(fid).gram
+        n = gram.rank
+        rng = random.Random(11)
+        checked = hits = 0
+        while checked < 4:
+            conj = basis_change(gram, random_unimodular(n, rng, bound=1))
+            shift = tuple(Fraction(rng.randint(-3, 3), rng.choice((2, 3, 4))) for _ in range(n))
+            q = EnumQuery(form=conj, shift=shift, radius=Fraction(rng.randint(1, 5), 2))
+            if enumeration._scan_size(q)[1] > CUBE_CELLS:
+                continue  # the oracle's scan would be slow
+            checked += 1
+            for shrink in (False, True):
+                pairs, scale, _ = enumeration._search(q, shrink=shrink)
+                assert pairs == emitted.pop()
+                vectors = [u for u, _ in pairs]
+                assert all(a < b for a, b in zip(vectors, vectors[1:]))
+            slow = brute_force_coset(q, sufficient_box(q))
+            pairs = enumeration._search(q)[0]
+            assert tuple(u for u, _ in pairs) == slow.vectors
+            assert tuple(Fraction(norm, scale) for _, norm in pairs) == slow.norms
+            hits += len(pairs)
+        assert hits > 0
+
+
+class TestAxisReach:
+    @pytest.mark.parametrize("fid", ("D4", "D5", "E8", "E8+Z4", "D12plus", "Zn:16", "D16plus",
+                                     "E8+E8", "D20plus+Z4", "D12plus+D12plus", "Zn:24"))
+    def test_matches_principal_minors(self, fid):
+        # reach_i = isqrt(C2 * adj_ii // det), with adj_ii the determinant
+        # of the principal minor without row and column i
+        gram = catalog_get(fid).gram
+        n = gram.rank
+        conj = basis_change(gram, random_unimodular(n, random.Random(5)))
+        rows = conj.entries
+        det = det_gauss(rows)
+        adj = [det_gauss([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != i]) if n > 1 else 1
+               for i in range(n)]
+        for C2 in (0, 1, 7, 4 * n, 10**12 + 39):
+            assert enumeration._axis_reach(conj, C2) == [isqrt(C2 * a // det) for a in adj]
 
 
 class TestSufficientBox:
