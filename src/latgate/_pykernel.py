@@ -15,7 +15,8 @@ search fixes level n-1 (the caller's coordinate 0) outermost and level 0
 out in lexicographic order of the caller's coordinates.
 
 All interval endpoints come from `math.isqrt` and integer floor division,
-so every accept/reject decision is exact.  No floats anywhere.
+so every accept/reject decision is exact.  No floats anywhere.  The bound C
+is fixed for the whole search, which has one mode.
 """
 
 from __future__ import annotations
@@ -25,15 +26,15 @@ from math import isqrt
 __all__ = ["dfs_enumerate", "brute_scan"]
 
 
-def dfs_enumerate(n, W, M, T, D, C, shrink=False):
+def dfs_enumerate(n, W, M, T, D, C):
     """Depth-first search over levels n-1 .. 0, ascending coordinate order.
 
     Level i's coordinate is stored at u[n-1-i].  Returns (results, nodes,
-    prunes) where results is a list of (coordinates, scaled_norm) pairs in
-    visit order, which is strictly increasing lexicographic order of the
-    coordinates.  With shrink=True the acceptance bound drops to each new
-    best norm and the leaves above it are dropped, so only the leaves at the
-    final minimum come back.  Only the entries M[i][j] with j >= i are read.
+    prunes) where results is a list of (coordinates, scaled_norm) pairs, one
+    for every point with scaled norm <= C, in visit order, which is strictly
+    increasing lexicographic order of the coordinates.  Every interval is cut
+    at the bound C, so each node visited has partial norm <= C.  Only the
+    entries M[i][j] with j >= i are read.
     """
     results: list[tuple[tuple[int, ...], int]] = []
     nodes = 0
@@ -41,7 +42,6 @@ def dfs_enumerate(n, W, M, T, D, C, shrink=False):
     if C < 0:
         return results, nodes, prunes
     step = [M[i][i] * D for i in range(n)]
-    bound = C
     e = [0] * n
     hi_arr = [0] * n
     cur = [0] * n
@@ -54,7 +54,7 @@ def dfs_enumerate(n, W, M, T, D, C, shrink=False):
     ei = M[i][i] * T[i]
     e[i] = ei
     acc[i] = 0
-    s = isqrt(bound // W[i])
+    s = isqrt(C // W[i])
     lo = -((s + ei) // step[i])
     hi = (s - ei) // step[i]
     if lo > hi:
@@ -72,16 +72,10 @@ def dfs_enumerate(n, W, M, T, D, C, shrink=False):
         ui = cur[i]
         S = step[i] * ui + e[i]
         tot = acc[i] + W[i] * S * S
-        if tot > bound:  # stale interval after a shrink
-            cur[i] += 1
-            continue
         nodes += 1
         u[n - 1 - i] = ui
         w[i] = D * ui + T[i]
         if i == 0:
-            if shrink and tot < bound:
-                results.clear()
-                bound = tot
             results.append((tuple(u), tot))
             cur[i] += 1
         else:
@@ -92,14 +86,7 @@ def dfs_enumerate(n, W, M, T, D, C, shrink=False):
                 ei += Mi[j] * w[j]
             e[i] = ei
             acc[i] = tot
-            b = bound - tot
-            q = b // W[i]
-            if q < 0:
-                cur[i] = 0
-                hi_arr[i] = -1
-                prunes += 1
-                continue
-            s = isqrt(q)
+            s = isqrt((C - tot) // W[i])
             si = step[i]
             lo = -((s + ei) // si)
             hi = (s - ei) // si

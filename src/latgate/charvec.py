@@ -20,6 +20,8 @@ lattice", Math. Res. Lett. 2, 1995).  One radius-1 search on the reduced
 basis finds them; the unit count reads it, and the min-char search reads it
 and then searches L' alone, since m = k + m' and the number of minimizers
 is 2^k times that of L'.  Z^n itself needs no characteristic search at all.
+The search of L' climbs the mod-8 ladder of norms c = n' mod 8, ..., n'
+(van der Blij 1959) and stops at the first that holds a point.
 An even form has no norm-1 vectors and is not searched for them.
 """
 
@@ -38,7 +40,6 @@ from .core import (
     Parity,
     _positive_pivots,
     definiteness,
-    evaluate,
     inertia,
     is_unimodular,
     negate,
@@ -240,8 +241,9 @@ def _orthogonal_complement(form: GramMatrix, units: IntMatrix) -> IntMatrix:
 def _char_minimum(
     form: GramMatrix, basis: IntMatrix | None
 ) -> tuple[int, int, IntVector, EnumStats]:
-    """(m, number of minimizers, lex-least minimizer, counters) for the
-    characteristic vectors of a positive definite unimodular form.
+    """(m, number of minimizers, lex-least minimizer, counters summed over
+    the rungs searched) for the characteristic vectors of a positive
+    definite unimodular form.
 
     The rows of `basis` are form's basis vectors in the caller's
     coordinates (None: they are the caller's own), and the minimizer is
@@ -249,17 +251,23 @@ def _char_minimum(
     """
     n = form.rank
     w0 = _solve_gf2(form)  # unique, as the form is unimodular
-    # w = w0 + 2u, so (w, w) = 4 Q(u + w0/2); a characteristic vector of
-    # norm <= n always exists, hence the initial radius min(Q(w0), n)/4
-    radius = Fraction(min(evaluate(form, w0), n), 4)
+    # w = w0 + 2u, so (w, w) = 4 Q(u + w0/2).  Every characteristic norm is
+    # congruent to n mod 8 (van der Blij) and some characteristic vector has
+    # norm <= n, so the ball of radius c/4 is searched for c = n mod 8,
+    # n mod 8 + 8, ..., n: the first rung that is not empty holds exactly the
+    # minimizers
     shift = tuple(Fraction(x, 2) for x in w0)
-    # the shrinking search returns the minimizers only
-    pairs, scale, stats = _search(EnumQuery(form=form, shift=shift, radius=radius), shrink=True)
-    if not pairs:
-        raise NoSolutionError("internal error: characteristic ball came back empty")
-    m_scaled = Fraction(4 * pairs[0][1], scale)
-    if m_scaled.denominator != 1:
-        raise NoSolutionError(f"internal error: non-integer characteristic norm {m_scaled}")
+    nodes = prunes = 0
+    for c in range(n % 8, n + 1, 8):
+        pairs, scale, stats = _search(EnumQuery(form=form, shift=shift, radius=Fraction(c, 4)))
+        nodes += stats.nodes
+        prunes += stats.prunes
+        if pairs:
+            break
+    else:
+        raise NoSolutionError(f"internal error: no characteristic vector of norm <= {n}")
+    if any(4 * norm != c * scale for _, norm in pairs):
+        raise NoSolutionError(f"internal error: a characteristic norm in rung {c} is not {c}")
     mins = [p[0] for p in pairs]
     if basis is None:
         u_star = mins[0]  # pairs come in lex order and w0 + 2u preserves lex order
@@ -271,7 +279,7 @@ def _char_minimum(
         w_star = min(
             tuple(b + 2 * sum(map(mul, col, u)) for b, col in zip(base, cols)) for u in mins
         )
-    return int(m_scaled), len(mins), w_star, stats
+    return c, len(mins), w_star, EnumStats(nodes=nodes, prunes=prunes)
 
 
 def min_char_vector_with_stats(g: GramMatrix) -> tuple[CharVecResult, EnumStats]:

@@ -116,17 +116,16 @@ def _check_rank_cap(n: int) -> None:
         raise RankCapExceededError(f"rank {n} exceeds the cap of {DEFAULT_RANK_CAP}")
 
 
-def _search(query: EnumQuery, *, shrink: bool = False):
+def _search(query: EnumQuery):
     """Run the kernel; returns ((coords, scaled_norm) pairs, scale, stats).
 
-    The pairs come in strictly increasing lexicographic order of the
-    coordinates, as the kernel visits them: nothing sorts them.  With
-    shrink=True only the pairs at the least norm in the ball come back.
-    Raises NotPositiveDefiniteError, naming the first non-positive pivot,
-    unless the form is positive definite.
+    The pairs are every point of the ball, in strictly increasing
+    lexicographic order of the coordinates, as the kernel visits them:
+    nothing sorts them.  Raises NotPositiveDefiniteError, naming the first
+    non-positive pivot, unless the form is positive definite.
     """
     W, M, T, D, C, scale = _scaled_problem(query.form, query.shift, query.radius)
-    pairs, nodes, prunes = _kernel.dfs_enumerate(query.form.rank, W, M, T, D, C, shrink=shrink)
+    pairs, nodes, prunes = _kernel.dfs_enumerate(query.form.rank, W, M, T, D, C)
     return pairs, scale, EnumStats(nodes=nodes, prunes=prunes)
 
 

@@ -240,8 +240,9 @@ class TestCliAnalyze:
         first = capsys.readouterr().out
         assert main(["analyze", "--catalog", "E8", "--json", "--workers", "3"]) == 0
         assert capsys.readouterr().out == first
-        # a conjugate whose shrinking search gives different counters when
-        # its top level is split, so --stats shows that --workers is ignored
+        # a conjugate whose characteristic search would give different
+        # counters if its top level were split among workers, so --stats
+        # shows that --workers is ignored
         g = basis_change(catalog_get("D12plus").gram, random_unimodular(12, random.Random(2)))
         doc = dumps_canonical(gram_to_obj(g))
         assert main(["analyze", doc, "--json", "--stats"]) == 0

@@ -15,6 +15,7 @@ from latgate import (
     DegenerateFormError,
     EnumQuery,
     GramMatrix,
+    NoSolutionError,
     NotPositiveDefiniteError,
     NotUnimodularError,
     RankCapExceededError,
@@ -34,7 +35,7 @@ from latgate import (
     sufficient_box,
 )
 from latgate import charvec, enumeration
-from latgate.core import direct_sum, lll_reduce
+from latgate.core import direct_sum, evaluate, lll_reduce
 from oracle_helpers import (
     char_holds_on_01_cube,
     dn_plus_basis,
@@ -221,21 +222,56 @@ class TestMinCharVector:
             assert res.minimizer == min(mins)
 
     @pytest.mark.parametrize("fid, seed", [("E8+Z4", 8), ("D12plus", 9)])
-    def test_shrink_returns_only_minimizers(self, fid, seed):
-        # the shrinking kernel on the conjugate's own characteristic ball
-        # (radius n/4, no reduction, no split) returns every minimizer and
-        # nothing else
+    def test_rung_contract(self, fid, seed):
+        # on the conjugate's own characteristic ball (no reduction, no
+        # split) every rung of the mod-8 ladder below m is empty, and the
+        # rung at m holds every minimizer and nothing else
         g = catalog_get(fid).gram
         conj = basis_change(g, random_unimodular(g.rank, random.Random(seed)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             w0 = solve_char_coset(conj).base
         shift = tuple(Fraction(x, 2) for x in w0)
-        W, M, T, D, C, scale = enumeration._scaled_problem(conj, shift, Fraction(g.rank, 4))
-        pairs, _, _ = enumeration._kernel.dfs_enumerate(g.rank, W, M, T, D, C, shrink=True)
         res = min_char_vector(conj)
-        assert {Fraction(4 * norm, scale) for _, norm in pairs} == {res.norm_m}
+        for c in range(g.rank % 8, res.norm_m + 1, 8):
+            q = EnumQuery(form=conj, shift=shift, radius=Fraction(c, 4))
+            pairs, scale, _ = enumeration._search(q)
+            if c < res.norm_m:
+                assert pairs == []
+        assert {Fraction(4 * norm, scale) for _, norm in pairs} == {c}
         assert len(pairs) == res.count_minimizers
+
+    def test_ladder_climbs_to_rank(self, monkeypatch):
+        # Z^9 unsplit has no characteristic vector of norm 1, so the search
+        # climbs to the last rung, c = n = 9, and finds all 2^9 minimizers
+        radii = []
+        search = enumeration._search
+
+        def recording(query):
+            radii.append(query.radius)
+            return search(query)
+
+        monkeypatch.setattr(charvec, "_search", recording)
+        conj = basis_change(catalog_get("Zn:9").gram, random_unimodular(9, random.Random(3)))
+        m, count, minimizer, _ = charvec._char_minimum(conj, None)
+        assert radii == [Fraction(1, 4), Fraction(9, 4)]
+        assert (m, count) == (9, 512)
+        assert is_characteristic(conj.entries, minimizer)
+        assert evaluate(conj, minimizer) == 9
+
+    def test_off_ladder_norm_is_internal_error(self, monkeypatch):
+        # a leaf whose norm is not that of its rung is refused, not reported
+        search = enumeration._search
+
+        def off_ladder(query):
+            pairs, scale, stats = search(query)
+            if any(query.shift):  # the characteristic search, not the unit one
+                pairs = [(u, norm - 1) for u, norm in pairs]
+            return pairs, scale, stats
+
+        monkeypatch.setattr(charvec, "_search", off_ladder)
+        with pytest.raises(NoSolutionError, match="internal error: a characteristic norm"):
+            min_char_vector(catalog_get("D12plus").gram)
 
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(fid=st.sampled_from(("Zn:1", "Zn:2", "Zn:3", "Zn:4", "Zn:5", "Zn:6", "E8",
@@ -361,18 +397,27 @@ class TestUnitSplit:
         calls = []
         search = enumeration._search
 
-        def counting_search(query, **kwargs):
-            calls.append(kwargs.get("shrink", False))
-            return search(query, **kwargs)
+        def recording(query):
+            calls.append(query.radius)
+            return search(query)
 
-        monkeypatch.setattr(charvec, "_search", counting_search)
+        monkeypatch.setattr(charvec, "_search", recording)
         odd = basis_change(catalog_get("E8+Z2").gram, random_unimodular(10, random.Random(4)))
         even = basis_change(catalog_get("E8").gram, random_unimodular(8, random.Random(4)))
         assert min_char_vector(odd).norm_m == 2 and count_unit_vectors(odd) == 4
-        assert calls == [False, True]
+        # the unit search, then the rung c = 0 of the complement E8
+        assert calls == [1, 0]
         calls.clear()
         assert count_unit_vectors(even) == 0 and min_char_vector(even).norm_m == 0
-        assert calls == [True]
+        assert calls == [0]
+        # D12plus+D12plus has no units; its ladder is c = 0 (empty), then
+        # c = 8, which holds every minimizer
+        calls.clear()
+        g = catalog_get("D12plus+D12plus").gram
+        conj = basis_change(g, random_unimodular(24, random.Random(1)))
+        res = min_char_vector(conj)
+        assert calls == [1, 0, 2]
+        assert (res.norm_m, res.count_minimizers) == (8, 576)
 
     def test_stats_add_both_searches(self):
         # Z^n needs no characteristic search: its counters are the unit
