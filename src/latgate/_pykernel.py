@@ -14,6 +14,14 @@ search fixes level n-1 (the caller's coordinate 0) outermost and level 0
 (coordinate n-1) innermost, each over an ascending interval, so leaves come
 out in lexicographic order of the caller's coordinates.
 
+The centre M[i][i]*T_i + sum_{j>i} M[i][j]*w_j of level i is not rebuilt
+on every descent.  Each level keeps a row of partial sums over the levels
+above it and a staleness index: the highest level whose w may have moved
+since that row was refreshed.  A descent refreshes only the stale part of
+the row, the centre sums of Schnorr and Euchner (Math. Programming 66,
+1994), here on the integer Fincke-Pohst search.  The tree is the one that
+recomputing every centre would give.
+
 All interval endpoints come from `math.isqrt` and integer floor division,
 so every accept/reject decision is exact.  No floats anywhere.  The bound C
 is fixed for the whole search, which has one mode.
@@ -35,13 +43,23 @@ def dfs_enumerate(n, W, M, T, D, C):
     increasing lexicographic order of the coordinates.  Every interval is cut
     at the bound C, so each node visited has partial norm <= C.  Only the
     entries M[i][j] with j >= i are read.
+
+    Row i of the partial sums is sig[i][j] = M[i][i]*T[i] + sum_{j' >= j}
+    M[i][j']*w[j'], with sig[i][n] = M[i][i]*T[i], and its centre is
+    sig[i][i+1].  Invariant: on a descent into level i, no w[j] with
+    j > stale[i] has changed since row i was last refreshed, so the descent
+    recomputes sig[i][j] for j = stale[i] .. i+1 only.  It then passes
+    stale[i] down to row i-1 (whose staleness is the larger of the two) and
+    resets stale[i] to i+1, the level that moves next.
     """
     results: list[tuple[tuple[int, ...], int]] = []
-    nodes = 0
+    inner = 0  # nodes that descend, once each; the others are the leaves
     prunes = 0
     if C < 0:
-        return results, nodes, prunes
+        return results, 0, 0
     step = [M[i][i] * D for i in range(n)]
+    sig = [[0] * n + [M[i][i] * T[i]] for i in range(n)]
+    stale = [n - 1] * n
     e = [0] * n
     hi_arr = [0] * n
     cur = [0] * n
@@ -72,19 +90,26 @@ def dfs_enumerate(n, W, M, T, D, C):
         ui = cur[i]
         S = step[i] * ui + e[i]
         tot = acc[i] + W[i] * S * S
-        nodes += 1
-        u[n - 1 - i] = ui
-        w[i] = D * ui + T[i]
+        u[~i] = ui  # u[n-1-i]
         if i == 0:
             results.append((tuple(u), tot))
             cur[i] += 1
         else:
+            inner += 1
+            w[i] = D * ui + T[i]
             i -= 1
             Mi = M[i]
-            ei = Mi[i] * T[i]
-            for j in range(i + 1, n):
+            sg = sig[i]
+            r = stale[i]
+            ei = sg[r + 1]
+            for j in range(r, i, -1):
                 ei += Mi[j] * w[j]
+                sg[j] = ei
             e[i] = ei
+            # at i = 0 this writes stale[-1], the top row's, never read
+            if stale[i - 1] < r:
+                stale[i - 1] = r
+            stale[i] = i + 1
             acc[i] = tot
             s = isqrt((C - tot) // W[i])
             si = step[i]
@@ -94,7 +119,7 @@ def dfs_enumerate(n, W, M, T, D, C):
                 prunes += 1
             cur[i] = lo
             hi_arr[i] = hi
-    return results, nodes, prunes
+    return results, inner + len(results), prunes
 
 
 def brute_scan(n, gram, T, D, C2, box, *, reach):

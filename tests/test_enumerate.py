@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latgate import enumeration
+from latgate import _pykernel, enumeration
 from latgate import (
     BadShapeError,
     EnumQuery,
@@ -65,6 +65,19 @@ class TestFrozenResults:
     def test_brute_zero_radius_box_one(self):
         res = brute_force_coset(query("E8", radius=0), 1)
         assert res.vectors == ((0,) * 8,)
+
+    @pytest.mark.parametrize("fid, radius, vectors, nodes, prunes", (
+        ("E8", 4, 2401, 5474, 0),
+        ("E8+E8", 4, 62401, 204388, 0),
+        ("D16plus", 4, 62401, 207570, 2048),
+        ("Zn:16", 3, 4993, 22048, 0),
+    ))
+    def test_zero_shift_ball_counters(self, fid, radius, vectors, nodes, prunes):
+        # the search tree of a zero-shift ball, pinned so that any change
+        # to it shows up here
+        res = enumerate_coset(query(fid, radius=radius), with_stats=True)
+        assert len(res.vectors) == vectors
+        assert (res.stats.nodes, res.stats.prunes) == (nodes, prunes)
 
 
 class TestProperties:
@@ -203,6 +216,83 @@ class TestLexOrder:
             assert tuple(Fraction(norm, scale) for _, norm in pairs) == slow.norms
             hits += len(pairs)
         assert hits > 0
+
+
+def _plain_dfs(n, W, M, T, D, C):
+    """The kernel's search with every centre rebuilt from scratch on each
+    descent: the same tree, reached without the partial-sum rows."""
+    results, nodes, prunes = [], 0, 0
+    if C < 0:
+        return results, nodes, prunes
+    step = [M[i][i] * D for i in range(n)]
+    e, hi_arr, cur, acc, w, u = ([0] * n for _ in range(6))
+    i = n - 1
+    e[i] = M[i][i] * T[i]
+    s = isqrt(C // W[i])
+    cur[i] = -((s + e[i]) // step[i])
+    hi_arr[i] = (s - e[i]) // step[i]
+    prunes += cur[i] > hi_arr[i]
+    while True:
+        if cur[i] > hi_arr[i]:
+            i += 1
+            if i == n:
+                return results, nodes, prunes
+            cur[i] += 1
+            continue
+        ui = cur[i]
+        S = step[i] * ui + e[i]
+        tot = acc[i] + W[i] * S * S
+        nodes += 1
+        u[n - 1 - i] = ui
+        w[i] = D * ui + T[i]
+        if i == 0:
+            results.append((tuple(u), tot))
+            cur[i] += 1
+            continue
+        i -= 1
+        e[i] = M[i][i] * T[i] + sum(M[i][j] * w[j] for j in range(i + 1, n))
+        acc[i] = tot
+        s = isqrt((C - tot) // W[i])
+        cur[i] = -((s + e[i]) // step[i])
+        hi_arr[i] = (s - e[i]) // step[i]
+        prunes += cur[i] > hi_arr[i]
+
+
+class TestIncrementalCentres:
+    """The kernel refreshes only the stale part of each level's centre sums;
+    its tree must be the one that rebuilding every centre gives."""
+
+    @pytest.mark.parametrize("fid, radii", (
+        ("Zn:1", (0, Fraction(1, 2), 3)),
+        ("Zn:2", (0, Fraction(3, 4), 2)),
+        ("E8", (0, 1, 2)),
+        ("D12plus", (0, 1, Fraction(3, 2))),
+        ("E8+E8", (0, 1, Fraction(3, 2))),
+        ("D12plus+D12plus", (0, Fraction(1, 2), 1)),
+    ))
+    def test_same_tree_as_plain_search(self, fid, radii):
+        gram = catalog_get(fid).gram
+        n = gram.rank
+        rng = random.Random(13)
+        leaves = 0
+        for denominator in (1, 2, 3, 4):
+            conj = basis_change(gram, random_unimodular(n, rng))
+            shift = [Fraction(rng.randint(-3, 3), denominator) for _ in range(n)]
+            for radius in radii:
+                W, M, T, D, C, _ = enumeration._scaled_problem(conj, shift, Fraction(radius))
+                out = _pykernel.dfs_enumerate(n, W, M, T, D, C)
+                assert out == _plain_dfs(n, W, M, T, D, C)
+                leaves += len(out[0])
+        assert leaves > 0
+
+    def test_empty_top_interval(self):
+        # radius 0 and a half-integral coordinate 0: the outermost level
+        # has no integer point, so the search prunes once and stops
+        gram = catalog_get("E8").gram
+        conj = basis_change(gram, random_unimodular(8, random.Random(3)))
+        shift = [Fraction(1, 2)] + [Fraction(0)] * 7
+        problem = enumeration._scaled_problem(conj, shift, Fraction(0))
+        assert _pykernel.dfs_enumerate(8, *problem[:5]) == _plain_dfs(8, *problem[:5]) == ([], 0, 1)
 
 
 class TestAxisReach:
