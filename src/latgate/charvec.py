@@ -7,11 +7,13 @@ members drive the identity-or-short-vector dichotomy: a positive definite
 unimodular form is the standard Z^n form exactly when the minimal
 characteristic norm m equals the rank, and otherwise m <= rank - 8.
 
-Both searches here run on the form's exact LLL-reduced basis, which each
+Every odd form's searches run on its exact LLL-reduced basis, which each
 `GramMatrix` computes once and keeps: m, the number of minimizers and the
 unit-vector count do not depend on the basis, and the minimizers are mapped
 back to the caller's coordinates before the lex-least one is chosen.  A
-form that LLL leaves unchanged is searched as given.
+form that LLL leaves unchanged is searched as given, and so is an even
+form, whose one search (the radius-0 ball around 0) is one path of n
+nodes in any basis.
 
 The norm-1 vectors of a positive definite integral lattice are +-e_1, ...,
 +-e_k, pairwise orthogonal, and they split off: L = Z^k (+) L' with L'
@@ -187,14 +189,32 @@ def _times(a: IntMatrix | None, b: IntMatrix | None) -> IntMatrix | None:
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
+def _search_basis(g: GramMatrix) -> tuple[IntMatrix | None, GramMatrix]:
+    """(H, form): the basis the characteristic search of the positive
+    definite unimodular g runs on, as `GramMatrix._lll` gives it, with H
+    None when that is g itself.
+
+    An odd form is LLL-reduced.  An even one is searched as it stands: its
+    characteristic base vector is 0 and its first rung is c = n mod 8 = 0,
+    so its search is the radius-0 ball around 0, which on a positive
+    definite form is one path of n nodes and no prunes in any basis (every
+    centre is 0 and every interval [0, 0]).  The result and the counters
+    are those of the reduced search, and the form keeps no LLL memo.
+    """
+    if parity(g) is Parity.EVEN:
+        return None, g
+    return g._lll
+
+
 def _unit_vectors(g: GramMatrix) -> tuple[IntMatrix, EnumStats]:
     """One vector from each +- pair of norm-1 vectors of a positive definite
-    form, in the coordinates of its LLL-reduced basis g', with the counters
-    of the radius-1 search on g' that found them.
+    odd form, in the coordinates of its LLL-reduced basis g', with the
+    counters of the radius-1 search on g' that found them.
 
-    An even form has no such vectors and is not searched.  The search runs
-    once per form: its result is kept on g', next to g's LLL memo, so the
-    min-char search and the unit count of one form share it.
+    An even form has no such vectors and is neither searched nor reduced.
+    The search runs once per form: its result is kept on g', next to g's
+    LLL memo, so the min-char search and the unit count of one form share
+    it.
     """
     if parity(g) is Parity.EVEN:
         return (), EnumStats(nodes=0, prunes=0)
@@ -291,7 +311,7 @@ def min_char_vector_with_stats(g: GramMatrix) -> tuple[CharVecResult, EnumStats]
     if not is_unimodular(g):
         raise NotUnimodularError("minimal characteristic vectors need determinant +-1")
     _check_rank_cap(n)
-    h, form = g._lll
+    h, form = _search_basis(g)
     units, stats = _unit_vectors(g)
     # L = Z^k (+) L' with L' the complement of the k units, so the
     # characteristic vectors of L are the sums sum_i +-e_i + w' with w'
@@ -307,9 +327,9 @@ def min_char_vector_with_stats(g: GramMatrix) -> tuple[CharVecResult, EnumStats]
         if kernel:
             rest = GramMatrix(_times(_times(kernel, form.entries), tuple(zip(*kernel))))
             # L' is positive definite and unimodular, so its LLL reduction
-            # needs no elimination to classify it
+            # (when it is odd) needs no elimination to classify it
             rest.__dict__["_det_and_inertia"] = (1, (rest.rank, 0, 0))
-            h_rest, form = rest._lll
+            h_rest, form = _search_basis(rest)
             basis = _times(h_rest, _times(kernel, h))
     if len(units) < n:
         m_rest, count_rest, w_rest, rest_stats = _char_minimum(form, basis)

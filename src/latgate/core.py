@@ -15,8 +15,10 @@ uses it.
 
 `lll_reduce` is the all-integer LLL reduction of a positive definite form
 (Lenstra, Lenstra and Lovasz 1982, in the Gram form of Cohen, Alg. 2.6.7).
-Each `GramMatrix` reduces itself once, on first use, and keeps the result,
-in reversed basis order, for the searches of `latgate.charvec`.
+Each odd `GramMatrix` reduces itself once, on first use, and keeps the
+result, in reversed basis order, for the searches of `latgate.charvec`; an
+even form is never reduced there, as its one search, the radius-0 ball
+around 0, is one path in any basis.
 """
 
 from __future__ import annotations
@@ -122,7 +124,9 @@ class GramMatrix:
         search, so they eliminate g' itself and keep the LLL order of the
         search tree.  When the reduction leaves every entry unchanged this is
         (None, self): the form is searched as it is, and no transform is
-        kept."""
+        kept.  `latgate.charvec` reads it for odd forms only: an even form's
+        characteristic search is one path of n nodes in any basis, so it is
+        searched as given and keeps no memo."""
         h, reduced = lll_reduce(self)
         if reduced.entries == self.entries:
             return None, self

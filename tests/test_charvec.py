@@ -15,15 +15,18 @@ from latgate import (
     DegenerateFormError,
     EnumQuery,
     GramMatrix,
+    ManifoldDescriptor,
     NoSolutionError,
     NotPositiveDefiniteError,
     NotUnimodularError,
     RankCapExceededError,
+    Verdict,
     basis_change,
     brute_force_coset,
     catalog_get,
     charvec_report,
     count_unit_vectors,
+    donaldson_verdict,
     elkies_verdict,
     enumerate_coset,
     min_char_vector,
@@ -34,7 +37,7 @@ from latgate import (
     solve_char_coset,
     sufficient_box,
 )
-from latgate import charvec, enumeration
+from latgate import charvec, core, enumeration
 from latgate.core import direct_sum, evaluate, lll_reduce
 from oracle_helpers import (
     char_holds_on_01_cube,
@@ -449,6 +452,86 @@ class TestUnitSplit:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split(" ", 2) == ["24", str(2**24), f"{[-1] * 24}\n"]
+
+
+class TestEvenFormsUnreduced:
+    """An even unimodular form is searched as it stands: its characteristic
+    search is the radius-0 ball around 0, one path of n nodes in any basis,
+    so skipping its LLL reduction changes neither the answer nor the
+    counters.  Odd forms and odd complements are still reduced."""
+
+    EVEN = [("E8", 11), ("E8+E8", 12), ("D16plus", 13), ("D24plus", 14), ("E8+E8+E8", 15)]
+
+    @staticmethod
+    def conjugate(fid, seed):
+        g = catalog_get(fid).gram
+        return basis_change(g, random_unimodular(g.rank, random.Random(seed)))
+
+    @staticmethod
+    def counting_lll(monkeypatch):
+        calls = []
+
+        def counting(g):
+            calls.append(g.entries)
+            return lll_reduce(g)
+
+        monkeypatch.setattr(core, "lll_reduce", counting)
+        return calls
+
+    @staticmethod
+    def reduced_route(g):
+        """The search as it ran when every form was LLL-reduced first."""
+        h, form = g._lll
+        assert h is not None  # the conjugate is not LLL-reduced as given
+        return charvec._char_minimum(form, h)
+
+    def test_even_forms_never_reduced(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("an even form was LLL-reduced")
+
+        monkeypatch.setattr(core, "lll_reduce", refuse)
+        found = []
+        for fid, seed in self.EVEN:
+            conj = self.conjugate(fid, seed)
+            n = conj.rank
+            res, stats = min_char_vector_with_stats(conj)
+            assert (res.norm_m, res.k, res.count_minimizers) == (0, n // 8, 1)
+            assert res.minimizer == (0,) * n
+            assert (stats.nodes, stats.prunes) == (n, 0)
+            assert "_lll" not in conj.__dict__
+            report = donaldson_verdict(ManifoldDescriptor(b1=0, form=negate(conj)))
+            assert (report.verdict, report.k) == (Verdict.FORBIDDEN, n // 8)
+            found.append((conj, res, stats))
+        monkeypatch.undo()
+        for conj, res, stats in found:
+            m, count, minimizer, old_stats = self.reduced_route(conj)
+            assert (m, count, minimizer) == (res.norm_m, res.count_minimizers, res.minimizer)
+            assert old_stats == stats
+
+    def test_even_complement_not_reduced(self, monkeypatch):
+        # E8+Z2 splits into Z^2 and an even E8: only the input is reduced
+        conj = self.conjugate("E8+Z2", 16)
+        calls = self.counting_lll(monkeypatch)
+        res, stats = min_char_vector_with_stats(conj)
+        assert calls == [conj.entries]
+        assert (res.norm_m, res.count_minimizers) == (2, 4)
+        m, count, minimizer, _ = self.reduced_route(conj)
+        assert (m, count, minimizer) == (res.norm_m, res.count_minimizers, res.minimizer)
+        # the counters are those of the route that reduces the complement too
+        monkeypatch.setattr(charvec, "_search_basis", lambda g: g._lll)
+        fresh = GramMatrix(conj.entries)
+        assert min_char_vector_with_stats(fresh) == (res, stats)
+        assert len(calls) == 3
+
+    def test_odd_forms_still_reduced(self, monkeypatch):
+        # D12plus+Z4 has rank 16 = 0 mod 8 but is odd, and so is its
+        # complement D12plus: both are reduced
+        conj = self.conjugate("D12plus+Z4", 17)
+        calls = self.counting_lll(monkeypatch)
+        res = min_char_vector(conj)
+        assert (res.norm_m, res.k, res.count_minimizers) == (8, 1, 384)
+        assert len(calls) == 2 and calls[0] == conj.entries and len(calls[1]) == 12
+        assert "_lll" in conj.__dict__
 
 
 class TestVerdictAndChecks:

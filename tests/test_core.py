@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latgate import core, enumeration
+from latgate import charvec, core, enumeration
 from latgate import (
     BadShapeError,
     Definiteness,
@@ -46,6 +46,11 @@ from latgate import (
 )
 from latgate.cli import main
 from oracle_helpers import det_gauss
+
+
+def _rev(rows):
+    """The rows of P*G*P, P the coordinate reversal."""
+    return tuple(row[::-1] for row in rows[::-1])
 
 
 def identity(n):
@@ -354,8 +359,10 @@ class TestEvaluatePairing:
 class TestClassifiedOnce:
     """Each command eliminates its input form once, for the determinant and
     inertia; each search eliminates the form it searches once more, for its
-    pivot rows, and the searches of analyze run on the LLL-reduced form.
-    Every elimination goes through `core._bareiss`."""
+    pivot rows.  The searches of an odd form run on its LLL-reduced form;
+    an even form, whose characteristic search is one path in any basis, is
+    searched as it stands and never reduced.  Every elimination goes
+    through `core._bareiss`."""
 
     def _count(self, monkeypatch, argv):
         eliminated = Counter()  # rows -> fraction-free eliminations of them
@@ -394,8 +401,9 @@ class TestClassifiedOnce:
         # the oracle bounds its scan by the adjugate's diagonal, from one
         # Gauss-Jordan elimination of [G | I] in each `_axis_reach` (once
         # for the gate and once for the scan): it adds no `_bareiss` run, on
-        # the input, on the reduced form or on a principal minor (E8 is
-        # even, so the min-char search is the only search)
+        # the input, on the searched form or on a principal minor (E8 is
+        # even, so the min-char search is the only search, and it runs on
+        # the input itself: nothing is reduced)
         form = basis_change(catalog_get("E8").gram, random_unimodular(8, random.Random(3)))
         reached = []
         axis_reach = enumeration._axis_reach
@@ -405,35 +413,41 @@ class TestClassifiedOnce:
         eliminated, reductions = self._count(monkeypatch, argv)
         oracle = json.loads(capsys.readouterr().out)["oracle"]
         assert oracle["mode"] == "brute" and oracle["ok"]
-        [(_, reduced)] = reductions
-        assert eliminated == {form.entries: 1, reduced: 1}
+        assert reductions == []
+        assert eliminated == {form.entries: 1, _rev(form.entries): 1}
         assert reached == [form.entries] * 2
 
     def test_split_complement_not_classified(self, monkeypatch, capsys):
         # after the Z^4 split the complement g'' (an E8) is built with its
-        # det and inertia known: LLL reduces it, but nothing eliminates it
-        # to classify it; its reduced form is eliminated once, by the
-        # min-char search
+        # det and inertia known: nothing eliminates it to classify it, and
+        # being even it is not reduced; the min-char search eliminates its
+        # reversal once
         form = basis_change(catalog_get("E8+Z4").gram, random_unimodular(12, random.Random(8)))
+        searched = []
+        search = charvec._search
+        monkeypatch.setattr(charvec, "_search",
+                            lambda q: searched.append(q.form.entries) or search(q))
         argv = ["analyze", "--json", dumps_canonical(gram_to_obj(form))]
         eliminated, reductions = self._count(monkeypatch, argv)
         report = json.loads(capsys.readouterr().out)["charvec"]
         assert (report["m"], report["unit_vector_count"]) == (4, 8)
-        [(source, reduced), (rest, rest_reduced)] = reductions
-        assert source == form.entries and len(rest) == 8 and rest_reduced != rest
-        assert eliminated[rest] == 0
-        assert eliminated == {form.entries: 1, reduced: 1, rest_reduced: 1}
+        [(source, reduced)] = reductions
+        # the unit search ran on the reversed reduced form, the min-char
+        # search on the complement as built
+        assert searched[0] == _rev(reduced) and source == form.entries
+        [rest] = searched[1:]
+        assert len(rest) == 8 and eliminated[rest] == 0
+        assert eliminated == {form.entries: 1, reduced: 1, _rev(rest): 1}
 
     def test_donaldson_negated_e8(self, monkeypatch, capsys):
-        # E8 = -(-E8) carries the input's classification; the one search
-        # eliminates E8's reduced form
+        # E8 = -(-E8) carries the input's classification; E8 is even, so
+        # it is not reduced, and the one search eliminates its reversal
         form = negate(catalog_get("E8").gram)
         doc = json.dumps({"b1": 0, "form": gram_to_obj(form)})
         eliminated, reductions = self._count(monkeypatch, ["donaldson", "--json", doc])
         assert json.loads(capsys.readouterr().out)["verdict"] == "Forbidden"
-        [(source, reduced)] = reductions
-        assert source == catalog_get("E8").gram.entries
-        assert eliminated == {form.entries: 1, reduced: 1}
+        assert reductions == []
+        assert eliminated == {form.entries: 1, _rev(catalog_get("E8").gram.entries): 1}
 
     def test_searches_make_no_cholesky(self, monkeypatch):
         # every search reads the integer pivot rows; the public Cholesky
