@@ -7,8 +7,8 @@ members drive the identity-or-short-vector dichotomy: a positive definite
 unimodular form is the standard Z^n form exactly when the minimal
 characteristic norm m equals the rank, and otherwise m <= rank - 8.
 
-Every odd form's searches run on its exact LLL-reduced basis, which each
-`GramMatrix` computes once and keeps: m, the number of minimizers and the
+Every odd form's searches run on its exact LLL-reduced basis, computed per
+call, no state kept on the form: m, the number of minimizers and the
 unit-vector count do not depend on the basis, and the minimizers are mapped
 back to the caller's coordinates before the lex-least one is chosen.  A
 form that LLL leaves unchanged is searched as given, and so is an even
@@ -19,8 +19,8 @@ The norm-1 vectors of a positive definite integral lattice are +-e_1, ...,
 +-e_k, pairwise orthogonal, and they split off: L = Z^k (+) L' with L'
 their orthogonal complement (Elkies, "A characterization of the Z^n
 lattice", Math. Res. Lett. 2, 1995).  One radius-1 search on the reduced
-basis finds them; the unit count reads it, and the min-char search reads it
-and then searches L' alone, since m = k + m' and the number of minimizers
+basis finds them; the min-char search counts them (`unit_vector_count`) and
+then searches L' alone, since m = k + m' and the number of minimizers
 is 2^k times that of L'.  Z^n itself needs no characteristic search at all.
 The search of L' climbs the mod-8 ladder of norms c = n' mod 8, ..., n'
 (van der Blij 1959) and stops at the first that holds a point.
@@ -44,6 +44,7 @@ from .core import (
     definiteness,
     inertia,
     is_unimodular,
+    lll_reduce,
     negate,
     parity,
     signature,
@@ -81,10 +82,13 @@ class CharCoset:
 
 @dataclass(frozen=True)
 class CharVecResult:
+    """Min-char data of a form; unit_vector_count is its number of norm-1 vectors."""
+
     minimizer: IntVector
     norm_m: int
     k: int
     count_minimizers: int
+    unit_vector_count: int
 
 
 @dataclass(frozen=True)
@@ -190,43 +194,40 @@ def _times(a: IntMatrix | None, b: IntMatrix | None) -> IntMatrix | None:
 
 
 def _search_basis(g: GramMatrix) -> tuple[IntMatrix | None, GramMatrix]:
-    """(H, form): the basis the characteristic search of the positive
-    definite unimodular g runs on, as `GramMatrix._lll` gives it, with H
-    None when that is g itself.
+    """(H, form): the basis the searches of the positive definite g run on,
+    computed per call, no state kept on the form; H is None when that is g.
 
-    An odd form is LLL-reduced.  An even one is searched as it stands: its
-    characteristic base vector is 0 and its first rung is c = n mod 8 = 0,
-    so its search is the radius-0 ball around 0, which on a positive
-    definite form is one path of n nodes and no prunes in any basis (every
-    centre is 0 and every interval [0, 0]).  The result and the counters
-    are those of the reduced search, and the form keeps no LLL memo.
+    An odd form is LLL-reduced, in reversed basis order (H's rows reversed
+    and P*g'*P, P the coordinate reversal), so that the searches, which
+    eliminate the reversed form, run the LLL tree; a form that LLL leaves
+    unchanged is returned as it is.  An even form is searched as it stands:
+    its characteristic search is the radius-0 ball around 0, one path of n
+    nodes and no prunes in any basis (every centre 0, every interval
+    [0, 0]), so the result and the counters are those of the reduced search.
     """
     if parity(g) is Parity.EVEN:
         return None, g
-    return g._lll
+    h, reduced = lll_reduce(g)
+    if reduced.entries == g.entries:
+        return None, g
+    return h[::-1], GramMatrix(tuple(row[::-1] for row in reduced.entries[::-1]))
 
 
-def _unit_vectors(g: GramMatrix) -> tuple[IntMatrix, EnumStats]:
-    """One vector from each +- pair of norm-1 vectors of a positive definite
-    odd form, in the coordinates of its LLL-reduced basis g', with the
-    counters of the radius-1 search on g' that found them.
+def _unit_vectors(form: GramMatrix) -> tuple[IntMatrix, EnumStats]:
+    """One vector from each +- pair of norm-1 vectors of the search form
+    `form` (as `_search_basis` gives it), in its coordinates, with the
+    counters of the radius-1 search that found them.  Computed per call,
+    no state kept on the form.
 
-    An even form has no such vectors and is neither searched nor reduced.
-    The search runs once per form: its result is kept on g', next to g's
-    LLL memo, so the min-char search and the unit count of one form share
-    it.
+    An even form has no such vectors and is not searched.
     """
-    if parity(g) is Parity.EVEN:
+    if parity(form) is Parity.EVEN:
         return (), EnumStats(nodes=0, prunes=0)
-    form = g._lll[1]
-    memo = form.__dict__.get("_unit_vectors")
-    if memo is None:
-        zero = (Fraction(0),) * form.rank
-        pairs, scale, stats = _search(EnumQuery(form=form, shift=zero, radius=Fraction(1)))
-        # of each pair +-e keep the member whose first nonzero entry is positive
-        units = tuple(u for u, norm in pairs if norm == scale and next(filter(None, u)) > 0)
-        memo = form.__dict__["_unit_vectors"] = (units, stats)
-    return memo
+    zero = (Fraction(0),) * form.rank
+    pairs, scale, stats = _search(EnumQuery(form=form, shift=zero, radius=Fraction(1)))
+    # of each pair +-e keep the member whose first nonzero entry is positive
+    units = tuple(u for u, norm in pairs if norm == scale and next(filter(None, u)) > 0)
+    return units, stats
 
 
 def _orthogonal_complement(form: GramMatrix, units: IntMatrix) -> IntMatrix:
@@ -312,7 +313,7 @@ def min_char_vector_with_stats(g: GramMatrix) -> tuple[CharVecResult, EnumStats]
         raise NotUnimodularError("minimal characteristic vectors need determinant +-1")
     _check_rank_cap(n)
     h, form = _search_basis(g)
-    units, stats = _unit_vectors(g)
+    units, stats = _unit_vectors(form)
     # L = Z^k (+) L' with L' the complement of the k units, so the
     # characteristic vectors of L are the sums sum_i +-e_i + w' with w'
     # characteristic in L'.  Lex order is translation invariant, so the
@@ -345,6 +346,7 @@ def min_char_vector_with_stats(g: GramMatrix) -> tuple[CharVecResult, EnumStats]
         norm_m=m,
         k=(n - m) // 8,
         count_minimizers=count,
+        unit_vector_count=2 * len(units),
     )
     return result, stats
 
@@ -386,12 +388,13 @@ def signature_mod8_check(g: GramMatrix) -> bool:
 
 def count_unit_vectors(g: GramMatrix) -> int:
     """Number of lattice vectors of norm exactly 1 (2n for the standard form),
-    counted on the LLL-reduced form.  An even form has none and is not
+    counted on the LLL-reduced form by a search of its own: a second route
+    to `CharVecResult.unit_vector_count`.  An even form has none and is not
     searched."""
     _check_rank_cap(g.rank)
     if definiteness(g) is not Definiteness.POSITIVE_DEFINITE:
         _positive_pivots(g)  # refuses the form, naming its first non-positive pivot
-    return 2 * len(_unit_vectors(g)[0])
+    return 2 * len(_unit_vectors(_search_basis(g)[1])[0])
 
 
 def charvec_report_with_stats(
@@ -407,7 +410,7 @@ def charvec_report_with_stats(
         "k": result.k,
         "minimizer": list(result.minimizer),
         "verdict": ElkiesVerdict(identity=m == g.rank, result=result).kind,
-        "unit_vector_count": count_unit_vectors(g),
+        "unit_vector_count": result.unit_vector_count,
         "mod8_ok": (m - signature(g)) % 8 == 0,
     }
     return report, result, stats

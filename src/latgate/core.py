@@ -15,10 +15,9 @@ uses it.
 
 `lll_reduce` is the all-integer LLL reduction of a positive definite form
 (Lenstra, Lenstra and Lovasz 1982, in the Gram form of Cohen, Alg. 2.6.7).
-Each odd `GramMatrix` reduces itself once, on first use, and keeps the
-result, in reversed basis order, for the searches of `latgate.charvec`; an
-even form is never reduced there, as its one search, the radius-0 ball
-around 0, is one path in any basis.
+`latgate.charvec` reduces each odd form it searches, computed per call, no
+state kept on the form; an even form is never reduced there, as its one
+search, the radius-0 ball around 0, is one path in any basis.
 """
 
 from __future__ import annotations
@@ -115,22 +114,6 @@ class GramMatrix:
         minors = [row[k] for k, row in enumerate(pivot_rows)]
         neg = sum((a > 0) != (b > 0) for a, b in zip([1] + minors, minors))
         return det, (self.rank - neg, neg, 0)
-
-    @cached_property
-    def _lll(self) -> tuple[IntMatrix | None, "GramMatrix"]:
-        """`lll_reduce(self)` = (H, g'), computed on first use and stored in
-        reversed basis order: H's rows reversed and P*g'*P, P the coordinate
-        reversal.  The searches eliminate the reversed form of what they
-        search, so they eliminate g' itself and keep the LLL order of the
-        search tree.  When the reduction leaves every entry unchanged this is
-        (None, self): the form is searched as it is, and no transform is
-        kept.  `latgate.charvec` reads it for odd forms only: an even form's
-        characteristic search is one path of n nodes in any basis, so it is
-        searched as given and keeps no memo."""
-        h, reduced = lll_reduce(self)
-        if reduced.entries == self.entries:
-            return None, self
-        return h[::-1], GramMatrix(tuple(row[::-1] for row in reduced.entries[::-1]))
 
 
 @dataclass(frozen=True)

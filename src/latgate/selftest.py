@@ -165,13 +165,18 @@ def _check_gl_invariance(entries: list[CatalogEntry], max_rank: int, rng: random
 def _unreduced_search_problems(conj: GramMatrix, result: CharVecResult, units: int) -> list[str]:
     """Search the conjugate's own basis, not its LLL-reduced one, and compare
     with what the reduced search reported: the lex-least minimizer, the
-    minimizer count and the unit-vector count."""
+    minimizer count and the unit-vector count.  An even form (m = 0) is
+    searched as it stands, so the clipped scan checks its search instead."""
     n = conj.rank
     problems = []
     base = solve_char_coset(conj).base
     shift = tuple(Fraction(x, 2) for x in base)
     quarter_m = Fraction(result.norm_m, 4)
-    res = enumerate_coset(EnumQuery(form=conj, shift=shift, radius=quarter_m))
+    query = EnumQuery(form=conj, shift=shift, radius=quarter_m)
+    if result.norm_m == 0:
+        res = brute_force_coset(query, sufficient_box(query))
+    else:
+        res = enumerate_coset(query)
     mins = [u for u, nu in zip(res.vectors, res.norms) if nu == quarter_m]
     if len(mins) != result.count_minimizers or min(res.norms) != quarter_m:
         problems.append("unreduced minimizer count differs")

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -298,6 +299,36 @@ class TestCliSelftest:
         # every check up to rank 16, oracle rows included
         assert main(["selftest"]) == 0
         assert capsys.readouterr().out.rstrip().endswith("133/133 checks passed")
+
+    def test_gl_check_of_even_conjugate_is_independent(self, monkeypatch):
+        # an even conjugate is searched as it stands, so the GL check's own
+        # search of it would repeat the checked radius-0 query; the clipped
+        # scan checks it instead, and the query runs once
+        import latgate.selftest as selftest_mod
+        from latgate import charvec, enumeration, run_selftest
+
+        queries = Counter()
+        search = enumeration._search
+
+        def recording(query):
+            queries[query.form.entries, query.shift, query.radius] += 1
+            return search(query)
+
+        checked = []
+        unreduced = selftest_mod._unreduced_search_problems
+
+        def capturing(conj, result, units):
+            checked.append((conj, result.norm_m))
+            return unreduced(conj, result, units)
+
+        for module in (charvec, enumeration):
+            monkeypatch.setattr(module, "_search", recording)
+        monkeypatch.setattr(selftest_mod, "_unreduced_search_problems", capturing)
+        results = run_selftest()
+        assert len(results) == 133 and all(r.ok for r in results)
+        [e8] = [conj for conj, m in checked if m == 0]
+        assert e8.rank == 8 and e8 != catalog_get("E8").gram
+        assert queries[e8.entries, (0,) * 8, 0] == 1
 
     def test_corrupted_golden_detected(self):
         from latgate import run_selftest

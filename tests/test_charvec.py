@@ -23,6 +23,7 @@ from latgate import (
     Verdict,
     basis_change,
     brute_force_coset,
+    builtin_ids,
     catalog_get,
     charvec_report,
     count_unit_vectors,
@@ -37,7 +38,7 @@ from latgate import (
     solve_char_coset,
     sufficient_box,
 )
-from latgate import charvec, core, enumeration
+from latgate import charvec, enumeration
 from latgate.core import direct_sum, evaluate, lll_reduce
 from oracle_helpers import (
     char_holds_on_01_cube,
@@ -394,9 +395,26 @@ class TestUnitSplit:
         assert len(units) == 2 * k
         assert any(sum(map(abs, u)) > 1 for u in units)
 
+    def test_unit_count_two_routes(self):
+        # the count the min-char search reads off its own unit search
+        # equals `count_unit_vectors`, which searches again, and neither
+        # leaves state on the form
+        forms = [e.gram for e in map(catalog_get, builtin_ids(24)) if "m" in e.expected]
+        for fid, seed in (("E8+Z1", 21), ("E8+Z2", 22), ("E8+Z3", 23), ("E8+Z4", 24),
+                          ("D12plus+Z4", 25), ("Zn:5", 26)):
+            g = catalog_get(fid).gram
+            forms.append(basis_change(g, random_unimodular(g.rank, random.Random(seed))))
+        for g in forms:
+            res = min_char_vector(g)
+            units = count_unit_vectors(g)
+            assert res.unit_vector_count == units
+            assert (units == 2 * g.rank) is (res.norm_m == g.rank)
+            assert set(vars(g)) <= {"entries", "_det_and_inertia"}
+
     def test_one_unit_search_per_form(self, monkeypatch):
-        # the min-char search and the unit count of one form share a single
-        # radius-1 search, and an even form is not searched for units
+        # a report reads the unit count off the min-char search's one
+        # radius-1 search; `count_unit_vectors` is a separate route that
+        # searches again; an even form is not searched for units
         calls = []
         search = enumeration._search
 
@@ -407,9 +425,12 @@ class TestUnitSplit:
         monkeypatch.setattr(charvec, "_search", recording)
         odd = basis_change(catalog_get("E8+Z2").gram, random_unimodular(10, random.Random(4)))
         even = basis_change(catalog_get("E8").gram, random_unimodular(8, random.Random(4)))
-        assert min_char_vector(odd).norm_m == 2 and count_unit_vectors(odd) == 4
+        assert charvec_report(odd, "odd")["unit_vector_count"] == 4
         # the unit search, then the rung c = 0 of the complement E8
         assert calls == [1, 0]
+        calls.clear()
+        assert min_char_vector(odd).norm_m == 2 and count_unit_vectors(odd) == 4
+        assert calls == [1, 0, 1]
         calls.clear()
         assert count_unit_vectors(even) == 0 and min_char_vector(even).norm_m == 0
         assert calls == [0]
@@ -475,21 +496,27 @@ class TestEvenFormsUnreduced:
             calls.append(g.entries)
             return lll_reduce(g)
 
-        monkeypatch.setattr(core, "lll_reduce", counting)
+        monkeypatch.setattr(charvec, "lll_reduce", counting)
         return calls
 
     @staticmethod
-    def reduced_route(g):
+    def reduced(g):
+        """(H, form): g's LLL reduction in the reversed order the searches use."""
+        h, form = charvec.lll_reduce(g)
+        return h[::-1], GramMatrix(tuple(row[::-1] for row in form.entries[::-1]))
+
+    @classmethod
+    def reduced_route(cls, g):
         """The search as it ran when every form was LLL-reduced first."""
-        h, form = g._lll
-        assert h is not None  # the conjugate is not LLL-reduced as given
+        h, form = cls.reduced(g)
+        assert form.entries != g.entries  # the conjugate is not LLL-reduced as given
         return charvec._char_minimum(form, h)
 
     def test_even_forms_never_reduced(self, monkeypatch):
         def refuse(g):
             raise AssertionError("an even form was LLL-reduced")
 
-        monkeypatch.setattr(core, "lll_reduce", refuse)
+        monkeypatch.setattr(charvec, "lll_reduce", refuse)
         found = []
         for fid, seed in self.EVEN:
             conj = self.conjugate(fid, seed)
@@ -511,14 +538,14 @@ class TestEvenFormsUnreduced:
     def test_even_complement_not_reduced(self, monkeypatch):
         # E8+Z2 splits into Z^2 and an even E8: only the input is reduced
         conj = self.conjugate("E8+Z2", 16)
+        m, count, minimizer, _ = self.reduced_route(conj)
         calls = self.counting_lll(monkeypatch)
         res, stats = min_char_vector_with_stats(conj)
         assert calls == [conj.entries]
         assert (res.norm_m, res.count_minimizers) == (2, 4)
-        m, count, minimizer, _ = self.reduced_route(conj)
         assert (m, count, minimizer) == (res.norm_m, res.count_minimizers, res.minimizer)
         # the counters are those of the route that reduces the complement too
-        monkeypatch.setattr(charvec, "_search_basis", lambda g: g._lll)
+        monkeypatch.setattr(charvec, "_search_basis", self.reduced)
         fresh = GramMatrix(conj.entries)
         assert min_char_vector_with_stats(fresh) == (res, stats)
         assert len(calls) == 3
@@ -531,7 +558,6 @@ class TestEvenFormsUnreduced:
         res = min_char_vector(conj)
         assert (res.norm_m, res.k, res.count_minimizers) == (8, 1, 384)
         assert len(calls) == 2 and calls[0] == conj.entries and len(calls[1]) == 12
-        assert "_lll" in conj.__dict__
 
 
 class TestVerdictAndChecks:

@@ -315,16 +315,30 @@ class TestLLL:
         changed = [fid for fid, g in forms.items() if core.lll_reduce(g)[1].entries != g.entries]
         assert changed == ["E8", "E8+Z1", "E8+Z2", "E8+Z3", "E8+Z4", "E8+E8", "D12plus", "D16plus"]
 
-    def test_memoized_once_per_form(self, monkeypatch):
-        calls = []
-        lll = core.lll_reduce
-        monkeypatch.setattr(core, "lll_reduce", lambda g: calls.append(g) or lll(g))
-        g = basis_change(catalog_get("E8+Z2").gram, random_unimodular(10, random.Random(3)))
-        first = g._lll
-        assert g._lll is first and len(calls) == 1
+    def test_search_basis(self, monkeypatch):
+        # Z^n is reduced as given; an odd conjugate comes back as (H, form)
+        # with form = H G H^T the reversal of its LLL reduction; an even
+        # form is never reduced
         zn = catalog_get("Zn:6").gram
-        h, reduced = zn._lll
-        assert h is None and reduced is zn
+        h, form = charvec._search_basis(zn)
+        assert h is None and form is zn
+        g = basis_change(catalog_get("E8+Z2").gram, random_unimodular(10, random.Random(3)))
+        h, form = charvec._search_basis(g)
+        assert abs(det_gauss(h)) == 1
+        rows = g.entries
+        assert form.entries == tuple(
+            tuple(sum(a * rows[k][l] * b for k, a in enumerate(hi) for l, b in enumerate(hj))
+                  for hj in h)
+            for hi in h
+        ) == _rev(core.lll_reduce(g)[1].entries)
+
+        def refuse(g):
+            raise AssertionError("an even form was LLL-reduced")
+
+        monkeypatch.setattr(charvec, "lll_reduce", refuse)
+        e8 = basis_change(catalog_get("E8").gram, random_unimodular(8, random.Random(3)))
+        h, form = charvec._search_basis(e8)
+        assert h is None and form is e8
 
     @pytest.mark.parametrize("gram", [
         diag(1, -1),
@@ -380,14 +394,14 @@ class TestClassifiedOnce:
             return out
 
         monkeypatch.setattr(core, "_bareiss", counting_bareiss)
-        monkeypatch.setattr(core, "lll_reduce", counting_lll)
+        monkeypatch.setattr(charvec, "lll_reduce", counting_lll)
         assert main(argv) == 0
         return eliminated, reductions
 
     def test_analyze_conjugate(self, monkeypatch, capsys):
         # the input is eliminated once (det and inertia) and reduced once;
         # the reduced form is eliminated once per search (unit search,
-        # min-char search): it is kept in reversed order, and each search
+        # min-char search): it is returned in reversed order, and each search
         # eliminates the reversal of what it searches
         form = basis_change(catalog_get("D12plus").gram, random_unimodular(12, random.Random(2)))
         argv = ["analyze", "--json", dumps_canonical(gram_to_obj(form))]
