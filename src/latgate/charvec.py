@@ -106,9 +106,11 @@ class ElkiesVerdict:
 def _solve_gf2(g: GramMatrix) -> IntVector:
     """Lex-least 0/1 solution of G w = diag(G) mod 2.
 
-    Internally coordinate j sits at bit (n-1-j) of a mask, so numeric order
-    on masks equals lexicographic order on coordinate tuples.  Pivot order
-    is fixed (columns left to right) to keep the result deterministic.
+    Coordinate j sits at bit j of a row mask.  The Gauss-Jordan elimination
+    takes its pivot columns from n-1 down to 0, so each pivot row is left
+    holding its pivot and free coordinates before it only.  Two solutions
+    therefore first differ at a free coordinate, and the one with every
+    free coordinate 0 is the lex-least.
     """
     n = g.rank
     rows = []
@@ -116,13 +118,13 @@ def _solve_gf2(g: GramMatrix) -> IntVector:
         mask = 0
         for j in range(n):
             if g.entries[i][j] & 1:
-                mask |= 1 << (n - 1 - j)
+                mask |= 1 << j
         rows.append([mask, g.entries[i][i] & 1])
 
     used = [False] * n
     pivots: list[tuple[int, int]] = []  # (column, row)
-    for j in range(n):
-        bit = 1 << (n - 1 - j)
+    for j in range(n - 1, -1, -1):
+        bit = 1 << j
         pivot_row = next((r for r in range(n) if not used[r] and rows[r][0] & bit), None)
         if pivot_row is None:
             continue
@@ -135,44 +137,23 @@ def _solve_gf2(g: GramMatrix) -> IntVector:
 
     for mask, rhs in rows:
         if mask == 0 and rhs:
-            raise NoSolutionError("the mod-2 characteristic system has no solution")
+            raise NoSolutionError("internal error: the mod-2 characteristic system has no solution")
 
-    x = 0
+    w = [0] * n
     for j, r in pivots:
-        if rows[r][1]:
-            x |= 1 << (n - 1 - j)
-
-    # nullspace basis, one vector per free column
-    pivot_cols = {j for j, _ in pivots}
-    top = [0] * (n + 1)  # xor basis keyed by highest set bit
-    for f in range(n):
-        if f in pivot_cols:
-            continue
-        vec = 1 << (n - 1 - f)
-        for j, r in pivots:
-            if rows[r][0] & (1 << (n - 1 - f)):
-                vec |= 1 << (n - 1 - j)
-        while vec:
-            h = vec.bit_length() - 1
-            if top[h]:
-                vec ^= top[h]
-            else:
-                top[h] = vec
-                break
-
-    # greedy minimization of x over x + span(basis)
-    for h in range(n - 1, -1, -1):
-        if top[h] and (x >> h) & 1:
-            x ^= top[h]
-    return tuple((x >> (n - 1 - j)) & 1 for j in range(n))
+        w[j] = rows[r][1]
+    return tuple(w)
 
 
 def solve_char_coset(g: GramMatrix) -> CharCoset:
     """Characteristic coset of g with its lex-least 0/1 base vector.
 
-    Unimodular forms always have exactly one base; otherwise the system can
-    be unsolvable (NoSolutionError) or have several solutions, in which case
-    the lex-least one is returned with a warning.
+    The system always has a solution, since G is symmetric: for every x
+    with G x = 0 mod 2, diag(G) . x = x^T G x = 0 mod 2, so diag(G) lies in
+    the mod-2 column space of G (NoSolutionError guards only against an
+    internal error).  A unimodular form has exactly one 0/1 solution; any
+    other form may have several, and the lex-least one is returned with a
+    warning.
     """
     if not is_unimodular(g):
         warnings.warn(

@@ -106,7 +106,9 @@ def _build_parser() -> _Parser:
     )
     donaldson.add_argument("manifold", nargs="?", help="path to a manifold JSON document")
     donaldson.add_argument("--catalog", metavar="ID", help="use a built-in form instead")
-    donaldson.add_argument("--b1", type=int, default=0, help="first Betti number (with --catalog)")
+    donaldson.add_argument(
+        "--b1", type=int, default=None, help="first Betti number (with --catalog; default 0)"
+    )
     donaldson.add_argument(
         "--negate", action="store_true", help="negate the catalog form (with --catalog)"
     )
@@ -236,12 +238,14 @@ def _cmd_donaldson(args) -> int:
     if (args.manifold is None) == (args.catalog is None):
         raise _UsageError("provide exactly one of a manifold document path or --catalog ID")
     if args.manifold is not None:
+        if args.b1 is not None or args.negate:
+            raise _UsageError("--b1 and --negate go with --catalog, not a manifold document")
         descriptor = load_manifold(args.manifold)
     else:
         gram = catalog_get(args.catalog).gram
         if args.negate:
             gram = negate(gram)
-        descriptor = ManifoldDescriptor(b1=args.b1, form=gram)
+        descriptor = ManifoldDescriptor(b1=args.b1 or 0, form=gram)
     report = donaldson_verdict(descriptor)
 
     if args.json:

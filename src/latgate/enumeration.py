@@ -193,6 +193,12 @@ def _scan_problem(query: EnumQuery) -> tuple[int, list[int], int, list[int]]:
     return D, T, C2, _axis_reach(query.form, C2)
 
 
+def _reach_box(D: int, T: list[int], reach: list[int]) -> int:
+    """The largest per-axis Cauchy-Schwarz extent (reach_i + |T_i|) // D:
+    a cube of this size holds every hit of the scan."""
+    return max((r + abs(t)) // D for t, r in zip(T, reach))
+
+
 def _scan_size(query: EnumQuery) -> tuple[int, int]:
     """(box, cells): `sufficient_box(query)`, and the number of cells that
     `brute_force_coset(query, box)` visits.
@@ -202,7 +208,7 @@ def _scan_size(query: EnumQuery) -> tuple[int, int]:
     the product over axes of the count of u_i with |D*u_i + T_i| <= reach_i.
     """
     D, T, _, reach = _scan_problem(query)
-    box = max((r + abs(t)) // D for t, r in zip(T, reach))
+    box = _reach_box(D, T, reach)
     cells = prod(max(0, (r - t) // D + (r + t) // D + 1) for t, r in zip(T, reach))
     return box, cells
 
@@ -214,8 +220,9 @@ def brute_force_coset(query: EnumQuery, box: int) -> EnumResult:
     only (`_axis_reach`), so the two routes share no pivot rows.  The
     scan covers the cube clipped per axis to the proven Cauchy-Schwarz
     extents, which drops only cells that cannot be hits, so the result is
-    exactly that of the full cube, in lexicographic order.  Complete
-    whenever box >= `sufficient_box(query)`.
+    exactly that of the full cube, in lexicographic order.  The result is
+    marked `exhaustive` when box >= `sufficient_box(query)`, which makes
+    it complete.
     """
     if box < 0:
         raise BadShapeError("box must be nonnegative")
@@ -225,7 +232,7 @@ def brute_force_coset(query: EnumQuery, box: int) -> EnumResult:
     return EnumResult(
         vectors=tuple(p[0] for p in pairs),
         norms=_exact_norms(pairs, D * D),
-        exhaustive=True,
+        exhaustive=box >= _reach_box(D, T, reach),
         stats=None,
     )
 

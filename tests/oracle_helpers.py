@@ -52,6 +52,13 @@ def is_characteristic(gram_rows, w) -> bool:
     return True
 
 
+def char_01_vectors(gram_rows) -> list[tuple[int, ...]]:
+    """Every characteristic vector in {0,1}^n, in lexicographic order: an
+    exhaustive scan of the cube, each vector checked by definition."""
+    n = len(gram_rows)
+    return [w for w in product((0, 1), repeat=n) if is_characteristic(gram_rows, w)]
+
+
 def char_holds_on_01_cube(gram_rows, w) -> bool:
     """(v, v + w) even for every v in {0,1}^n; exhaustive definition check."""
     n = len(gram_rows)

@@ -21,6 +21,7 @@ from latgate import (
     gram_from_obj,
     gram_to_obj,
     min_char_vector,
+    negate,
     random_unimodular,
 )
 from latgate import cli
@@ -278,6 +279,28 @@ class TestCliDonaldson:
         report = json.loads(capsys.readouterr().out)
         assert report["manifold"]["b1"] == 2
         assert report["virtual_dim"] == 1  # reported after surgery to b1 = 0
+
+    def test_b1_and_negate_as_documents(self, capsys):
+        # the flags build the descriptor that a document would spell out
+        argv = ["donaldson", "--catalog", "E8", "--negate", "--b1", "2", "--json"]
+        assert main(argv) == 0
+        flagged = capsys.readouterr().out
+        doc = json.dumps({"b1": 2, "form": gram_to_obj(negate(catalog_get("E8").gram))})
+        assert main(["donaldson", doc, "--json"]) == 0
+        assert capsys.readouterr().out == flagged
+        assert main(["donaldson", "--catalog", "E8", "--negate", "--b1", "0"]) == 0
+        explicit = capsys.readouterr().out
+        assert main(["donaldson", "--catalog", "E8", "--negate"]) == 0
+        assert capsys.readouterr().out == explicit
+
+    @pytest.mark.parametrize("flags", (["--b1", "3"], ["--b1", "0"], ["--negate"],
+                                       ["--b1", "3", "--negate"]))
+    def test_document_refuses_catalog_flags(self, capsys, flags):
+        doc = '{"b1": 0, "form": {"rank": 1, "gram": [[-1]]}}'
+        assert main(["donaldson", doc, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "latgate: error: --b1 and --negate go with --catalog" in captured.err
 
     def test_verification_failure_exit_2(self, capsys):
         assert main(["donaldson", "--catalog", "D4", "--negate"]) == 2

@@ -41,6 +41,7 @@ from latgate import (
 from latgate import charvec, enumeration
 from latgate.core import direct_sum, evaluate, lll_reduce
 from oracle_helpers import (
+    char_01_vectors,
     char_holds_on_01_cube,
     dn_plus_basis,
     dn_plus_char_minimum,
@@ -133,6 +134,24 @@ class TestCharCoset:
                 coset = solve_char_coset(g)
                 assert all(x in (0, 1) for x in coset.base)
                 assert is_characteristic(g.entries, coset.base)
+
+    def test_lex_least_base_among_several(self):
+        # forms singular mod 2 have several 0/1 characteristic vectors; the
+        # base must be the first that a scan of {0,1}^n in lex order meets
+        rng = random.Random(16)
+        several = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for _ in range(400):
+                n = rng.randrange(1, 8)
+                rows = [[0] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i, n):
+                        rows[i][j] = rows[j][i] = rng.randrange(-3, 4)
+                solutions = char_01_vectors(rows)
+                assert solve_char_coset(GramMatrix.from_rows(rows)).base == solutions[0]
+                several += len(solutions) > 1
+        assert several >= 100
 
 
 class TestMinCharVector:
@@ -525,7 +544,7 @@ class TestEvenFormsUnreduced:
             assert (res.norm_m, res.k, res.count_minimizers) == (0, n // 8, 1)
             assert res.minimizer == (0,) * n
             assert (stats.nodes, stats.prunes) == (n, 0)
-            assert "_lll" not in conj.__dict__
+            assert set(vars(conj)) <= {"entries", "_det_and_inertia"}
             report = donaldson_verdict(ManifoldDescriptor(b1=0, form=negate(conj)))
             assert (report.verdict, report.k) == (Verdict.FORBIDDEN, n // 8)
             found.append((conj, res, stats))

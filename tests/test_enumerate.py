@@ -137,7 +137,8 @@ CLIP_FORMS = ("Zn:1", "Zn:2", "Zn:3", "Zn:4", "D4", "D5")
 
 class TestClippedScan:
     """brute_force_coset clips the cube per axis; the result must be that of
-    the whole cube, for boxes below, at and above what the hits need."""
+    the whole cube, for boxes below, at and above what the hits need, and
+    is marked exhaustive exactly when the box reaches `sufficient_box`."""
 
     @pytest.mark.parametrize("fid", CLIP_FORMS)
     def test_matches_full_cube(self, fid):
@@ -160,6 +161,7 @@ class TestClippedScan:
                         res = brute_force_coset(q, b)
                         assert res.vectors == tuple(u for u, _ in ref)
                         assert res.norms == tuple(nu for _, nu in ref)
+                        assert res.exhaustive == (b >= box)
                     checked += 1
         assert checked >= 6
 
