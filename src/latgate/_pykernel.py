@@ -44,13 +44,22 @@ def dfs_enumerate(n, W, M, T, D, C):
     at the bound C, so each node visited has partial norm <= C.  Only the
     entries M[i][j] with j >= i are read.
 
-    Row i of the partial sums is sig[i][j] = M[i][i]*T[i] + sum_{j' >= j}
-    M[i][j']*w[j'], with sig[i][n] = M[i][i]*T[i], and its centre is
-    sig[i][i+1].  Invariant: on a descent into level i, no w[j] with
-    j > stale[i] has changed since row i was last refreshed, so the descent
-    recomputes sig[i][j] for j = stale[i] .. i+1 only.  It then passes
-    stale[i] down to row i-1 (whose staleness is the larger of the two) and
-    resets stale[i] to i+1, the level that moves next.
+    One block enters every level, the top one included: it enters level i
+    at partial norm tot, with row i of the partial sums stale from level r
+    down, refreshes sig[i][j] = M[i][i]*T[i] + sum_{j' >= j} M[i][j']*w[j']
+    for j = r .. i+1 only (sig[i][n] = M[i][i]*T[i]) and cuts the level's
+    interval around its centre sig[i][i+1].  The top level is entered with
+    i = r = n-1 and tot = 0, which refreshes nothing.  The level's nodes are
+    then visited in ascending order: a leaf is emitted, an exhausted level
+    returns to its parent's next coordinate, and any other node descends,
+    which enters level i-1.
+
+    State per level i: the row sig[i]; stale[i], the highest level whose w
+    may have moved since row i was refreshed (a descent into level i passes
+    it down to row i-1, whose staleness is the larger of the two, and resets
+    it to i+1, the level that moves next); the interval's upper end
+    hi_arr[i]; the partial norm acc[i] above the level; the coordinate
+    u[n-1-i] and its scaled value w[i] = D*u[n-1-i] + T[i].
     """
     results: list[tuple[tuple[int, ...], int]] = []
     inner = 0  # nodes that descend, once each; the others are the leaves
@@ -60,66 +69,51 @@ def dfs_enumerate(n, W, M, T, D, C):
     step = [M[i][i] * D for i in range(n)]
     sig = [[0] * n + [M[i][i] * T[i]] for i in range(n)]
     stale = [n - 1] * n
-    e = [0] * n
     hi_arr = [0] * n
-    cur = [0] * n
     acc = [0] * n
     w = [0] * n
     u = [0] * n
 
-    i = n - 1
-    # enter level n-1
-    ei = M[i][i] * T[i]
-    e[i] = ei
-    acc[i] = 0
-    s = isqrt(C // W[i])
-    lo = -((s + ei) // step[i])
-    hi = (s - ei) // step[i]
-    if lo > hi:
-        prunes += 1
-    cur[i] = lo
-    hi_arr[i] = hi
-
+    i = r = n - 1
+    tot = 0
     while True:
-        if cur[i] > hi_arr[i]:
-            i += 1
-            if i == n:
+        # enter level i at partial norm tot, row i stale from level r down
+        Mi = M[i]
+        sg = sig[i]
+        ei = sg[r + 1]
+        for j in range(r, i, -1):
+            ei += Mi[j] * w[j]
+            sg[j] = ei
+        acc[i] = tot
+        s = isqrt((C - tot) // W[i])
+        si = step[i]
+        ui = -((s + ei) // si)
+        hi_arr[i] = (s - ei) // si
+        if ui > hi_arr[i]:
+            prunes += 1
+        while True:
+            if ui > hi_arr[i]:
+                i += 1
+                if i == n:
+                    return results, inner + len(results), prunes
+                ui = u[~i] + 1  # u[n-1-i]
+                continue
+            S = step[i] * ui + sig[i][i + 1]
+            tot = acc[i] + W[i] * S * S
+            u[~i] = ui
+            if i == 0:
+                results.append((tuple(u), tot))
+                ui += 1
+            else:
+                inner += 1
+                w[i] = D * ui + T[i]
+                i -= 1
+                r = stale[i]
+                # at i = 0 this writes stale[-1], the top row's, never read
+                if stale[i - 1] < r:
+                    stale[i - 1] = r
+                stale[i] = i + 1
                 break
-            cur[i] += 1
-            continue
-        ui = cur[i]
-        S = step[i] * ui + e[i]
-        tot = acc[i] + W[i] * S * S
-        u[~i] = ui  # u[n-1-i]
-        if i == 0:
-            results.append((tuple(u), tot))
-            cur[i] += 1
-        else:
-            inner += 1
-            w[i] = D * ui + T[i]
-            i -= 1
-            Mi = M[i]
-            sg = sig[i]
-            r = stale[i]
-            ei = sg[r + 1]
-            for j in range(r, i, -1):
-                ei += Mi[j] * w[j]
-                sg[j] = ei
-            e[i] = ei
-            # at i = 0 this writes stale[-1], the top row's, never read
-            if stale[i - 1] < r:
-                stale[i - 1] = r
-            stale[i] = i + 1
-            acc[i] = tot
-            s = isqrt((C - tot) // W[i])
-            si = step[i]
-            lo = -((s + ei) // si)
-            hi = (s - ei) // si
-            if lo > hi:
-                prunes += 1
-            cur[i] = lo
-            hi_arr[i] = hi
-    return results, inner + len(results), prunes
 
 
 def brute_scan(n, gram, T, D, C2, box, *, reach):

@@ -157,7 +157,7 @@ def solve_char_coset(g: GramMatrix) -> CharCoset:
     """
     if not is_unimodular(g):
         warnings.warn(
-            "form is not unimodular; characteristic coset may be empty or non-unique",
+            "form is not unimodular; its 0/1 characteristic base may not be unique",
             stacklevel=2,
         )
     return CharCoset(base=_solve_gf2(g), lattice=g)
@@ -270,18 +270,9 @@ def _char_minimum(
         raise NoSolutionError(f"internal error: no characteristic vector of norm <= {n}")
     if any(4 * norm != c * scale for _, norm in pairs):
         raise NoSolutionError(f"internal error: a characteristic norm in rung {c} is not {c}")
-    mins = [p[0] for p in pairs]
-    if basis is None:
-        u_star = mins[0]  # pairs come in lex order and w0 + 2u preserves lex order
-        w_star = tuple(w0[i] + 2 * u_star[i] for i in range(n))
-    else:
-        # w' = w0 + 2u in form's basis is w = basis^T w' in the caller's
-        cols = tuple(zip(*basis))
-        base = [sum(map(mul, col, w0)) for col in cols]
-        w_star = min(
-            tuple(b + 2 * sum(map(mul, col, u)) for b, col in zip(base, cols)) for u in mins
-        )
-    return c, len(mins), w_star, EnumStats(nodes=nodes, prunes=prunes)
+    # w' = w0 + 2u in form's basis is w = basis^T w' in the caller's
+    mins = [tuple(x + 2 * y for x, y in zip(w0, u)) for u, _ in pairs]
+    return c, len(mins), min(_times(mins, basis)), EnumStats(nodes=nodes, prunes=prunes)
 
 
 def min_char_vector_with_stats(g: GramMatrix) -> tuple[CharVecResult, EnumStats]:

@@ -441,14 +441,7 @@ def lll_reduce(g: GramMatrix) -> tuple[IntMatrix, GramMatrix]:
 
 def evaluate(g: GramMatrix, x: Sequence[int]) -> int:
     """x^T g x over the integers."""
-    n = g.rank
-    if len(x) != n:
-        raise BadShapeError(f"vector has length {len(x)}, expected {n}")
-    total = 0
-    for i in range(n):
-        row = g.entries[i]
-        total += x[i] * sum(row[j] * x[j] for j in range(n))
-    return total
+    return pairing(g, x, x)
 
 
 def pairing(g: GramMatrix, x: Sequence[int], y: Sequence[int]) -> int:

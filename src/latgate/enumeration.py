@@ -19,7 +19,7 @@ never from the pivot rows that the search reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt, lcm, prod
 from typing import Sequence
@@ -79,12 +79,16 @@ class EnumStats:
 
 @dataclass(frozen=True)
 class EnumResult:
-    """Vectors in lexicographic order, with exact norms Q(u + shift)."""
+    """Vectors in lexicographic order, with exact norms Q(u + shift).
+
+    `stats` holds the search's counters (None from the oracle's scan); they
+    describe the route, not the result, so equality ignores them.
+    """
 
     vectors: tuple[tuple[int, ...], ...]
     norms: tuple[Fraction, ...]
     exhaustive: bool = True
-    stats: EnumStats | None = None
+    stats: EnumStats | None = field(default=None, compare=False)
 
 
 def _scaled_problem(form: GramMatrix, shift: Sequence[Fraction], radius: Fraction):
@@ -136,9 +140,10 @@ def _exact_norms(pairs, scale: int) -> tuple[Fraction, ...]:
     return tuple(norms[p[1]] for p in pairs)
 
 
-def enumerate_coset(query: EnumQuery, *, with_stats: bool = False) -> EnumResult:
+def enumerate_coset(query: EnumQuery) -> EnumResult:
     """All u with Q(u + shift) <= radius, in lexicographic order: the search
-    emits them in that order, so nothing sorts them.
+    emits them in that order, so nothing sorts them.  The result carries the
+    search's counters.
 
     Raises on rank above `DEFAULT_RANK_CAP` and on non-positive-definite forms.
     """
@@ -148,7 +153,7 @@ def enumerate_coset(query: EnumQuery, *, with_stats: bool = False) -> EnumResult
         vectors=tuple(p[0] for p in pairs),
         norms=_exact_norms(pairs, scale),
         exhaustive=True,
-        stats=stats if with_stats else None,
+        stats=stats,
     )
 
 
@@ -233,7 +238,6 @@ def brute_force_coset(query: EnumQuery, box: int) -> EnumResult:
         vectors=tuple(p[0] for p in pairs),
         norms=_exact_norms(pairs, D * D),
         exhaustive=box >= _reach_box(D, T, reach),
-        stats=None,
     )
 
 

@@ -54,11 +54,16 @@ class NotUnimodularTransformError(LatgateError):
 
 
 class RankCapExceededError(LatgateError):
-    """Enumeration refused: rank exceeds the configured cap."""
+    """Enumeration refused: rank exceeds the fixed cap, `DEFAULT_RANK_CAP` = 24."""
 
 
 class NoSolutionError(LatgateError):
-    """The mod-2 characteristic system has no solution."""
+    """Internal error only: a fact the characteristic search relies on failed.
+
+    The mod-2 characteristic system of a symmetric form always has a
+    solution, and a positive definite unimodular form has a characteristic
+    vector of norm at most its rank, congruent to it mod 8; only a fault in
+    the code breaks these."""
 
 
 class NoLoopToSurgerError(LatgateError):

@@ -283,30 +283,22 @@ def donaldson_verdict(m: ManifoldDescriptor) -> ModuliReport:
 
     bundle = choose_line_bundle(current)
     dim = virtual_dimension(current, bundle)
-    if bundle.k == 0:
-        return ModuliReport(
-            verdict=Verdict.REALIZABLE,
-            reason="minimal characteristic norm equals the rank: the form is minus the identity",
-            k=0,
-            virtual_dim=dim,
-            based_dim=dim + 1,
-            boundary=None,
-            sw_number_nonzero=None,
-            line_bundle=bundle,
-            surgery_certificates=tuple(certificates),
-        )
-    number = sw_boundary_number(bundle.k)
+    k = bundle.k
+    if k:
+        verdict, boundary, number = Verdict.FORBIDDEN, f"CP^{k - 1}", sw_boundary_number(k).nonzero
+        reason = ("deleting the reducible point leaves a compact moduli space whose "
+                  f"boundary {boundary} carries a nonzero mod-2 characteristic number")
+    else:
+        verdict, boundary, number = Verdict.REALIZABLE, None, None
+        reason = "minimal characteristic norm equals the rank: the form is minus the identity"
     return ModuliReport(
-        verdict=Verdict.FORBIDDEN,
-        reason=(
-            "deleting the reducible point leaves a compact moduli space whose "
-            f"boundary CP^{bundle.k - 1} carries a nonzero mod-2 characteristic number"
-        ),
-        k=bundle.k,
+        verdict=verdict,
+        reason=reason,
+        k=k,
         virtual_dim=dim,
         based_dim=dim + 1,
-        boundary=f"CP^{bundle.k - 1}",
-        sw_number_nonzero=number.nonzero,
+        boundary=boundary,
+        sw_number_nonzero=number,
         line_bundle=bundle,
         surgery_certificates=tuple(certificates),
     )

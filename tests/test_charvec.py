@@ -243,6 +243,14 @@ class TestMinCharVector:
             mins = all_minimizers(conj, res)
             assert len(mins) == res.count_minimizers == min_char_vector(g).count_minimizers
             assert res.minimizer == min(mins)
+        # forms that LLL leaves unchanged, searched as given: several
+        # minimizers, and the identity maps them back
+        for fid, count in (("D12plus", 24), ("D12plus+Z1", 48)):
+            r = lll_reduce(catalog_get(fid).gram)[1]
+            assert charvec._search_basis(r)[0] is None
+            res = min_char_vector(r)
+            assert res.count_minimizers == count
+            assert res.minimizer == min(all_minimizers(r, res))
 
     @pytest.mark.parametrize("fid, seed", [("E8+Z4", 8), ("D12plus", 9)])
     def test_rung_contract(self, fid, seed):
@@ -469,8 +477,7 @@ class TestUnitSplit:
             g = catalog_get(fid).gram
             _, stats = min_char_vector_with_stats(g)
             zero = tuple(Fraction(0) for _ in range(g.rank))
-            ball = enumerate_coset(EnumQuery(form=g, shift=zero, radius=Fraction(1)),
-                                   with_stats=True)
+            ball = enumerate_coset(EnumQuery(form=g, shift=zero, radius=Fraction(1)))
             assert stats == ball.stats and stats.nodes > 0
 
     def test_rank_cap_standard_form_in_bounded_memory(self):

@@ -75,7 +75,7 @@ class TestFrozenResults:
     def test_zero_shift_ball_counters(self, fid, radius, vectors, nodes, prunes):
         # the search tree of a zero-shift ball, pinned so that any change
         # to it shows up here
-        res = enumerate_coset(query(fid, radius=radius), with_stats=True)
+        res = enumerate_coset(query(fid, radius=radius))
         assert len(res.vectors) == vectors
         assert (res.stats.nodes, res.stats.prunes) == (nodes, prunes)
 
@@ -373,10 +373,11 @@ class TestSufficientBox:
 
 class TestWorkersAndStats:
     def test_stats_toggle(self):
+        # every search result carries its counters; the oracle's scan has none
         q = query("Zn:2")
-        assert enumerate_coset(q).stats is None
-        stats = enumerate_coset(q, with_stats=True).stats
+        stats = enumerate_coset(q).stats
         assert stats is not None and stats.nodes > 0
+        assert brute_force_coset(q, sufficient_box(q)).stats is None
 
     def test_kernel_name_reports(self):
         assert kernel_name() == "python"
