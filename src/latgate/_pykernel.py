@@ -37,12 +37,13 @@ __all__ = ["dfs_enumerate", "brute_scan"]
 def dfs_enumerate(n, W, M, T, D, C):
     """Depth-first search over levels n-1 .. 0, ascending coordinate order.
 
-    Level i's coordinate is stored at u[n-1-i].  Returns (results, nodes,
-    prunes) where results is a list of (coordinates, scaled_norm) pairs, one
-    for every point with scaled norm <= C, in visit order, which is strictly
-    increasing lexicographic order of the coordinates.  Every interval is cut
-    at the bound C, so each node visited has partial norm <= C.  Only the
-    entries M[i][j] with j >= i are read.
+    C is nonnegative, as every radius is.  Level i's coordinate is stored
+    at u[n-1-i].  Returns (results, nodes, prunes) where results is a list
+    of (coordinates, scaled_norm) pairs, one for every point with scaled
+    norm <= C, in visit order, which is strictly increasing lexicographic
+    order of the coordinates.  Every interval is cut at the bound C, so each
+    node visited has partial norm <= C.  Only the entries M[i][j] with
+    j >= i are read.
 
     One block enters every level, the top one included: it enters level i
     at partial norm tot, with row i of the partial sums stale from level r
@@ -64,8 +65,6 @@ def dfs_enumerate(n, W, M, T, D, C):
     results: list[tuple[tuple[int, ...], int]] = []
     inner = 0  # nodes that descend, once each; the others are the leaves
     prunes = 0
-    if C < 0:
-        return results, 0, 0
     step = [M[i][i] * D for i in range(n)]
     sig = [[0] * n + [M[i][i] * T[i]] for i in range(n)]
     stale = [n - 1] * n

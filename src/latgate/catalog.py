@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import GramMatrix, direct_sum
+from .core import GramMatrix, _times, direct_sum
 from .errors import InvalidParameterError, UnknownIdError
 
 __all__ = ["CatalogEntry", "catalog_get", "builtin_ids"]
@@ -55,45 +55,25 @@ _DN_RE = re.compile(r"^D(\d+)$")
 
 
 def _gram_from_vectors(vectors: list[list[Fraction]]) -> GramMatrix:
-    n = len(vectors)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            x = sum(a * b for a, b in zip(vectors[i], vectors[j]))
+    rows = _times(vectors, tuple(zip(*vectors)))
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
             if x.denominator != 1:
                 raise InvalidParameterError(f"non-integral Gram entry {x} at ({i},{j})")
-            row.append(int(x))
-        rows.append(tuple(row))
-    return GramMatrix(tuple(rows))
+    return GramMatrix(tuple(tuple(map(int, row)) for row in rows))
 
 
 def _zn_gram(n: int) -> GramMatrix:
     return GramMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
 
-def _dn_gram(n: int) -> GramMatrix:
-    vectors = []
+def _dn_basis(n: int) -> list[list[Fraction]]:
+    """The root basis e1-e2, ..., e_{n-1}-e_n, e_{n-1}+e_n of D_n, as rows."""
+    basis = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n - 1):
-        v = [Fraction(0)] * n
-        v[i], v[i + 1] = Fraction(1), Fraction(-1)
-        vectors.append(v)
-    v = [Fraction(0)] * n
-    v[n - 2] = v[n - 1] = Fraction(1)
-    vectors.append(v)
-    return _gram_from_vectors(vectors)
-
-
-def _dn_plus_gram(n: int) -> GramMatrix:
-    vectors = [[Fraction(1, 2)] * n]
-    for i in range(1, n - 1):
-        v = [Fraction(0)] * n
-        v[i], v[i + 1] = Fraction(1), Fraction(-1)
-        vectors.append(v)
-    v = [Fraction(0)] * n
-    v[n - 2] = v[n - 1] = Fraction(1)
-    vectors.append(v)
-    return _gram_from_vectors(vectors)
+        basis[i][i], basis[i][i + 1] = Fraction(1), Fraction(-1)
+    basis[n - 1][n - 2] = basis[n - 1][n - 1] = Fraction(1)
+    return basis
 
 
 def _atom(token: str) -> tuple[GramMatrix, dict]:
@@ -117,14 +97,16 @@ def _atom(token: str) -> tuple[GramMatrix, dict]:
             raise InvalidParameterError(
                 f"{token!r}: the glue vector is integral only when 4 divides n"
             )
+        basis = _dn_basis(n)
+        basis[0] = [Fraction(1, 2)] * n  # the glue vector in place of e1-e2
         even = n % 8 == 0
-        return _dn_plus_gram(n), {"det": 1, "even": even, "m": 0 if even else 4}
+        return _gram_from_vectors(basis), {"det": 1, "even": even, "m": 0 if even else 4}
     match = _DN_RE.match(token)
     if match:
         n = int(match.group(1))
         if n < 2:
             raise InvalidParameterError(f"{token!r}: rank must be at least 2")
-        return _dn_gram(n), {"det": 4, "even": True, "m": None}
+        return _gram_from_vectors(_dn_basis(n)), {"det": 4, "even": True, "m": None}
     raise UnknownIdError(f"unrecognized catalog id component {token!r}")
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from operator import add
 
 from .core import (
     Definiteness,
@@ -41,6 +41,7 @@ from .core import (
     IntVector,
     Parity,
     _positive_pivots,
+    _times,
     definiteness,
     inertia,
     is_unimodular,
@@ -163,17 +164,6 @@ def solve_char_coset(g: GramMatrix) -> CharCoset:
     return CharCoset(base=_solve_gf2(g), lattice=g)
 
 
-def _times(a: IntMatrix | None, b: IntMatrix | None) -> IntMatrix | None:
-    """The integer matrix product a b, matrices given as rows and None
-    standing for the identity."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
-
-
 def _search_basis(g: GramMatrix) -> tuple[IntMatrix | None, GramMatrix]:
     """(H, form): the basis the searches of the positive definite g run on,
     computed per call, no state kept on the form; H is None when that is g.
@@ -221,7 +211,7 @@ def _orthogonal_complement(form: GramMatrix, units: IntMatrix) -> IntMatrix:
     a basis of the kernel.  Columns are stored as rows here.
     """
     n, k = form.rank, len(units)
-    a = [[sum(map(mul, e, col)) for e in units] for col in form.entries]  # G is symmetric
+    a = list(_times(form.entries, tuple(zip(*units))))  # row c: column c of A, G symmetric
     u = [[int(i == j) for j in range(n)] for i in range(n)]
     for r in range(k):
         while True:
@@ -259,11 +249,10 @@ def _char_minimum(
     # n mod 8 + 8, ..., n: the first rung that is not empty holds exactly the
     # minimizers
     shift = tuple(Fraction(x, 2) for x in w0)
-    nodes = prunes = 0
+    stats = EnumStats(nodes=0, prunes=0)
     for c in range(n % 8, n + 1, 8):
-        pairs, scale, stats = _search(EnumQuery(form=form, shift=shift, radius=Fraction(c, 4)))
-        nodes += stats.nodes
-        prunes += stats.prunes
+        pairs, scale, rung = _search(EnumQuery(form=form, shift=shift, radius=Fraction(c, 4)))
+        stats += rung
         if pairs:
             break
     else:
@@ -272,7 +261,7 @@ def _char_minimum(
         raise NoSolutionError(f"internal error: a characteristic norm in rung {c} is not {c}")
     # w' = w0 + 2u in form's basis is w = basis^T w' in the caller's
     mins = [tuple(x + 2 * y for x, y in zip(w0, u)) for u, _ in pairs]
-    return c, len(mins), min(_times(mins, basis)), EnumStats(nodes=nodes, prunes=prunes)
+    return c, len(mins), min(_times(mins, basis)), stats
 
 
 def min_char_vector_with_stats(g: GramMatrix) -> tuple[CharVecResult, EnumStats]:
@@ -309,8 +298,7 @@ def min_char_vector_with_stats(g: GramMatrix) -> tuple[CharVecResult, EnumStats]
         m += m_rest
         count *= count_rest
         minimizer = tuple(map(add, minimizer, w_rest))
-        stats = EnumStats(nodes=stats.nodes + rest_stats.nodes,
-                          prunes=stats.prunes + rest_stats.prunes)
+        stats += rest_stats
     if (n - m) % 8 != 0:
         raise NoSolutionError(f"internal error: rank {n} and norm {m} differ by {n - m} mod 8")
     result = CharVecResult(
@@ -360,9 +348,11 @@ def signature_mod8_check(g: GramMatrix) -> bool:
 
 def count_unit_vectors(g: GramMatrix) -> int:
     """Number of lattice vectors of norm exactly 1 (2n for the standard form),
-    counted on the LLL-reduced form by a search of its own: a second route
-    to `CharVecResult.unit_vector_count`.  An even form has none and is not
-    searched."""
+    counted on the LLL-reduced form.  It runs the same `_search_basis` and
+    `_unit_vectors` search as `min_char_vector`, so it can show leaked state
+    or nondeterminism but not a wrong reduction or search: it is not an
+    independent route to `CharVecResult.unit_vector_count`.  An even form
+    has none and is not searched."""
     _check_rank_cap(g.rank)
     if definiteness(g) is not Definiteness.POSITIVE_DEFINITE:
         _positive_pivots(g)  # refuses the form, naming its first non-positive pivot

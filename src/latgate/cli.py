@@ -300,10 +300,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "donaldson":
             return _cmd_donaldson(args)
         return _cmd_selftest(args)
-    except _UsageError as exc:
-        print(f"latgate: error: {exc}", file=sys.stderr)
-        return 1
-    except _USAGE_ERRORS as exc:
+    except (_UsageError, *_USAGE_ERRORS) as exc:
         print(f"latgate: error: {exc}", file=sys.stderr)
         return 1
     except LatgateError as exc:

@@ -13,6 +13,12 @@ Each `GramMatrix` computes its determinant and inertia once, on first use,
 and keeps them.  `cholesky` reads the same rows as Fractions; no search
 uses it.
 
+`_times` is the package's one matrix product, on rows of ints or
+Fractions: the basis changes, the catalog's Gram matrices and the
+characteristic search's change of coordinates all go through it.  The
+oracle's arithmetic (`pairing`, `evaluate` and the box scan) does not, so
+that a fault in the product cannot also hide from the cross-check.
+
 `lll_reduce` is the all-integer LLL reduction of a positive definite form
 (Lenstra, Lenstra and Lovasz 1982, in the Gram form of Cohen, Alg. 2.6.7).
 `latgate.charvec` reduces each odd form it searches, computed per call, no
@@ -26,6 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -98,9 +105,6 @@ class GramMatrix:
     def diagonal(self) -> IntVector:
         return tuple(self.entries[i][i] for i in range(self.rank))
 
-    def to_rows(self) -> list[list[int]]:
-        return [list(row) for row in self.entries]
-
     @cached_property
     def _det_and_inertia(self) -> tuple[int, tuple[int, int, int]]:
         """(determinant, inertia) from one elimination, computed on first use.
@@ -114,6 +118,19 @@ class GramMatrix:
         minors = [row[k] for k, row in enumerate(pivot_rows)]
         neg = sum((a > 0) != (b > 0) for a, b in zip([1] + minors, minors))
         return det, (self.rank - neg, neg, 0)
+
+
+def _times(
+    a: Sequence[Sequence] | None, b: Sequence[Sequence] | None
+) -> tuple[tuple, ...] | None:
+    """The matrix product a b, matrices given as rows of ints or Fractions
+    and None standing for the identity."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 @dataclass(frozen=True)
@@ -303,13 +320,7 @@ def basis_change(g: GramMatrix, u: Sequence[Sequence[int]]) -> GramMatrix:
     d, _ = _bareiss(urows)
     if d not in (1, -1):
         raise NotUnimodularTransformError(f"transform determinant is {d}, need +-1")
-    # t = g @ u, then result = u^T @ t
-    t = [[sum(g.entries[i][k] * urows[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    out = tuple(
-        tuple(sum(urows[k][i] * t[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-    return GramMatrix(out)
+    return GramMatrix(_times(_times(tuple(zip(*urows)), g.entries), urows))
 
 
 def _positive_pivots(g: GramMatrix) -> list[list[int]]:

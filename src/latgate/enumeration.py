@@ -76,6 +76,10 @@ class EnumStats:
     nodes: int
     prunes: int
 
+    def __add__(self, other: "EnumStats") -> "EnumStats":
+        """The counters of two searches together."""
+        return EnumStats(nodes=self.nodes + other.nodes, prunes=self.prunes + other.prunes)
+
 
 @dataclass(frozen=True)
 class EnumResult:
@@ -182,12 +186,14 @@ def _axis_reach(form: GramMatrix, C2: int) -> list[int]:
     return [isqrt(C2 * a[i][n + i] // prev) for i in range(n)]
 
 
-def _scan_problem(query: EnumQuery) -> tuple[int, list[int], int, list[int]]:
-    """(D, T, C2, reach) of the oracle's box scan for `query`.
+def _scan_problem(query: EnumQuery) -> tuple[int, list[int], int, list[int], int]:
+    """(D, T, C2, reach, box) of the oracle's box scan for `query`.
 
     D clears the shift's denominators and T = D*shift, so u is a hit iff
     v = D*u + T has v^T G v <= C2 = floor(D^2 * radius); reach is
-    `_axis_reach` at C2.
+    `_axis_reach` at C2, so every hit has |D*u_i + T_i| <= reach_i.  box is
+    the largest per-axis extent (reach_i + |T_i|) // D: the cube of that
+    size holds every hit, and it never binds the per-axis clip.
     """
     if definiteness(query.form) is not Definiteness.POSITIVE_DEFINITE:
         raise NotPositiveDefiniteError("brute-force scan requires a positive definite form")
@@ -195,25 +201,16 @@ def _scan_problem(query: EnumQuery) -> tuple[int, list[int], int, list[int]]:
     T = [s.numerator * (D // s.denominator) for s in query.shift]
     scaled = query.radius * D * D
     C2 = scaled.numerator // scaled.denominator
-    return D, T, C2, _axis_reach(query.form, C2)
-
-
-def _reach_box(D: int, T: list[int], reach: list[int]) -> int:
-    """The largest per-axis Cauchy-Schwarz extent (reach_i + |T_i|) // D:
-    a cube of this size holds every hit of the scan."""
-    return max((r + abs(t)) // D for t, r in zip(T, reach))
+    reach = _axis_reach(query.form, C2)
+    return D, T, C2, reach, max((r + abs(t)) // D for t, r in zip(T, reach))
 
 
 def _scan_size(query: EnumQuery) -> tuple[int, int]:
     """(box, cells): `sufficient_box(query)`, and the number of cells that
-    `brute_force_coset(query, box)` visits.
-
-    The box is the largest per-axis Cauchy-Schwarz extent
-    (reach_i + |T_i|) // D, so it never binds the clip, and the scan visits
-    the product over axes of the count of u_i with |D*u_i + T_i| <= reach_i.
+    `brute_force_coset(query, box)` visits: the product over axes of the
+    count of u_i with |D*u_i + T_i| <= reach_i.
     """
-    D, T, _, reach = _scan_problem(query)
-    box = _reach_box(D, T, reach)
+    D, T, _, reach, box = _scan_problem(query)
     cells = prod(max(0, (r - t) // D + (r + t) // D + 1) for t, r in zip(T, reach))
     return box, cells
 
@@ -231,21 +228,21 @@ def brute_force_coset(query: EnumQuery, box: int) -> EnumResult:
     """
     if box < 0:
         raise BadShapeError("box must be nonnegative")
-    D, T, C2, reach = _scan_problem(query)
-    pairs = _kernel.brute_scan(query.form.rank, [list(r) for r in query.form.entries],
-                               T, D, C2, box, reach=reach)
+    D, T, C2, reach, sufficient = _scan_problem(query)
+    pairs = _kernel.brute_scan(query.form.rank, query.form.entries, T, D, C2, box, reach=reach)
     return EnumResult(
         vectors=tuple(p[0] for p in pairs),
         norms=_exact_norms(pairs, D * D),
-        exhaustive=box >= _reach_box(D, T, reach),
+        exhaustive=box >= sufficient,
     )
 
 
 def sufficient_box(query: EnumQuery) -> int:
     """A box size that provably contains every vector of the coset ball.
 
-    Built from determinants only (`_axis_reach`, see `_scan_size`), with no
-    Cholesky factor and no inverse.  Raises NotPositiveDefiniteError unless
-    the form is positive definite.
+    Built from determinants only (`_axis_reach`, see `_scan_problem`), with
+    no Cholesky factor and no inverse.  Raises NotPositiveDefiniteError
+    unless the form is positive definite.
     """
-    return _scan_size(query)[0]
+    *_, box = _scan_problem(query)
+    return box

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from collections import Counter
@@ -26,7 +27,7 @@ from latgate import (
 )
 from latgate import cli
 from latgate.cli import main
-from latgate.formats import load_gram, load_manifold
+from latgate.formats import load_gram, load_manifold, manifold_from_obj
 from latgate.selftest import CheckResult
 from oracle_helpers import det_gauss
 
@@ -141,6 +142,27 @@ class TestFormats:
         with pytest.raises(ParseError, match="integer"):
             load_gram(text)
 
+    @pytest.mark.parametrize("text, message", (
+        ("[1]", "Gram document must be a JSON object, got list"),
+        ('{"rank": 1, "gram": 5}', "field 'gram': expected a list of rows, got int"),
+        ('{"rank": 2, "gram": [[1, 0], 7]}', "field 'gram' row 1: expected a list"),
+    ))
+    def test_gram_document_structure(self, tmp_path, text, message):
+        path = tmp_path / "g.json"
+        path.write_text(text)
+        with pytest.raises(ParseError) as info:
+            load_gram(path)
+        assert str(info.value) == message
+
+    def test_manifold_document_not_an_object(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('[{"b1": 0}]')
+        with pytest.raises(ParseError) as info:
+            load_manifold(path)
+        assert str(info.value) == "manifold document must be a JSON object, got list"
+        with pytest.raises(ParseError, match="got str"):
+            manifold_from_obj("b1")
+
     def test_manifold_document(self):
         m = load_manifold('{"b1": 2, "form": {"rank": 1, "gram": [[-1]]}}')
         assert m.b1 == 2 and m.form.entries == ((-1,),)
@@ -237,6 +259,84 @@ class TestCliAnalyze:
         assert (box, cells) == (2, 12_150)
         assert cells <= cli._ORACLE_CELL_CAP < (2 * box + 1) ** 9
 
+    # (document, first text line, JSON fields that differ by form)
+    NOT_DEFINITE = (
+        ('{"rank": 1, "gram": [[-1]]}',
+         "form inline: rank 1, determinant -1, NegativeDefinite, Odd, signature -1",
+         {"definiteness": "NegativeDefinite", "determinant": -1, "gram": [[-1]],
+          "parity": "Odd", "signature": -1, "unimodular": True}),
+        ('{"rank": 2, "gram": [[0, 1], [1, 0]]}',
+         "form inline: rank 2, determinant -1, Indefinite, Even, signature 0",
+         {"definiteness": "Indefinite", "determinant": -1, "gram": [[0, 1], [1, 0]],
+          "parity": "Even", "signature": 0, "unimodular": True}),
+        ('{"rank": 2, "gram": [[1, 0], [0, 0]]}',
+         "form inline: rank 2, determinant 0, Degenerate",
+         {"definiteness": "Degenerate", "determinant": 0, "gram": [[1, 0], [0, 0]],
+          "parity": None, "signature": None, "unimodular": False}),
+    )
+
+    @pytest.mark.parametrize("doc, line, fields", NOT_DEFINITE)
+    def test_not_positive_definite_skips_search_and_oracle(self, capsys, doc, line, fields):
+        # --stats and --oracle print nothing when no search runs
+        assert main(["analyze", doc, "--stats", "--oracle"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (
+            f"{line}\ncharacteristic analysis skipped: form is not positive definite\n"
+        )
+        assert captured.err == ""
+        assert main(["analyze", doc, "--stats", "--oracle", "--json"]) == 0
+        captured = capsys.readouterr()
+        rows = fields["gram"]
+        expected = {
+            **fields,
+            "charvec": None,
+            "charvec_skipped": "form is not positive definite",
+            "form_id": "inline",
+            "format": 1,
+            "gram": {"gram": rows, "rank": len(rows)},
+            "rank": len(rows),
+        }
+        assert captured.out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+        assert captured.err == ""
+
+    def test_text_search_and_oracle_lines(self, capsys):
+        assert main(["analyze", "--catalog", "E8+Z1", "--stats", "--oracle"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "form E8+Z1: rank 9, determinant 1, PositiveDefinite, Odd, signature 9\n"
+            "characteristic minimum: m = 1, k = 1, minimizer = "
+            "(0, 0, 0, 0, 0, 0, 0, 0, -1), minimizers = 2\n"
+            "verdict: HasShortCharVector (unit vectors: 2, mod 8: ok)\n"
+            "search: 89 nodes, 18 prunes (kernel: python)\n"
+            "oracle[brute]: ok\n"
+        )
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("fid, claim, mode, checks", (
+        ("E8+Z1", {"count_minimizers": 3}, "brute",
+         {"count": False, "minimizer": True, "norm": True}),
+        ("Zn:9", {"norm_m": 1}, "structural",
+         {"characteristic": True, "coset": True, "k": False, "norm": False,
+          "rank_bound": True}),
+    ))
+    def test_oracle_mismatch_exit_2(self, capsys, monkeypatch, fid, claim, mode, checks):
+        # a search result that the cross-check must refuse
+        report_with_stats = cli.charvec_report_with_stats
+
+        def wrong(gram, form_id):
+            report, result, stats = report_with_stats(gram, form_id)
+            return report, dataclasses.replace(result, **claim), stats
+
+        monkeypatch.setattr(cli, "charvec_report_with_stats", wrong)
+        assert main(["analyze", "--catalog", fid, "--oracle"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.endswith(f"\noracle[{mode}]: MISMATCH\n")
+        assert captured.err == "latgate: oracle cross-check failed\n"
+        assert main(["analyze", "--catalog", fid, "--oracle", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["oracle"] == {"checks": checks, "mode": mode, "ok": False}
+        assert captured.err == "latgate: oracle cross-check failed\n"
+
     def test_deterministic_output(self, capsys):
         assert main(["analyze", "--catalog", "E8", "--json"]) == 0
         first = capsys.readouterr().out
@@ -301,6 +401,29 @@ class TestCliDonaldson:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "latgate: error: --b1 and --negate go with --catalog" in captured.err
+
+    @pytest.mark.parametrize("argv", (
+        ["donaldson"],
+        ["donaldson", '{"b1": 0, "form": {"rank": 1, "gram": [[-1]]}}', "--catalog", "E8"],
+    ))
+    def test_needs_exactly_one_input(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "latgate: error: provide exactly one of a manifold document path or --catalog ID\n"
+        )
+
+    def test_surgery_text(self, capsys):
+        assert main(["donaldson", "--catalog", "Zn:3", "--negate", "--b1", "2"]) == 0
+        assert capsys.readouterr().out == (
+            "manifold: b1 = 2, b2 = 3, signature = -3, chi = 1\n"
+            "step 1 (surgery): 2 step(s) reduce b1 to 0; rank ledgers balance; chi -> 5\n"
+            "step 2 (line bundle): c1^2 = -3, k = 0\n"
+            "step 3 (moduli dimension): virtual = -1, based = 0\n"
+            "verdict: Realizable (minimal characteristic norm equals the rank: "
+            "the form is minus the identity)\n"
+        )
 
     def test_verification_failure_exit_2(self, capsys):
         assert main(["donaldson", "--catalog", "D4", "--negate"]) == 2

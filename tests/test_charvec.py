@@ -43,6 +43,7 @@ from latgate.core import direct_sum, evaluate, lll_reduce
 from oracle_helpers import (
     char_01_vectors,
     char_holds_on_01_cube,
+    det_gauss,
     dn_plus_basis,
     dn_plus_char_minimum,
     is_characteristic,
@@ -422,10 +423,44 @@ class TestUnitSplit:
         assert len(units) == 2 * k
         assert any(sum(map(abs, u)) > 1 for u in units)
 
+    @pytest.mark.parametrize("fid, seed, m_rest", (
+        ("E8+Z2", 1, 0),
+        ("E8+Z3", 2, 0),
+        ("E8+Z3", 15, 0),  # one unit's column takes a second Euclid pass
+        ("D12plus+Z1", 4, 4),
+        ("Zn:6", 5, None),
+    ))
+    def test_complement_of_units_off_the_basis(self, fid, seed, m_rest):
+        # the kernel computation on an unreduced conjugate, some of whose
+        # units are not +-basis vectors, whatever basis LLL would return;
+        # every check below is test-local arithmetic
+        g = catalog_get(fid).gram
+        conj = basis_change(g, random_unimodular(g.rank, random.Random(seed)))
+        rows = conj.entries
+        zero = tuple(Fraction(0) for _ in range(g.rank))
+        ball = enumerate_coset(EnumQuery(form=conj, shift=zero, radius=Fraction(1)))
+        units = tuple(u for u, nu in zip(ball.vectors, ball.norms)
+                      if nu == 1 and next(filter(None, u)) > 0)
+        assert any(sum(map(abs, e)) > 1 for e in units)
+        kernel = charvec._orthogonal_complement(conj, units)
+        assert all(pair(rows, x, e) == 0 for x in kernel for e in units)
+        assert abs(det_gauss(units + kernel)) == 1
+        if m_rest is None:
+            assert kernel == ()
+            return
+        rest = [[pair(rows, x, y) for y in kernel] for x in kernel]
+        # positive definite: every leading principal minor is positive
+        assert all(det_gauss([row[:i] for row in rest[:i]]) > 0 for i in range(1, len(rest) + 1))
+        assert det_gauss(rest) == 1
+        assert min_char_vector(GramMatrix.from_rows(rest)).norm_m == m_rest
+
     def test_unit_count_two_routes(self):
         # the count the min-char search reads off its own unit search
-        # equals `count_unit_vectors`, which searches again, and neither
-        # leaves state on the form
+        # equals `count_unit_vectors`, which runs the same reduction and
+        # search again: this catches leaked state or nondeterminism, not a
+        # wrong search (`test_matches_unsplit_search` scans the conjugate's
+        # own basis, as the self-test's `_unreduced_search_problems` does);
+        # neither leaves state on the form
         forms = [e.gram for e in map(catalog_get, builtin_ids(24)) if "m" in e.expected]
         for fid, seed in (("E8+Z1", 21), ("E8+Z2", 22), ("E8+Z3", 23), ("E8+Z4", 24),
                           ("D12plus+Z4", 25), ("Zn:5", 26)):
@@ -440,8 +475,8 @@ class TestUnitSplit:
 
     def test_one_unit_search_per_form(self, monkeypatch):
         # a report reads the unit count off the min-char search's one
-        # radius-1 search; `count_unit_vectors` is a separate route that
-        # searches again; an even form is not searched for units
+        # radius-1 search; `count_unit_vectors` runs that same search
+        # again; an even form is not searched for units
         calls = []
         search = enumeration._search
 

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import sys
 import threading
 from collections import Counter
@@ -196,6 +197,18 @@ class TestCompositionAndBasisChange:
         with pytest.raises(NotUnimodularTransformError):
             basis_change(identity(2), ((2, 0), (0, 1)))
 
+    @pytest.mark.parametrize("u, message", (
+        (((1, 0),), "transform must be 2x2"),
+        (((1, 0), (0, 1, 0)), "transform must be 2x2"),
+        (((1, 0), (0, 1), (0, 0)), "transform must be 2x2"),
+        (((1, 0), (0, 1.0)), "transform entry is not an integer: 1.0"),
+        (((True, 0), (0, 1)), "transform entry is not an integer: True"),
+        (((1, 0), (Fraction(0), 1)), "transform entry is not an integer: Fraction(0, 1)"),
+    ))
+    def test_basis_change_refuses_bad_transforms(self, u, message):
+        with pytest.raises(BadShapeError, match=re.escape(message)):
+            basis_change(identity(2), u)
+
     def test_invariants_under_random_conjugation(self):
         rng = random.Random(23)
         for fid in ("Zn:4", "E8", "D4", "D12plus"):
@@ -362,6 +375,11 @@ class TestEvaluatePairing:
             y = [rng.randint(-3, 3) for _ in range(8)]
             assert evaluate(gram, x) == pairing(gram, x, x)
             assert pairing(gram, x, y) == pairing(gram, y, x)
+
+    @pytest.mark.parametrize("x, y", (((1, 0), (1, 0, 0)), ((1, 0, 0, 0), (1, 0, 0)), ((), ())))
+    def test_pairing_refuses_wrong_lengths(self, x, y):
+        with pytest.raises(BadShapeError, match="vector length does not match the form's rank"):
+            pairing(identity(3), x, y)
 
     def test_bilinearity(self):
         gram = catalog_get("D4").gram
