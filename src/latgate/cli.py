@@ -27,7 +27,7 @@ from .core import (
     parity,
     signature,
 )
-from .enumeration import EnumQuery, _scan_size, brute_force_coset, kernel_name
+from .enumeration import EnumQuery, _box_scan, _scan_problem, kernel_name
 from .errors import (
     BadShapeError,
     InvalidParameterError,
@@ -133,11 +133,12 @@ def _oracle_block(gram: GramMatrix, result) -> dict:
     radius = Fraction(min(evaluate(gram, w0), n), 4)
     shift = tuple(Fraction(w, 2) for w in w0)
     query = EnumQuery(form=gram, shift=shift, radius=radius)
-    box, cells = _scan_size(query)
+    problem = _scan_problem(query)
+    *_, box, cells = problem
     checks: dict[str, bool] = {}
     if cells <= _ORACLE_CELL_CAP:
         mode = "brute"
-        scan = brute_force_coset(query, box)
+        scan = _box_scan(query, problem, box)
         best = min(scan.norms)
         mins = [v for v, nu in zip(scan.vectors, scan.norms) if nu == best]
         checks["norm"] = 4 * best == result.norm_m
@@ -306,7 +307,3 @@ def main(argv: list[str] | None = None) -> int:
     except LatgateError as exc:
         print(f"latgate: verification failure: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -186,14 +186,17 @@ def _axis_reach(form: GramMatrix, C2: int) -> list[int]:
     return [isqrt(C2 * a[i][n + i] // prev) for i in range(n)]
 
 
-def _scan_problem(query: EnumQuery) -> tuple[int, list[int], int, list[int], int]:
-    """(D, T, C2, reach, box) of the oracle's box scan for `query`.
+def _scan_problem(query: EnumQuery) -> tuple[int, list[int], int, list[int], int, int]:
+    """(D, T, C2, reach, box, cells): the plan of the oracle's box scan.
 
     D clears the shift's denominators and T = D*shift, so u is a hit iff
     v = D*u + T has v^T G v <= C2 = floor(D^2 * radius); reach is
     `_axis_reach` at C2, so every hit has |D*u_i + T_i| <= reach_i.  box is
     the largest per-axis extent (reach_i + |T_i|) // D: the cube of that
-    size holds every hit, and it never binds the per-axis clip.
+    size holds every hit, and it never binds the per-axis clip.  cells is
+    the number of cells the scan at box visits: the product over axes of
+    the count of u_i with |D*u_i + T_i| <= reach_i, an interval of length
+    2*reach_i/D >= 0, so no count is negative.
     """
     if definiteness(query.form) is not Definiteness.POSITIVE_DEFINITE:
         raise NotPositiveDefiniteError("brute-force scan requires a positive definite form")
@@ -202,17 +205,21 @@ def _scan_problem(query: EnumQuery) -> tuple[int, list[int], int, list[int], int
     scaled = query.radius * D * D
     C2 = scaled.numerator // scaled.denominator
     reach = _axis_reach(query.form, C2)
-    return D, T, C2, reach, max((r + abs(t)) // D for t, r in zip(T, reach))
+    box = max((r + abs(t)) // D for t, r in zip(T, reach))
+    cells = prod((r - t) // D + (r + t) // D + 1 for t, r in zip(T, reach))
+    return D, T, C2, reach, box, cells
 
 
-def _scan_size(query: EnumQuery) -> tuple[int, int]:
-    """(box, cells): `sufficient_box(query)`, and the number of cells that
-    `brute_force_coset(query, box)` visits: the product over axes of the
-    count of u_i with |D*u_i + T_i| <= reach_i.
-    """
-    D, T, _, reach, box = _scan_problem(query)
-    cells = prod(max(0, (r - t) // D + (r + t) // D + 1) for t, r in zip(T, reach))
-    return box, cells
+def _box_scan(query: EnumQuery, problem: tuple, box: int) -> EnumResult:
+    """The scan of `brute_force_coset` at `box` >= 0, on the plan `problem`
+    that `_scan_problem(query)` returned."""
+    D, T, C2, reach, sufficient, _ = problem
+    pairs = _kernel.brute_scan(query.form.rank, query.form.entries, T, D, C2, box, reach=reach)
+    return EnumResult(
+        vectors=tuple(p[0] for p in pairs),
+        norms=_exact_norms(pairs, D * D),
+        exhaustive=box >= sufficient,
+    )
 
 
 def brute_force_coset(query: EnumQuery, box: int) -> EnumResult:
@@ -228,13 +235,7 @@ def brute_force_coset(query: EnumQuery, box: int) -> EnumResult:
     """
     if box < 0:
         raise BadShapeError("box must be nonnegative")
-    D, T, C2, reach, sufficient = _scan_problem(query)
-    pairs = _kernel.brute_scan(query.form.rank, query.form.entries, T, D, C2, box, reach=reach)
-    return EnumResult(
-        vectors=tuple(p[0] for p in pairs),
-        norms=_exact_norms(pairs, D * D),
-        exhaustive=box >= sufficient,
-    )
+    return _box_scan(query, _scan_problem(query), box)
 
 
 def sufficient_box(query: EnumQuery) -> int:
@@ -244,5 +245,5 @@ def sufficient_box(query: EnumQuery) -> int:
     no Cholesky factor and no inverse.  Raises NotPositiveDefiniteError
     unless the form is positive definite.
     """
-    *_, box = _scan_problem(query)
+    *_, box, _ = _scan_problem(query)
     return box

@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -250,12 +253,12 @@ class TestCliAnalyze:
     def test_oracle_gate_counts_clipped_cells(self, capsys, monkeypatch):
         # on E8+Z1 the nominal cube of the box, 5^9 cells, is over the cap,
         # but the scan clipped per axis visits only 12,150 of them
-        sizes = []
-        size = cli._scan_size
-        monkeypatch.setattr(cli, "_scan_size", lambda q: sizes.append(size(q)) or sizes[-1])
+        plans = []
+        plan = cli._scan_problem
+        monkeypatch.setattr(cli, "_scan_problem", lambda q: plans.append(plan(q)) or plans[-1])
         assert main(["analyze", "--catalog", "E8+Z1", "--json", "--oracle"]) == 0
         assert json.loads(capsys.readouterr().out)["oracle"]["mode"] == "brute"
-        [(box, cells)] = sizes
+        [(*_, box, cells)] = plans
         assert (box, cells) == (2, 12_150)
         assert cells <= cli._ORACLE_CELL_CAP < (2 * box + 1) ** 9
 
@@ -539,3 +542,28 @@ class TestCliUsage:
         assert [run(argv) for argv in argvs + argvs[::-1]] == fresh + fresh[::-1]
         assert cli._build_parser() is cli._build_parser()
         assert [code for code, _, _ in fresh] == [0, 1, 0, 1, 0, 1, 0, 1, 0, 1]
+
+
+class TestModuleEntry:
+    """`python -m latgate` runs `main` and exits with its code."""
+
+    @staticmethod
+    def run(*argv):
+        # the child imports the package this suite imported
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        return subprocess.run(
+            [sys.executable, "-m", "latgate", *argv],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+
+    def test_selftest(self):
+        proc = self.run("selftest", "--max-rank", "4")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "41/41 checks passed"
+
+    def test_usage_error_exit_1(self):
+        proc = self.run("analyze", "--catalog", "Zn:25")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "latgate: error: rank 25 exceeds the cap of 24\n"

@@ -431,8 +431,8 @@ class TestClassifiedOnce:
 
     def test_oracle_adds_no_cholesky(self, monkeypatch, capsys):
         # the oracle bounds its scan by the adjugate's diagonal, from one
-        # Gauss-Jordan elimination of [G | I] in each `_axis_reach` (once
-        # for the gate and once for the scan): it adds no `_bareiss` run, on
+        # Gauss-Jordan elimination of [G | I] in `_axis_reach`, run once for
+        # the plan that the gate and the scan share: it adds no `_bareiss` run, on
         # the input, on the searched form or on a principal minor (E8 is
         # even, so the min-char search is the only search, and it runs on
         # the input itself: nothing is reduced)
@@ -447,7 +447,7 @@ class TestClassifiedOnce:
         assert oracle["mode"] == "brute" and oracle["ok"]
         assert reductions == []
         assert eliminated == {form.entries: 1, _rev(form.entries): 1}
-        assert reached == [form.entries] * 2
+        assert reached == [form.entries]
 
     def test_split_complement_not_classified(self, monkeypatch, capsys):
         # after the Z^4 split the complement g'' (an E8) is built with its

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -135,6 +135,14 @@ CUBE_CELLS = 40_000
 CLIP_FORMS = ("Zn:1", "Zn:2", "Zn:3", "Zn:4", "D4", "D5")
 
 
+def visited_cells(plan):
+    """The cells the scan of `plan` visits, counted one coordinate at a time
+    over the plan's cube: the u_i with |D*u_i + T_i| <= reach_i per axis."""
+    D, T, _, reach, box, _ = plan
+    return prod(sum(1 for u in range(-box, box + 1) if abs(D * u + t) <= r)
+                for t, r in zip(T, reach))
+
+
 class TestClippedScan:
     """brute_force_coset clips the cube per axis; the result must be that of
     the whole cube, for boxes below, at and above what the hits need, and
@@ -145,7 +153,7 @@ class TestClippedScan:
         gram = catalog_get(fid).gram
         n = gram.rank
         rng = random.Random(41)
-        checked = 0
+        checked = empty = 0
         for _ in range(3):
             conj = basis_change(gram, random_unimodular(n, rng))
             whole = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
@@ -154,6 +162,8 @@ class TestClippedScan:
                 for radius in radii:
                     q = EnumQuery(form=conj, shift=shift, radius=radius)
                     box = sufficient_box(q)
+                    plan = enumeration._scan_problem(q)
+                    assert plan[-1] == visited_cells(plan)
                     if (2 * box + 1) ** n > CUBE_CELLS:
                         break
                     for b in (0, 1, box // 2, box):
@@ -163,7 +173,11 @@ class TestClippedScan:
                         assert res.norms == tuple(nu for _, nu in ref)
                         assert res.exhaustive == (b >= box)
                     checked += 1
-        assert checked >= 6
+                    empty += plan[-1] == 0
+        # a radius-0 ball about a shift with a non-integer coordinate has an
+        # axis with no admissible u_i: the scan visits no cell of a nonempty
+        # cube, and its empty result is still exhaustive at box
+        assert checked >= 6 and empty >= 1
 
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
     @given(
@@ -206,7 +220,7 @@ class TestLexOrder:
             conj = basis_change(gram, random_unimodular(n, rng, bound=1))
             shift = tuple(Fraction(rng.randint(-3, 3), rng.choice((2, 3, 4))) for _ in range(n))
             q = EnumQuery(form=conj, shift=shift, radius=Fraction(rng.randint(1, 5), 2))
-            if enumeration._scan_size(q)[1] > CUBE_CELLS:
+            if enumeration._scan_problem(q)[-1] > CUBE_CELLS:
                 continue  # the oracle's scan would be slow
             checked += 1
             pairs, scale, _ = enumeration._search(q)

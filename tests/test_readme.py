@@ -1,17 +1,20 @@
-"""README examples against the code: the Library block runs, and each
-`$ latgate ...` transcript is what `main` prints for that command line."""
+"""README examples against the code: the Library block runs, each
+`$ latgate ...` transcript is what `main` prints for that command line, and
+the CLI synopsis names the options the parser accepts."""
 
+import argparse
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from latgate.cli import main
+from latgate.cli import _build_parser, main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", README, re.M | re.S)
 TRANSCRIPTS = [body for lang, body in BLOCKS if not lang and body.startswith("$ latgate ")]
+SYNOPSIS = re.search(r"^## CLI\n\n```\n(.*?)^```", README, re.M | re.S).group(1)
 
 
 def test_library_block_runs():
@@ -31,3 +34,14 @@ def test_transcript_matches_main(body, capsys):
     command, expected = body.split("\n", 1)
     assert main(shlex.split(command)[2:]) == 0
     assert capsys.readouterr().out.split() == expected.split()
+
+
+def test_synopsis_matches_parser():
+    documented = {line.split()[1]: set(re.findall(r"--[\w-]+", line))
+                  for line in SYNOPSIS.splitlines()}
+    [subparsers] = [a for a in _build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+    accepted = {name: {opt for action in sub._actions for opt in action.option_strings
+                       if opt not in ("-h", "--help")}
+                for name, sub in subparsers.choices.items()}
+    assert documented == accepted
