@@ -40,6 +40,7 @@ from .core import (
     IntMatrix,
     IntVector,
     Parity,
+    _classified,
     _positive_pivots,
     _times,
     definiteness,
@@ -287,10 +288,10 @@ def min_char_vector_with_stats(g: GramMatrix) -> tuple[CharVecResult, EnumStats]
             minimizer = tuple(x + sign * y for x, y in zip(minimizer, e))
         kernel = _orthogonal_complement(form, units)
         if kernel:
-            rest = GramMatrix(_times(_times(kernel, form.entries), tuple(zip(*kernel))))
             # L' is positive definite and unimodular, so its LLL reduction
             # (when it is odd) needs no elimination to classify it
-            rest.__dict__["_det_and_inertia"] = (1, (rest.rank, 0, 0))
+            rest = _classified(_times(_times(kernel, form.entries), tuple(zip(*kernel))),
+                               1, (len(kernel), 0, 0))
             h_rest, form = _search_basis(rest)
             basis = _times(h_rest, _times(kernel, h))
     if len(units) < n:

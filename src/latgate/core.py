@@ -4,14 +4,16 @@ Everything runs over arbitrary-precision integers and `Fraction`; no code
 path here (or anywhere downstream) touches floating point.  Gram matrices
 are immutable values and safe to share across threads.
 
-One fraction-free elimination (`_bareiss`) serves every invariant: it gives
-the determinant, the leading principal minors whose signs give the inertia
-(congruence diagonalization takes over when one of them vanishes), and the
-integer pivot rows that every lattice search reads (`_reversed_pivots`, the
-rows of the coordinate-reversed form, checked as `_positive_pivots` checks).
-Each `GramMatrix` computes its determinant and inertia once, on first use,
-and keeps them.  `cholesky` reads the same rows as Fractions; no search
-uses it.
+One fraction-free integer elimination (`_bareiss`) serves every invariant
+of every symmetric form: it gives the determinant, the leading principal
+minors whose signs give the inertia (a determinant +-1 congruence brings a
+nonzero pivot forward when the next one vanishes, so Sylvester's law of
+inertia applies to every form, degenerate ones included), and the integer
+pivot rows that every lattice search reads (`_reversed_pivots`, the rows of
+the coordinate-reversed form, checked as `_positive_pivots` checks).  Each
+`GramMatrix` computes its determinant and inertia once, on first use, and
+keeps them; classification builds no Fraction.  `cholesky` reads the same
+rows as Fractions; no search uses it.
 
 `_times` is the package's one matrix product, on rows of ints or
 Fractions: the basis changes, the catalog's Gram matrices and the
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
+from math import isqrt
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -109,15 +112,22 @@ class GramMatrix:
     def _det_and_inertia(self) -> tuple[int, tuple[int, int, int]]:
         """(determinant, inertia) from one elimination, computed on first use.
 
-        The inertia follows the signs of the leading principal minors when
-        all of them are nonzero, and congruence diagonalization otherwise.
+        `_bareiss` returns the nonzero leading minors d_1 .. d_r of a form
+        congruent to this one, r its rank, so the form is congruent over Q
+        to diag(d_1/d_0, .., d_r/d_{r-1}, 0, .., 0): each sign change
+        along 1, d_1, .., d_r is a negative entry.
         """
-        det, pivot_rows = _bareiss(self.entries)
-        if det == 0 or len(pivot_rows) < self.rank:
-            return det, _inertia_by_diagonalization(self)
-        minors = [row[k] for k, row in enumerate(pivot_rows)]
+        det, minors, _ = _bareiss(self.entries)
         neg = sum((a > 0) != (b > 0) for a, b in zip([1] + minors, minors))
-        return det, (self.rank - neg, neg, 0)
+        return det, (len(minors) - neg, neg, self.rank - len(minors))
+
+
+def _classified(entries: IntMatrix, det: int, inertia: tuple[int, int, int]) -> GramMatrix:
+    """A GramMatrix whose (det, inertia) the caller already knows, so that
+    nothing eliminates it to classify it."""
+    g = GramMatrix(entries)
+    g.__dict__["_det_and_inertia"] = (det, inertia)
+    return g
 
 
 def _times(
@@ -177,39 +187,53 @@ def validate(g: GramMatrix) -> None:
                 )
 
 
-def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
-    """Fraction-free elimination (Bareiss 1968); every division is exact.
+def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, list[int], list[list[int]]]:
+    """Fraction-free elimination (Bareiss 1968) of a symmetric matrix; every
+    division is exact.
 
-    Returns (det, pivot_rows), the rows eliminated before the first row
-    swap.  By Sylvester's identity pivot row k holds the leading principal
-    minor d_{k+1} on the diagonal (its entries left of the diagonal are
-    stale).  All n rows come back exactly when no leading minor of size < n
-    vanishes; otherwise the next one is zero.
+    Returns (det, minors, pivot_rows).  When the next pivot m[k][k] is 0, a
+    determinant +-1 congruence of rows and columns k.. brings in a nonzero
+    one: a later nonzero diagonal entry is swapped in; only when there is
+    none (a fold could cancel against it) are row and column b added to a,
+    for some a < b with m[a][b] != 0, making m[a][a] = 2*m[a][b], and a is
+    swapped in.  When rows k.. are all 0, the rank is k and det is 0.  Every
+    entry stays a bordered minor of the transformed matrix (Sylvester's
+    identity), so `minors` are its leading principal minors d_1 .. d_r, all
+    nonzero, r the rank; a congruence keeps the determinant and, by
+    Sylvester's law of inertia, the inertia.  `pivot_rows` are the rows
+    eliminated before the first congruence, which touches m[k:] only: pivot
+    row k holds d_{k+1} on the diagonal (its entries left of the diagonal
+    are stale).  A positive definite form needs no congruence, so all n of
+    its rows come back.
     """
     n = len(rows)
     m = [list(row) for row in rows]
+    minors: list[int] = []
     pivot_rows: list[list[int]] = []
-    sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0, pivot_rows
+            a = next((i for i in range(k + 1, n) if m[i][i] != 0), None)
+            if a is None:
+                a, b = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if m[i][j] != 0),
+                            (None, None))
+                if a is None:
+                    return 0, minors, pivot_rows
+                for row in m[k:]:
+                    row[a] += row[b]
+                m[a] = [x + y for x, y in zip(m[a], m[b])]
+            m[k], m[a] = m[a], m[k]
+            for row in m[k:]:
+                row[k], row[a] = row[a], row[k]
         elif len(pivot_rows) == k:
             pivot_rows.append(m[k])
         pivot = m[k][k]
+        minors.append(pivot)
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
         prev = pivot
-    if len(pivot_rows) == n - 1:
-        pivot_rows.append(m[n - 1])
-    return sign * m[n - 1][n - 1], pivot_rows
+    return prev, minors, pivot_rows
 
 
 def determinant(g: GramMatrix) -> int:
@@ -218,43 +242,6 @@ def determinant(g: GramMatrix) -> int:
 
 def is_unimodular(g: GramMatrix) -> bool:
     return determinant(g) in (1, -1)
-
-
-def _inertia_by_diagonalization(g: GramMatrix) -> tuple[int, int, int]:
-    """Exact congruence diagonalization over Q; handles zero pivots."""
-    n = g.rank
-    a = [[Fraction(x) for x in row] for row in g.entries]
-    pos = neg = zero = 0
-    for i in range(n):
-        if a[i][i] == 0:
-            swap = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
-            if swap is not None:
-                a[i], a[swap] = a[swap], a[i]
-                for row in a:
-                    row[i], row[swap] = row[swap], row[i]
-            else:
-                mate = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
-                if mate is None:
-                    zero += 1
-                    continue
-                # fold row/col `mate` into i: the new pivot is 2*a[i][mate] != 0
-                for k in range(n):
-                    a[i][k] += a[mate][k]
-                for k in range(n):
-                    a[k][i] += a[k][mate]
-        d = a[i][i]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for j in range(i + 1, n):
-            f = a[j][i] / d
-            if f:
-                for k in range(n):
-                    a[j][k] -= f * a[i][k]
-                for k in range(n):
-                    a[k][j] -= f * a[k][i]
-    return pos, neg, zero
 
 
 def inertia(g: GramMatrix) -> tuple[int, int, int]:
@@ -299,16 +286,20 @@ def direct_sum(a: GramMatrix, b: GramMatrix) -> GramMatrix:
 
 def negate(g: GramMatrix) -> GramMatrix:
     """-g; carries g's (det, inertia) when g has already computed them."""
-    out = GramMatrix(tuple(tuple(-x for x in row) for row in g.entries))
+    entries = tuple(tuple(-x for x in row) for row in g.entries)
     memo = g.__dict__.get("_det_and_inertia")
-    if memo is not None:
-        det, (pos, neg, zero) = memo
-        out.__dict__["_det_and_inertia"] = (det * (-1) ** g.rank, (neg, pos, zero))
-    return out
+    if memo is None:
+        return GramMatrix(entries)
+    det, (pos, neg, zero) = memo
+    return _classified(entries, det * (-1) ** g.rank, (neg, pos, zero))
 
 
 def basis_change(g: GramMatrix, u: Sequence[Sequence[int]]) -> GramMatrix:
-    """Return u^T g u for a determinant +-1 integer matrix u."""
+    """Return u^T g u for a determinant +-1 integer matrix u.
+
+    u need not be symmetric, so it is checked through the symmetric u^T u,
+    whose determinant is det(u)^2.
+    """
     n = g.rank
     urows = [list(row) for row in u]
     if len(urows) != n or any(len(row) != n for row in urows):
@@ -317,10 +308,11 @@ def basis_change(g: GramMatrix, u: Sequence[Sequence[int]]) -> GramMatrix:
         for x in row:
             if isinstance(x, bool) or not isinstance(x, int):
                 raise BadShapeError(f"transform entry is not an integer: {x!r}")
-    d, _ = _bareiss(urows)
-    if d not in (1, -1):
-        raise NotUnimodularTransformError(f"transform determinant is {d}, need +-1")
-    return GramMatrix(_times(_times(tuple(zip(*urows)), g.entries), urows))
+    ut = tuple(zip(*urows))
+    d = _bareiss(_times(ut, urows))[0]
+    if d != 1:
+        raise NotUnimodularTransformError(f"|transform determinant| is {isqrt(d)}, need 1")
+    return GramMatrix(_times(_times(ut, g.entries), urows))
 
 
 def _positive_pivots(g: GramMatrix) -> list[list[int]]:
@@ -329,7 +321,7 @@ def _positive_pivots(g: GramMatrix) -> list[list[int]]:
 
     Raises NotPositiveDefiniteError at the first pivot d_{i+1}/d_i <= 0.
     """
-    pivot_rows = _bareiss(g.entries)[1]
+    pivot_rows = _bareiss(g.entries)[2]
     prev = 1
     for i in range(g.rank):
         minor = pivot_rows[i][i] if i < len(pivot_rows) else 0
@@ -349,7 +341,7 @@ def _reversed_pivots(g: GramMatrix) -> list[list[int]]:
     A form that is not positive definite is refused by `_positive_pivots(g)`,
     so the message names g's own first non-positive pivot.
     """
-    pivot_rows = _bareiss([row[::-1] for row in g.entries[::-1]])[1]
+    pivot_rows = _bareiss([row[::-1] for row in g.entries[::-1]])[2]
     if len(pivot_rows) < g.rank or any(row[i] <= 0 for i, row in enumerate(pivot_rows)):
         _positive_pivots(g)
     return pivot_rows

@@ -1,10 +1,10 @@
 """Independent cross-check routes used by the tests.
 
-Nothing here calls the library's determinant, enumeration, or GF(2) code:
-determinants go through plain rational Gaussian elimination, characteristic
-conditions are checked straight from their definition, and the glued
-lattices are rebuilt in ambient coordinates where membership and norms are
-elementary.
+Nothing here calls the library's determinant, inertia, enumeration, or GF(2)
+code: determinants go through plain rational Gaussian elimination, inertia
+through congruence diagonalization over Q, characteristic conditions are
+checked straight from their definition, and the glued lattices are rebuilt
+in ambient coordinates where membership and norms are elementary.
 """
 
 from __future__ import annotations
@@ -35,6 +35,45 @@ def det_gauss(rows) -> int:
                     a[r][c] -= factor * a[col][c]
     assert det.denominator == 1
     return int(det)
+
+
+def inertia_by_diagonalization(rows) -> tuple[int, int, int]:
+    """(positive, negative, zero) by exact congruence diagonalization over Q:
+    a zero pivot takes a later nonzero diagonal entry, or else folds in the
+    row and column of a nonzero entry of its own row (the new pivot is twice
+    that entry), or else counts as a zero."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] for row in rows]
+    pos = neg = zero = 0
+    for i in range(n):
+        if a[i][i] == 0:
+            swap = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
+            if swap is not None:
+                a[i], a[swap] = a[swap], a[i]
+                for row in a:
+                    row[i], row[swap] = row[swap], row[i]
+            else:
+                mate = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
+                if mate is None:
+                    zero += 1
+                    continue
+                for k in range(n):
+                    a[i][k] += a[mate][k]
+                for k in range(n):
+                    a[k][i] += a[k][mate]
+        d = a[i][i]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        for j in range(i + 1, n):
+            f = a[j][i] / d
+            if f:
+                for k in range(n):
+                    a[j][k] -= f * a[i][k]
+                for k in range(n):
+                    a[k][j] -= f * a[k][i]
+    return pos, neg, zero
 
 
 def pair(gram_rows, x, y) -> int:

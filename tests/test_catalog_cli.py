@@ -31,6 +31,7 @@ from latgate import (
 from latgate import cli
 from latgate.cli import main
 from latgate.formats import load_gram, load_manifold, manifold_from_obj
+from latgate.manifold import ExactSequence, Verdict
 from latgate.selftest import CheckResult
 from oracle_helpers import det_gauss
 
@@ -437,6 +438,107 @@ class TestCliDonaldson:
         assert "NotApplicable" in capsys.readouterr().out
 
 
+_ZN2 = catalog_get("Zn:2")
+
+
+def _expect(**expected):
+    """Zn:2 with corrupted goldens."""
+    return lambda monkeypatch: CatalogEntry(id="Zn:2", gram=_ZN2.gram,
+                                            expected={**_ZN2.expected, **expected})
+
+
+def _patch(name, make):
+    """Zn:2, with selftest's `name` replaced by make(original).  The GL check
+    conjugates the catalog form into a new object, so `g is _ZN2.gram` tells
+    the form from its conjugate."""
+    def fault(monkeypatch):
+        import latgate.selftest as selftest_mod
+
+        monkeypatch.setattr(selftest_mod, name, make(getattr(selftest_mod, name)))
+        return _ZN2
+    return fault
+
+
+def _catalog_form_verdict(change):
+    """elkies_verdict with `change` applied to the verdict on the catalog form
+    (not on its conjugate)."""
+    return _patch("elkies_verdict",
+                  lambda verdict: lambda g: change(verdict(g)) if g is _ZN2.gram else verdict(g))
+
+
+def _catalog_form_result(**changes):
+    return _catalog_form_verdict(
+        lambda v: dataclasses.replace(v, result=dataclasses.replace(v.result, **changes)))
+
+
+def _searched(change, unit_ball):
+    """enumerate_coset with `change` applied to the vectors and norms of the
+    radius-1 ball about 0 (unit_ball) or of every other query."""
+    def make(search):
+        def changed(query):
+            res = search(query)
+            if (query.radius == 1 and not any(query.shift)) is not unit_ball:
+                return res
+            return dataclasses.replace(res, vectors=change(res.vectors), norms=change(res.norms))
+        return changed
+    return _patch("enumerate_coset", make)
+
+
+def _reported(change):
+    return _patch("donaldson_verdict", lambda verdict: lambda d: change(verdict(d)))
+
+
+def _unbalanced(report):
+    bad = (ExactSequence("bad", (("H", 1),)),)
+    return dataclasses.replace(report, surgery_certificates=tuple(
+        dataclasses.replace(c, sequences=bad) for c in report.surgery_certificates))
+
+
+# one injected fault per self-test check on Zn:2 (m = 2, k = 0, 4 unit
+# vectors, 4 minimizers): the row it fails and that row's whole detail
+_SELFTEST_FAULTS = [
+    (_expect(det=2), "golden[Zn:2]", "det 1 != 2"),
+    (_expect(parity="Even"), "golden[Zn:2]", "parity Odd != Even"),
+    (_expect(k=1), "golden[Zn:2]", "k 0 != 1"),
+    (_catalog_form_verdict(lambda v: dataclasses.replace(v, identity=False)),
+     "golden[Zn:2]", "dichotomy verdict disagrees with m == n"),
+    (_patch("count_unit_vectors", lambda count: lambda g: 2),
+     "golden[Zn:2]", "unit count 2 disagrees with verdict"),
+    (_patch("brute_force_coset", lambda scan: lambda q, box: dataclasses.replace(
+        scan(q, box), vectors=(), norms=())), "oracle[Zn:2#0]", "fast 7 vs brute 0 vectors"),
+    (_patch("signature_mod8_check", lambda check: lambda g: False),
+     "mod8[Zn:2#0]", "residue mismatch"),
+    (_patch("determinant", lambda det: lambda g: det(g) + (g is not _ZN2.gram)),
+     "gl[Zn:2]", "determinant moved"),
+    (_catalog_form_result(norm_m=3), "gl[Zn:2]", "m moved 3 -> 2"),
+    (_catalog_form_result(count_minimizers=5), "gl[Zn:2]", "minimizer count moved"),
+    (_patch("count_unit_vectors", lambda count: lambda g: count(g) + (g is not _ZN2.gram)),
+     "gl[Zn:2]", "unit count moved"),
+    (_searched(lambda xs: xs[1:], unit_ball=False),
+     "gl[Zn:2]", "unreduced minimizer count differs"),
+    (_searched(lambda xs: xs[::-1], unit_ball=False),
+     "gl[Zn:2]", "unreduced lex-least minimizer differs"),
+    (_searched(lambda xs: xs[1:], unit_ball=True), "gl[Zn:2]", "unreduced unit count differs"),
+    (_reported(lambda r: dataclasses.replace(r, verdict=Verdict.FORBIDDEN)),
+     "pipeline[Zn:2,b1=0]", "verdict Forbidden != Realizable"),
+    (_reported(lambda r: dataclasses.replace(r, k=1)), "pipeline[Zn:2,b1=0]", "k 1 != 0"),
+    (_reported(lambda r: dataclasses.replace(r, virtual_dim=1, based_dim=2)),
+     "pipeline[Zn:2,b1=0]", "virtual dim 1 != -1"),
+    (_reported(lambda r: dataclasses.replace(r, based_dim=1)),
+     "pipeline[Zn:2,b1=0]", "based dim is not virtual dim + 1"),
+    (_patch("virtual_dimension", lambda dim: lambda d, bundle: dim(d, bundle) + 1),
+     "pipeline[Zn:2,b1=2]", "unreduced virtual dim 2 != 1"),
+    (_reported(lambda r: dataclasses.replace(r, surgery_certificates=())),
+     "pipeline[Zn:2,b1=2]", "0 certificates for b1=2"),
+    (_reported(_unbalanced), "pipeline[Zn:2,b1=2]", "a surgery ledger does not balance"),
+    (_patch("sw_boundary_number",
+            lambda number: lambda k: dataclasses.replace(number(k), value=0)),
+     "boundary[k=1..6]", "mod-2 number is not 1"),
+    (_patch("weitzenbock_bound", lambda bound: lambda s, p: bound(s, p) + 1),
+     "weitzenbock[frozen]", "bound mismatch"),
+]
+
+
 class TestCliSelftest:
     def test_passes(self, capsys):
         assert main(["selftest", "--max-rank", "4"]) == 0
@@ -488,6 +590,14 @@ class TestCliSelftest:
         failing = [r for r in results if not r.ok]
         assert len(failing) == 1
         assert failing[0].name == "golden[bad]"
+
+    @pytest.mark.parametrize("fault, row, detail", _SELFTEST_FAULTS)
+    def test_each_check_reports_its_fault(self, monkeypatch, fault, row, detail):
+        from latgate import run_selftest
+
+        entry = fault(monkeypatch)
+        results = {r.name: r for r in run_selftest(entries=[entry], max_rank=2)}
+        assert (results[row].ok, results[row].detail) == (False, detail)
 
     def test_failure_exit_2(self, capsys, monkeypatch):
         import latgate.selftest as selftest_mod

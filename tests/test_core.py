@@ -46,7 +46,7 @@ from latgate import (
     validate,
 )
 from latgate.cli import main
-from oracle_helpers import det_gauss
+from oracle_helpers import det_gauss, inertia_by_diagonalization
 
 
 def _rev(rows):
@@ -153,6 +153,81 @@ class TestDefiniteness:
         assert inertia(diag(2, 0, -3)) == (1, 1, 1)
 
 
+# (rows, det, inertia) of forms on which the elimination needs a congruence:
+# a diagonal swap that a fold would spoil (the fold pivot 0 + 2 - 2 is 0), a
+# fold whose partner lies outside the zero row k, the zero form, and a
+# degenerate form whose leading minors vanish only at the last
+_CONGRUENCE_CASES = [
+    ([[0, 1], [1, -2]], -1, (1, 1, 0)),
+    ([[0, 0, 0], [0, 0, 1], [0, 1, 0]], 0, (1, 1, 1)),
+    ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], 0, (0, 0, 3)),
+    ([[1, 2, 0], [2, 1, 0], [0, 0, 0]], 0, (1, 1, 1)),
+]
+
+
+def _random_symmetric(count, seed):
+    """Seeded symmetric forms of rank 1-10 with small entries; about half of
+    them have forced zero diagonal entries, and some a duplicated row and
+    column, so that many have a vanishing leading minor."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 10)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.choice((0, 0, 1, -1, 2, -2, 3))
+        if rng.random() < 0.5:
+            for i in rng.sample(range(n), rng.randint(1, n)):
+                rows[i][i] = 0
+        if n > 1 and rng.random() < 0.3:
+            i, j = rng.sample(range(n), 2)
+            rows[j] = list(rows[i])
+            for row in rows:
+                row[j] = row[i]
+        yield rows
+
+
+def _has_vanishing_leading_minor(rows):
+    return any(det_gauss([row[:k] for row in rows[:k]]) == 0 for k in range(1, len(rows) + 1))
+
+
+class TestInertia:
+    """One integer elimination classifies every symmetric form, checked
+    against rational Gaussian elimination (det) and congruence
+    diagonalization over Q (inertia)."""
+
+    @pytest.mark.parametrize("rows, det, signs", _CONGRUENCE_CASES)
+    def test_congruence_cases(self, rows, det, signs):
+        g = GramMatrix.from_rows(rows)
+        assert (determinant(g), inertia(g)) == (det, signs)
+        assert (det_gauss(rows), inertia_by_diagonalization(rows)) == (det, signs)
+        # the elimination returns the rank's worth of leading minors, none 0
+        minors = core._bareiss(rows)[1]
+        assert len(minors) == len(rows) - signs[2] and 0 not in minors
+
+    def test_matches_diagonalization_on_random_forms(self):
+        forms = list(_random_symmetric(2000, 20))
+        for rows in forms:
+            g = GramMatrix.from_rows(rows)
+            assert determinant(g) == det_gauss(rows), rows
+            assert inertia(g) == inertia_by_diagonalization(rows), rows
+        vanishing = sum(map(_has_vanishing_leading_minor, forms))
+        assert vanishing >= 0.3 * len(forms)
+
+    def test_classification_builds_no_fraction(self, monkeypatch):
+        forms = [rows for rows, _, _ in _CONGRUENCE_CASES]
+        forms += filter(_has_vanishing_leading_minor, _random_symmetric(300, 21))
+        want = [(det_gauss(rows), inertia_by_diagonalization(rows)) for rows in forms]
+        assert len(forms) >= 100
+
+        def refuse(*args):
+            raise AssertionError("classification built a Fraction")
+
+        monkeypatch.setattr(core, "Fraction", refuse)
+        got = [(determinant(g), inertia(g)) for g in map(GramMatrix.from_rows, forms)]
+        assert got == want
+
+
 class TestParitySignature:
     def test_parity(self):
         assert parity(catalog_get("E8").gram) is Parity.EVEN
@@ -196,6 +271,25 @@ class TestCompositionAndBasisChange:
     def test_basis_change_rejects_det2(self):
         with pytest.raises(NotUnimodularTransformError):
             basis_change(identity(2), ((2, 0), (0, 1)))
+
+    @pytest.mark.parametrize("u, entries", (
+        (((0, 1), (1, 0)), ((3, 1), (1, 2))),
+        (((0, 1), (-1, 0)), ((3, -1), (-1, 2))),
+    ))
+    def test_basis_change_accepts_swap_and_rotation(self, u, entries):
+        # det -1, and an antisymmetric transform on which a symmetric fold
+        # of u itself would cancel: u is checked through u^T u
+        assert basis_change(GramMatrix.from_rows([[2, 1], [1, 3]]), u).entries == entries
+
+    @pytest.mark.parametrize("u, det", (
+        (((1, 1), (1, 1)), 0),
+        (((2, 0), (0, 1)), 2),
+        (((1, 1), (1, -1)), 2),
+    ))
+    def test_basis_change_refusal_names_abs_det(self, u, det):
+        with pytest.raises(NotUnimodularTransformError) as info:
+            basis_change(identity(2), u)
+        assert str(info.value) == f"|transform determinant| is {det}, need 1"
 
     @pytest.mark.parametrize("u, message", (
         (((1, 0),), "transform must be 2x2"),
