@@ -76,20 +76,17 @@ def _dn_basis(n: int) -> list[list[Fraction]]:
     return basis
 
 
-def _atom(token: str) -> tuple[GramMatrix, dict]:
-    """Parse one id atom; returns (gram, invariants).
-
-    The invariant dict has det, even (bool) and, for unimodular atoms, the
-    minimal characteristic norm m.
-    """
+def _parse_atom(token: str) -> tuple[str, int]:
+    """(family, n) of one id atom, checked but not built: the family is
+    "E8", "Z", "Dplus" or "D", and n is the atom's rank."""
     if token == "E8":
-        return GramMatrix(_E8_ROWS), {"det": 1, "even": True, "m": 0}
+        return "E8", 8
     match = _ZN_RE.match(token)
     if match:
         n = int(match.group(1))
         if n < 1:
             raise InvalidParameterError(f"{token!r}: rank must be at least 1")
-        return _zn_gram(n), {"det": 1, "even": False, "m": n}
+        return "Z", n
     match = _DN_PLUS_RE.match(token)
     if match:
         n = int(match.group(1))
@@ -97,25 +94,53 @@ def _atom(token: str) -> tuple[GramMatrix, dict]:
             raise InvalidParameterError(
                 f"{token!r}: the glue vector is integral only when 4 divides n"
             )
-        basis = _dn_basis(n)
-        basis[0] = [Fraction(1, 2)] * n  # the glue vector in place of e1-e2
-        even = n % 8 == 0
-        return _gram_from_vectors(basis), {"det": 1, "even": even, "m": 0 if even else 4}
+        return "Dplus", n
     match = _DN_RE.match(token)
     if match:
         n = int(match.group(1))
         if n < 2:
             raise InvalidParameterError(f"{token!r}: rank must be at least 2")
-        return _gram_from_vectors(_dn_basis(n)), {"det": 4, "even": True, "m": None}
+        return "D", n
     raise UnknownIdError(f"unrecognized catalog id component {token!r}")
 
 
-def catalog_get(form_id: str) -> CatalogEntry:
-    """Resolve an id to its Gram matrix and frozen invariants."""
+def _parse_id(form_id: str) -> list[tuple[str, int]]:
+    """The checked atoms of an id, in order, nothing built."""
     tokens = form_id.split("+")
     if not all(tokens):
         raise UnknownIdError(f"malformed catalog id {form_id!r}")
-    parts = [_atom(token) for token in tokens]
+    return [_parse_atom(token) for token in tokens]
+
+
+def _unimodular_rank(form_id: str) -> int | None:
+    """The rank of the form an id names, read from the id alone, when every
+    atom is unimodular; None when some atom is a D<n> (determinant 4)."""
+    atoms = _parse_id(form_id)
+    return None if any(family == "D" for family, _ in atoms) else sum(n for _, n in atoms)
+
+
+def _atom(family: str, n: int) -> tuple[GramMatrix, dict]:
+    """Build one parsed atom; returns (gram, invariants).
+
+    The invariant dict has det, even (bool) and, for unimodular atoms, the
+    minimal characteristic norm m.
+    """
+    if family == "E8":
+        return GramMatrix(_E8_ROWS), {"det": 1, "even": True, "m": 0}
+    if family == "Z":
+        return _zn_gram(n), {"det": 1, "even": False, "m": n}
+    basis = _dn_basis(n)
+    if family == "D":
+        return _gram_from_vectors(basis), {"det": 4, "even": True, "m": None}
+    basis[0] = [Fraction(1, 2)] * n  # the glue vector in place of e1-e2
+    even = n % 8 == 0
+    return _gram_from_vectors(basis), {"det": 1, "even": even, "m": 0 if even else 4}
+
+
+def catalog_get(form_id: str) -> CatalogEntry:
+    """Resolve an id to its Gram matrix and frozen invariants.  Every atom
+    is checked before any is built."""
+    parts = [_atom(family, n) for family, n in _parse_id(form_id)]
     gram = parts[0][0]
     for other, _ in parts[1:]:
         gram = direct_sum(gram, other)

@@ -11,9 +11,11 @@ Every odd form's searches run on its exact LLL-reduced basis, computed per
 call, no state kept on the form: m, the number of minimizers and the
 unit-vector count do not depend on the basis, and the minimizers are mapped
 back to the caller's coordinates before the lex-least one is chosen.  A
-form that LLL leaves unchanged is searched as given, and so is an even
-form, whose one search (the radius-0 ball around 0) is one path of n
-nodes in any basis.
+form that LLL leaves unchanged is searched as given.  An even form is not
+searched at all: w = 0 is characteristic and the only vector of norm 0,
+so m = 0, k = n/8 and there is one minimizer, and the counters are those
+of the search it skips, the radius-0 ball around 0, one path of n nodes
+and no prunes in any basis.
 
 The norm-1 vectors of a positive definite integral lattice are +-e_1, ...,
 +-e_k, pairwise orthogonal, and they split off: L = Z^k (+) L' with L'
@@ -21,10 +23,10 @@ their orthogonal complement (Elkies, "A characterization of the Z^n
 lattice", Math. Res. Lett. 2, 1995).  One radius-1 search on the reduced
 basis finds them; the min-char search counts them (`unit_vector_count`) and
 then searches L' alone, since m = k + m' and the number of minimizers
-is 2^k times that of L'.  Z^n itself needs no characteristic search at all.
-The search of L' climbs the mod-8 ladder of norms c = n' mod 8, ..., n'
-(van der Blij 1959) and stops at the first that holds a point.
-An even form has no norm-1 vectors and is not searched for them.
+is 2^k times that of L'.  Z^n itself needs no complement and no
+characteristic search at all.  The search of L' climbs the mod-8 ladder of
+norms c = n' mod 8, ..., n' (van der Blij 1959) and stops at the first
+that holds a point; an even L' (the E8 of E8 (+) Z^k) is searched as built.
 """
 
 from __future__ import annotations
@@ -172,10 +174,13 @@ def _search_basis(g: GramMatrix) -> tuple[IntMatrix | None, GramMatrix]:
     An odd form is LLL-reduced, in reversed basis order (H's rows reversed
     and P*g'*P, P the coordinate reversal), so that the searches, which
     eliminate the reversed form, run the LLL tree; a form that LLL leaves
-    unchanged is returned as it is.  An even form is searched as it stands:
-    its characteristic search is the radius-0 ball around 0, one path of n
-    nodes and no prunes in any basis (every centre 0, every interval
-    [0, 0]), so the result and the counters are those of the reduced search.
+    unchanged is returned as it is.  An even input is answered without a
+    search, so the even forms that reach here are complements L' and the
+    inputs of `count_unit_vectors`.  They are returned as they stand: the
+    characteristic search of an even form is the radius-0 ball around 0,
+    one path of n nodes and no prunes in any basis (every centre 0, every
+    interval [0, 0]), so the result and the counters are those of the
+    reduced search.
     """
     if parity(g) is Parity.EVEN:
         return None, g
@@ -267,39 +272,47 @@ def _char_minimum(
 
 def min_char_vector_with_stats(g: GramMatrix) -> tuple[CharVecResult, EnumStats]:
     """Like `min_char_vector` but also returns the search counters: those of
-    the unit-vector search plus those of the search of the complement."""
+    the unit-vector search plus those of the search of the complement.  An
+    even form is answered without a search, with the counters that search
+    reports: one path of n nodes and no prunes."""
     n = g.rank
     if definiteness(g) is not Definiteness.POSITIVE_DEFINITE:
         raise NotPositiveDefiniteError("minimal characteristic vectors need a positive definite form")
     if not is_unimodular(g):
         raise NotUnimodularError("minimal characteristic vectors need determinant +-1")
     _check_rank_cap(n)
-    h, form = _search_basis(g)
-    units, stats = _unit_vectors(form)
-    # L = Z^k (+) L' with L' the complement of the k units, so the
-    # characteristic vectors of L are the sums sum_i +-e_i + w' with w'
-    # characteristic in L'.  Lex order is translation invariant, so the
-    # least of them adds the lex-least of each +-e_i to the least w'.
-    m, count, minimizer = len(units), 2 ** len(units), (0,) * n
-    basis = h
-    if units:
+    if parity(g) is Parity.EVEN:
+        # w = 0 is characteristic and the only vector of norm 0: the search
+        # would be the radius-0 ball around 0, in any basis one path of n
+        # nodes with no prunes (every centre 0, every interval [0, 0])
+        m, count, minimizer = 0, 1, (0,) * n
+        units, stats = (), EnumStats(nodes=n, prunes=0)
+    else:
+        h, form = _search_basis(g)
+        units, stats = _unit_vectors(form)
+        # L = Z^k (+) L' with L' the complement of the k units, so the
+        # characteristic vectors of L are the sums sum_i +-e_i + w' with w'
+        # characteristic in L'.  Lex order is translation invariant, so the
+        # least of them adds the lex-least of each +-e_i to the least w'.
+        m, count, minimizer = len(units), 2 ** len(units), (0,) * n
         for e in _times(units, h):
             sign = -1 if next(filter(None, e)) > 0 else 1
             minimizer = tuple(x + sign * y for x, y in zip(minimizer, e))
-        kernel = _orthogonal_complement(form, units)
-        if kernel:
-            # L' is positive definite and unimodular, so its LLL reduction
-            # (when it is odd) needs no elimination to classify it
-            rest = _classified(_times(_times(kernel, form.entries), tuple(zip(*kernel))),
-                               1, (len(kernel), 0, 0))
-            h_rest, form = _search_basis(rest)
-            basis = _times(h_rest, _times(kernel, h))
-    if len(units) < n:
-        m_rest, count_rest, w_rest, rest_stats = _char_minimum(form, basis)
-        m += m_rest
-        count *= count_rest
-        minimizer = tuple(map(add, minimizer, w_rest))
-        stats += rest_stats
+        if len(units) < n:  # Z^n itself has no complement to search
+            basis = h
+            if units:
+                kernel = _orthogonal_complement(form, units)
+                # L' is positive definite and unimodular, so its LLL reduction
+                # (when it is odd) needs no elimination to classify it
+                rest = _classified(_times(_times(kernel, form.entries), tuple(zip(*kernel))),
+                                   1, (len(kernel), 0, 0))
+                h_rest, form = _search_basis(rest)
+                basis = _times(h_rest, _times(kernel, h))
+            m_rest, count_rest, w_rest, rest_stats = _char_minimum(form, basis)
+            m += m_rest
+            count *= count_rest
+            minimizer = tuple(map(add, minimizer, w_rest))
+            stats += rest_stats
     if (n - m) % 8 != 0:
         raise NoSolutionError(f"internal error: rank {n} and norm {m} differ by {n - m} mod 8")
     result = CharVecResult(

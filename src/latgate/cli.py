@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import selftest as selftest_mod
-from .catalog import catalog_get
+from .catalog import _unimodular_rank, catalog_get
 from .charvec import charvec_report_with_stats, solve_char_coset
 from .core import (
     Definiteness,
@@ -27,7 +27,7 @@ from .core import (
     parity,
     signature,
 )
-from .enumeration import EnumQuery, _box_scan, _scan_problem, kernel_name
+from .enumeration import EnumQuery, _box_scan, _check_rank_cap, _scan_problem, kernel_name
 from .errors import (
     BadShapeError,
     InvalidParameterError,
@@ -159,11 +159,22 @@ def _oracle_block(gram: GramMatrix, result) -> dict:
     return {"mode": mode, "ok": all(checks.values()), "checks": checks}
 
 
+def _catalog_gram(form_id: str, searched: bool) -> GramMatrix:
+    """The catalog form `form_id`.  When the command searches it and every
+    atom is unimodular, the rank is read from the id and checked against
+    the cap before anything is built: a catalog form is positive definite,
+    so such a form is always searched."""
+    rank = _unimodular_rank(form_id) if searched else None
+    if rank is not None:
+        _check_rank_cap(rank)
+    return catalog_get(form_id).gram
+
+
 def _load_form(args) -> tuple[str, GramMatrix]:
     if (args.gram is None) == (args.catalog is None):
         raise _UsageError("provide exactly one of a Gram document path or --catalog ID")
     if args.catalog is not None:
-        return args.catalog, catalog_get(args.catalog).gram
+        return args.catalog, _catalog_gram(args.catalog, searched=True)
     name = "inline" if args.gram.lstrip().startswith("{") else args.gram
     return name, load_gram(args.gram)
 
@@ -243,10 +254,12 @@ def _cmd_donaldson(args) -> int:
             raise _UsageError("--b1 and --negate go with --catalog, not a manifold document")
         descriptor = load_manifold(args.manifold)
     else:
-        gram = catalog_get(args.catalog).gram
+        b1 = args.b1 or 0
+        # a negative b1 is refused by the descriptor, ahead of the rank cap
+        gram = _catalog_gram(args.catalog, searched=args.negate and b1 >= 0)
         if args.negate:
             gram = negate(gram)
-        descriptor = ManifoldDescriptor(b1=args.b1 or 0, form=gram)
+        descriptor = ManifoldDescriptor(b1=b1, form=gram)
     report = donaldson_verdict(descriptor)
 
     if args.json:

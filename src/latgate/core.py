@@ -24,8 +24,9 @@ that a fault in the product cannot also hide from the cross-check.
 `lll_reduce` is the all-integer LLL reduction of a positive definite form
 (Lenstra, Lenstra and Lovasz 1982, in the Gram form of Cohen, Alg. 2.6.7).
 `latgate.charvec` reduces each odd form it searches, computed per call, no
-state kept on the form; an even form is never reduced there, as its one
-search, the radius-0 ball around 0, is one path in any basis.
+state kept on the form; an even form is never reduced there: an even input
+is answered without a search, and an even complement is searched as built,
+its one search, the radius-0 ball around 0, being one path in any basis.
 """
 
 from __future__ import annotations

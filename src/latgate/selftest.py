@@ -166,7 +166,8 @@ def _unreduced_search_problems(conj: GramMatrix, result: CharVecResult, units: i
     """Search the conjugate's own basis, not its LLL-reduced one, and compare
     with what the reduced search reported: the lex-least minimizer, the
     minimizer count and the unit-vector count.  An even form (m = 0) is
-    searched as it stands, so the clipped scan checks its search instead."""
+    answered without a search, and the clipped scan of its conjugate, not
+    a search, is the independent route that checks that answer."""
     n = conj.rank
     problems = []
     base = solve_char_coset(conj).base

@@ -438,6 +438,86 @@ class TestCliDonaldson:
         assert "NotApplicable" in capsys.readouterr().out
 
 
+class TestOverCapCatalogIds:
+    """A catalog id whose form would be searched is refused above the rank
+    cap from the rank the id gives, before anything is built; every other
+    id keeps its answer."""
+
+    @pytest.mark.parametrize("fid, rank", [
+        ("Zn:3", 3), ("Z25", 25), ("E8", 8), ("D12plus", 12), ("E8+Z2+D16plus", 26),
+        ("D4", None), ("Zn:30+D4", None),
+    ])
+    def test_rank_read_from_id(self, fid, rank):
+        from latgate.catalog import _unimodular_rank
+
+        assert _unimodular_rank(fid) == rank
+        if rank is not None:
+            assert catalog_get(fid).gram.rank == rank
+
+    @staticmethod
+    def refuse_to_build(monkeypatch):
+        import latgate.catalog as catalog_mod
+
+        def refuse(family, n):
+            raise AssertionError("a catalog form was built")
+
+        monkeypatch.setattr(catalog_mod, "_atom", refuse)
+
+    @pytest.mark.parametrize("argv, rank", [
+        (["analyze", "--catalog", "Zn:25"], 25),
+        (["analyze", "--catalog", "E8+E8+E8+E8", "--json"], 32),
+        (["analyze", "--catalog", "D28plus", "--oracle"], 28),
+        (["donaldson", "--catalog", "Zn:100000", "--negate"], 100000),
+        (["donaldson", "--catalog", "E8+Z20", "--negate", "--b1", "1000000000"], 28),
+    ])
+    def test_refused_before_built(self, monkeypatch, capsys, argv, rank):
+        self.refuse_to_build(monkeypatch)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"latgate: error: rank {rank} exceeds the cap of 24\n"
+
+    @pytest.mark.parametrize("fid, text", [
+        ("Zn:100000+E7", "unrecognized catalog id component 'E7'"),
+        ("Zn:100000+D6plus", "'D6plus': the glue vector is integral only when 4 divides n"),
+        ("Zn:100000+", "malformed catalog id 'Zn:100000+'"),
+    ])
+    def test_bad_atom_refused_before_any_is_built(self, monkeypatch, capsys, fid, text):
+        self.refuse_to_build(monkeypatch)
+        assert main(["analyze", "--catalog", fid]) == 1
+        assert capsys.readouterr().err == f"latgate: error: {text}\n"
+
+    @pytest.mark.parametrize("argv, code, text", [
+        (["donaldson", "--catalog", "Zn:30"], 0, "verdict: NotApplicable"),
+        (["analyze", "--catalog", "Zn:30+D4"], 0, "skipped: determinant 4 is not +-1"),
+        (["donaldson", "--catalog", "Zn:30+D4", "--negate"], 2, "verification failure"),
+        (["donaldson", "--catalog", "E8+E8+E8+E8", "--negate", "--b1", "-1"], 1,
+         "b1 must be a nonnegative integer, got -1"),
+    ])
+    def test_other_ids_keep_their_answers(self, capsys, argv, code, text):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert text in captured.out + captured.err
+
+    def test_huge_id_in_bounded_memory(self):
+        # building Z^100000 would need far more than the address-space limit
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from latgate.cli import main\n"
+            "sys.exit(main(['analyze', '--catalog', 'Zn:100000']))\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "latgate: error: rank 100000 exceeds the cap of 24\n"
+
+
 _ZN2 = catalog_get("Zn:2")
 
 
@@ -552,9 +632,9 @@ class TestCliSelftest:
         assert capsys.readouterr().out.rstrip().endswith("133/133 checks passed")
 
     def test_gl_check_of_even_conjugate_is_independent(self, monkeypatch):
-        # an even conjugate is searched as it stands, so the GL check's own
-        # search of it would repeat the checked radius-0 query; the clipped
-        # scan checks it instead, and the query runs once
+        # an even conjugate is answered without a search, and the GL check
+        # does not search it either: the clipped scan is its only check, so
+        # its radius-0 query never runs
         import latgate.selftest as selftest_mod
         from latgate import charvec, enumeration, run_selftest
 
@@ -572,14 +652,41 @@ class TestCliSelftest:
             checked.append((conj, result.norm_m))
             return unreduced(conj, result, units)
 
+        scanned = []
+        scan = selftest_mod.brute_force_coset
+
+        def scanning(query, box):
+            scanned.append(query.form.entries)
+            return scan(query, box)
+
         for module in (charvec, enumeration):
             monkeypatch.setattr(module, "_search", recording)
         monkeypatch.setattr(selftest_mod, "_unreduced_search_problems", capturing)
+        monkeypatch.setattr(selftest_mod, "brute_force_coset", scanning)
         results = run_selftest()
         assert len(results) == 133 and all(r.ok for r in results)
         [e8] = [conj for conj, m in checked if m == 0]
         assert e8.rank == 8 and e8 != catalog_get("E8").gram
-        assert queries[e8.entries, (0,) * 8, 0] == 1
+        assert queries[e8.entries, (0,) * 8, 0] == 0
+        assert scanned.count(e8.entries) == 1
+
+    def test_faulty_even_shortcut_fails_gl_check(self, monkeypatch):
+        # an even form is answered without a search; a shortcut that claimed
+        # two minimizers would agree with itself on E8 and its conjugate, and
+        # the clipped scan of the conjugate is what catches it
+        from latgate import Parity, charvec, parity, run_selftest
+
+        real = charvec.min_char_vector_with_stats
+
+        def two_minimizers(g):
+            result, stats = real(g)
+            if parity(g) is Parity.EVEN:
+                result = dataclasses.replace(result, count_minimizers=2)
+            return result, stats
+
+        monkeypatch.setattr(charvec, "min_char_vector_with_stats", two_minimizers)
+        failing = [(r.name, r.detail) for r in run_selftest() if not r.ok]
+        assert failing == [("gl[E8]", "unreduced minimizer count differs")]
 
     def test_corrupted_golden_detected(self):
         from latgate import run_selftest

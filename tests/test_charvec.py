@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import signal
@@ -476,7 +477,7 @@ class TestUnitSplit:
     def test_one_unit_search_per_form(self, monkeypatch):
         # a report reads the unit count off the min-char search's one
         # radius-1 search; `count_unit_vectors` runs that same search
-        # again; an even form is not searched for units
+        # again; an even form is not searched at all
         calls = []
         search = enumeration._search
 
@@ -495,7 +496,7 @@ class TestUnitSplit:
         assert calls == [1, 0, 1]
         calls.clear()
         assert count_unit_vectors(even) == 0 and min_char_vector(even).norm_m == 0
-        assert calls == [0]
+        assert calls == []
         # D12plus+D12plus has no units; its ladder is c = 0 (empty), then
         # c = 8, which holds every minimizer
         calls.clear()
@@ -537,10 +538,11 @@ class TestUnitSplit:
 
 
 class TestEvenFormsUnreduced:
-    """An even unimodular form is searched as it stands: its characteristic
-    search is the radius-0 ball around 0, one path of n nodes in any basis,
-    so skipping its LLL reduction changes neither the answer nor the
-    counters.  Odd forms and odd complements are still reduced."""
+    """An even unimodular form is answered without a search: w = 0 is its
+    one minimizer, and its search would be the radius-0 ball around 0, one
+    path of n nodes and no prunes in any basis, so neither the answer nor
+    the counters change.  An even complement L' is still searched, as it
+    stands; odd forms and odd complements are still reduced."""
 
     EVEN = [("E8", 11), ("E8+E8", 12), ("D16plus", 13), ("D24plus", 14), ("E8+E8+E8", 15)]
 
@@ -595,6 +597,39 @@ class TestEvenFormsUnreduced:
             m, count, minimizer, old_stats = self.reduced_route(conj)
             assert (m, count, minimizer) == (res.norm_m, res.count_minimizers, res.minimizer)
             assert old_stats == stats
+
+    def test_shortcut_matches_search_route(self, monkeypatch):
+        # the search the shortcut replaces, run on the conjugate's own basis,
+        # finds the same minimum, minimizer and counters; so does the
+        # negated form's line bundle
+        calls = []
+        search = enumeration._search
+        monkeypatch.setattr(charvec, "_search", lambda q: calls.append(q) or search(q))
+        for fid, seed in self.EVEN:
+            conj = self.conjugate(fid, seed)
+            n = conj.rank
+            res, stats = min_char_vector_with_stats(conj)
+            report = donaldson_verdict(ManifoldDescriptor(b1=0, form=negate(conj)))
+            assert calls == []
+            m, count, minimizer, route_stats = charvec._char_minimum(conj, None)
+            assert len(calls) == 1 and calls.pop().radius == 0
+            assert (res.norm_m, res.count_minimizers, res.minimizer) == (m, count, minimizer)
+            assert (stats.nodes, stats.prunes) == (route_stats.nodes, route_stats.prunes) == (n, 0)
+            assert (res.k, res.unit_vector_count) == (n // 8, 0)
+            assert report.line_bundle.source == res
+            assert (report.verdict, report.k, report.line_bundle.c1_squared) == (
+                Verdict.FORBIDDEN, n // 8, 0)
+
+    def test_oracle_still_scans_even_conjugate(self, capsys):
+        from latgate.cli import main
+
+        conj = self.conjugate("E8", 11)
+        doc = json.dumps({"rank": 8, "gram": [list(row) for row in conj.entries]})
+        assert main(["analyze", "--json", "--stats", "--oracle", doc]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["charvec"]["m"], report["charvec"]["minimizer"]) == (0, [0] * 8)
+        assert (report["stats"]["nodes"], report["stats"]["prunes"]) == (8, 0)
+        assert (report["oracle"]["mode"], report["oracle"]["ok"]) == ("brute", True)
 
     def test_even_complement_not_reduced(self, monkeypatch):
         # E8+Z2 splits into Z^2 and an even E8: only the input is reduced

@@ -486,9 +486,10 @@ class TestClassifiedOnce:
     """Each command eliminates its input form once, for the determinant and
     inertia; each search eliminates the form it searches once more, for its
     pivot rows.  The searches of an odd form run on its LLL-reduced form;
-    an even form, whose characteristic search is one path in any basis, is
-    searched as it stands and never reduced.  Every elimination goes
-    through `core._bareiss`."""
+    an even input, whose characteristic search would be one path in any
+    basis, is answered without a search, so nothing but its classification
+    eliminates it, and an even complement is searched as built, never
+    reduced.  Every elimination goes through `core._bareiss`."""
 
     def _count(self, monkeypatch, argv):
         eliminated = Counter()  # rows -> fraction-free eliminations of them
@@ -527,9 +528,8 @@ class TestClassifiedOnce:
         # the oracle bounds its scan by the adjugate's diagonal, from one
         # Gauss-Jordan elimination of [G | I] in `_axis_reach`, run once for
         # the plan that the gate and the scan share: it adds no `_bareiss` run, on
-        # the input, on the searched form or on a principal minor (E8 is
-        # even, so the min-char search is the only search, and it runs on
-        # the input itself: nothing is reduced)
+        # the input or on a principal minor (E8 is even, so its minimum is
+        # answered without a search: nothing is reduced or searched)
         form = basis_change(catalog_get("E8").gram, random_unimodular(8, random.Random(3)))
         reached = []
         axis_reach = enumeration._axis_reach
@@ -540,7 +540,7 @@ class TestClassifiedOnce:
         oracle = json.loads(capsys.readouterr().out)["oracle"]
         assert oracle["mode"] == "brute" and oracle["ok"]
         assert reductions == []
-        assert eliminated == {form.entries: 1, _rev(form.entries): 1}
+        assert eliminated == {form.entries: 1}
         assert reached == [form.entries]
 
     def test_split_complement_not_classified(self, monkeypatch, capsys):
@@ -567,13 +567,14 @@ class TestClassifiedOnce:
 
     def test_donaldson_negated_e8(self, monkeypatch, capsys):
         # E8 = -(-E8) carries the input's classification; E8 is even, so
-        # it is not reduced, and the one search eliminates its reversal
+        # its minimum is answered without a search: nothing is reduced and
+        # only the input is eliminated
         form = negate(catalog_get("E8").gram)
         doc = json.dumps({"b1": 0, "form": gram_to_obj(form)})
         eliminated, reductions = self._count(monkeypatch, ["donaldson", "--json", doc])
         assert json.loads(capsys.readouterr().out)["verdict"] == "Forbidden"
         assert reductions == []
-        assert eliminated == {form.entries: 1, _rev(catalog_get("E8").gram.entries): 1}
+        assert eliminated == {form.entries: 1}
 
     def test_searches_make_no_cholesky(self, monkeypatch):
         # every search reads the integer pivot rows; the public Cholesky
@@ -613,7 +614,8 @@ class TestClassifiedOnce:
 
     def test_negation_reuses_classification(self, monkeypatch, capsys):
         # choose_line_bundle negates the classified input: -(-E8) takes its
-        # (det, inertia) from -E8, so only -E8 and E8's Cholesky eliminate
+        # (det, inertia) from -E8, and E8, being even, is not searched, so
+        # only -E8 is eliminated
         rows_seen = []
         bareiss = core._bareiss
 
@@ -625,7 +627,7 @@ class TestClassifiedOnce:
         doc = json.dumps({"b1": 0, "form": gram_to_obj(negate(catalog_get("E8").gram))})
         assert main(["donaldson", "--json", doc]) == 0
         assert json.loads(capsys.readouterr().out)["verdict"] == "Forbidden"
-        assert len(rows_seen) == 2
+        assert len(rows_seen) == 1
 
     @pytest.mark.parametrize("rows", [
         diag(1, 2, 3).entries,
