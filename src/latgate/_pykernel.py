@@ -22,14 +22,31 @@ the row, the centre sums of Schnorr and Euchner (Math. Programming 66,
 1994), here on the integer Fincke-Pohst search.  The tree is the one that
 recomputing every centre would give.
 
+When 2*T_i is a multiple of D at every level (the shift lies in half the
+lattice: every zero-shift ball, every unit search and every rung of the
+characteristic ladder), w -> -w maps the ball onto itself and keeps each
+norm; in the caller's coordinates that is u -> -u - 2*shift.  The search
+then visits only the lex-negative half of the tree (w whose first nonzero
+entry from the top level down is negative, plus w = 0), the symmetry of
+Fincke and Pohst (Math. Comp. 44, 1985) and of Schnorr and Euchner: at a
+level whose partial norm is 0, which holds exactly when every w above it
+is 0, the interval's upper end is cut to w_i <= 0.  The mirror reverses
+lexicographic order, so the whole ball in order is the half, then the
+mirror of the half walked backwards without the centre w = 0.  The
+counters returned are those of the whole tree, got from the half's in
+closed form, so every caller sees the same points, the same order and
+the same counts as from a search of both halves.
+
 All interval endpoints come from `math.isqrt` and integer floor division,
 so every accept/reject decision is exact.  No floats anywhere.  The bound C
-is fixed for the whole search, which has one mode.
+is fixed for the whole search.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from math import isqrt
+from operator import neg, sub
 
 __all__ = ["dfs_enumerate", "brute_scan"]
 
@@ -40,20 +57,29 @@ def dfs_enumerate(n, W, M, T, D, C):
     C is nonnegative, as every radius is.  Level i's coordinate is stored
     at u[n-1-i].  Returns (results, nodes, prunes) where results is a list
     of (coordinates, scaled_norm) pairs, one for every point with scaled
-    norm <= C, in visit order, which is strictly increasing lexicographic
-    order of the coordinates.  Every interval is cut at the bound C, so each
-    node visited has partial norm <= C.  Only the entries M[i][j] with
-    j >= i are read.
+    norm <= C, in strictly increasing lexicographic order of the
+    coordinates.  Every interval is cut at the bound C, so each node of the
+    tree has partial norm <= C.  Only the entries M[i][j] with j >= i are
+    read.
+
+    nodes and prunes describe the ball's whole search tree: nodes counts
+    its prefixes (u[0], ..., u[n-1-i]) of partial norm <= C, prunes the
+    levels entered whose interval is empty.  When every 2*T[i] is a
+    multiple of D the loop visits about half of that tree (the lex-negative
+    half, see the module docstring) and `_unfold` adds the mirror of the
+    points and of the counts; any other input is searched whole.
 
     One block enters every level, the top one included: it enters level i
     at partial norm tot, with row i of the partial sums stale from level r
     down, refreshes sig[i][j] = M[i][i]*T[i] + sum_{j' >= j} M[i][j']*w[j']
     for j = r .. i+1 only (sig[i][n] = M[i][i]*T[i]) and cuts the level's
-    interval around its centre sig[i][i+1].  The top level is entered with
-    i = r = n-1 and tot = 0, which refreshes nothing.  The level's nodes are
-    then visited in ascending order: a leaf is emitted, an exhausted level
-    returns to its parent's next coordinate, and any other node descends,
-    which enters level i-1.
+    interval around its centre sig[i][i+1].  Under the symmetry, a level
+    entered at tot = 0 (every w above it is 0) is cut further to
+    w[i] <= 0, that is u[n-1-i] <= (-T[i]) // D.  The top level is entered
+    with i = r = n-1 and tot = 0, which refreshes nothing.  The level's
+    nodes are then visited in ascending order: a leaf is emitted, an
+    exhausted level returns to its parent's next coordinate, and any other
+    node descends, which enters level i-1.
 
     State per level i: the row sig[i]; stale[i], the highest level whose w
     may have moved since row i was refreshed (a descent into level i passes
@@ -65,6 +91,8 @@ def dfs_enumerate(n, W, M, T, D, C):
     results: list[tuple[tuple[int, ...], int]] = []
     inner = 0  # nodes that descend, once each; the others are the leaves
     prunes = 0
+    half = all(2 * t % D == 0 for t in T)
+    cap = [(-t) // D for t in T]  # the largest u with w <= 0, per level
     step = [M[i][i] * D for i in range(n)]
     sig = [[0] * n + [M[i][i] * T[i]] for i in range(n)]
     stale = [n - 1] * n
@@ -87,14 +115,20 @@ def dfs_enumerate(n, W, M, T, D, C):
         s = isqrt((C - tot) // W[i])
         si = step[i]
         ui = -((s + ei) // si)
-        hi_arr[i] = (s - ei) // si
-        if ui > hi_arr[i]:
+        hi = (s - ei) // si
+        if not tot and half and hi > cap[i]:
+            hi = cap[i]  # every w above is 0: keep the lex-negative half
+        hi_arr[i] = hi
+        if ui > hi:
             prunes += 1
         while True:
             if ui > hi_arr[i]:
                 i += 1
                 if i == n:
-                    return results, inner + len(results), prunes
+                    nodes = inner + len(results)
+                    if half:
+                        return _unfold(results, nodes, prunes, n, W, M, T, D, C)
+                    return results, nodes, prunes
                 ui = u[~i] + 1  # u[n-1-i]
                 continue
             S = step[i] * ui + sig[i][i + 1]
@@ -113,6 +147,36 @@ def dfs_enumerate(n, W, M, T, D, C):
                     stale[i - 1] = r
                 stale[i] = i + 1
                 break
+
+
+def _unfold(results, nodes, prunes, n, W, M, T, D, C):
+    """The whole ball and its whole tree's counters from the lex-negative half.
+
+    `results` holds the half in lexicographic order, ending with the centre
+    w = 0 when that is a lattice point; it is extended in place with the
+    mirror u -> -u - 2*shift of every other pair, walked backwards, so the
+    whole list stays in lexicographic order.  Every node and every prune of
+    the half has its mirror in the tree except those on the zero path w = 0
+    from the top: z nodes, one per top level with T[i] % D == 0, and the
+    prune at the level below them (found at partial norm 0, where the
+    nearest w to 0 is +-D/2) when its interval is empty.
+    """
+    z = 0
+    while z < n and T[~z] % D == 0:  # T[n-1-z]
+        z += 1
+    z_prune = 0
+    if z < n:
+        i = n - 1 - z
+        z_prune = int(W[i] * (M[i][i] * (D // 2)) ** 2 > C)
+    # reversed() walks down from the list's current end, and extending it
+    # never moves the pairs below that
+    mirror = islice(reversed(results), int(z == n), None)
+    neg2t = tuple(-2 * t // D for t in reversed(T))
+    if any(neg2t):
+        results.extend((tuple(map(sub, neg2t, v)), norm) for v, norm in mirror)
+    else:
+        results.extend((tuple(map(neg, v)), norm) for v, norm in mirror)
+    return results, 2 * nodes - z, 2 * prunes - z_prune
 
 
 def brute_scan(n, gram, T, D, C2, box, *, reach):

@@ -3,7 +3,8 @@
 Ids: `Zn:<n>` (or `Z<n>`) for the standard form, `E8` for the even rank-8
 form, `D<n>` for the index-4 even sublattice of Z^n in its root basis, and
 `D<n>plus` (n divisible by 4) for its glue extension.  Sums join atoms with
-`+`, e.g. `E8+Z1`.
+`+`, e.g. `E8+Z1`.  An id of rank above `CATALOG_RANK_LIMIT` (256) is
+refused from the id alone, before anything is built.
 
 The D<n>plus basis is fixed as (1-indexed ambient coordinates):
 
@@ -48,6 +49,10 @@ _E8_ROWS = (
     (0, 0, 0, 0, 0, -1, 2, -1),
     (0, 0, 0, 0, 0, 0, -1, 2),
 )
+
+# the largest rank an id may name: building and classifying a form costs
+# O(n^2) memory and O(n^3) time whether or not it is then searched
+CATALOG_RANK_LIMIT = 256
 
 _ZN_RE = re.compile(r"^(?:Zn:|Z)(\d+)$")
 _DN_PLUS_RE = re.compile(r"^D(\d+)plus$")
@@ -104,7 +109,7 @@ def _parse_atom(token: str) -> tuple[str, int]:
     raise UnknownIdError(f"unrecognized catalog id component {token!r}")
 
 
-def _parse_id(form_id: str) -> list[tuple[str, int]]:
+def _atoms(form_id: str) -> list[tuple[str, int]]:
     """The checked atoms of an id, in order, nothing built."""
     tokens = form_id.split("+")
     if not all(tokens):
@@ -112,10 +117,25 @@ def _parse_id(form_id: str) -> list[tuple[str, int]]:
     return [_parse_atom(token) for token in tokens]
 
 
+def _parse_id(form_id: str) -> list[tuple[str, int]]:
+    """The checked atoms of an id, in order, nothing built.  Every atom is
+    checked first; then an id whose rank, D<n> atoms included, is above
+    `CATALOG_RANK_LIMIT` is refused."""
+    atoms = _atoms(form_id)
+    rank = sum(n for _, n in atoms)
+    if rank > CATALOG_RANK_LIMIT:
+        raise InvalidParameterError(
+            f"catalog id {form_id!r} has rank {rank}, above the limit of {CATALOG_RANK_LIMIT}"
+        )
+    return atoms
+
+
 def _unimodular_rank(form_id: str) -> int | None:
     """The rank of the form an id names, read from the id alone, when every
-    atom is unimodular; None when some atom is a D<n> (determinant 4)."""
-    atoms = _parse_id(form_id)
+    atom is unimodular; None when some atom is a D<n> (determinant 4).  The
+    catalog's rank limit is not applied, so a caller can check a smaller cap
+    of its own first."""
+    atoms = _atoms(form_id)
     return None if any(family == "D" for family, _ in atoms) else sum(n for _, n in atoms)
 
 

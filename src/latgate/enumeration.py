@@ -8,7 +8,14 @@ fraction-free elimination (Bareiss 1968), so that the kernel
 (`latgate._pykernel`) decides membership with integer square roots only and
 no Fraction is built before the norms are reported.  The elimination is of
 the coordinate-reversed form, so the search fixes coordinate 0 outermost
-and emits the points in lexicographic order: nothing sorts them.
+and emits the points in lexicographic order: nothing sorts them.  When the
+shift lies in (1/2)Z^n (every zero-shift ball, every unit search and every
+rung of the characteristic ladder), u -> -u - 2t maps the ball onto itself
+and keeps each norm, so the kernel searches only the lex-negative half of
+the tree and appends the mirror of that half in reverse, which keeps the
+order.  The counters it reports (`EnumStats`) are those of the ball's whole
+search tree either way: nodes are the prefixes of partial norm within the
+radius, prunes the levels entered with an empty interval.
 
 The oracle (`brute_force_coset`, `sufficient_box`) is a second, independent
 route: it evaluates the Gram form on every cell of a box, and takes the
@@ -128,7 +135,7 @@ def _search(query: EnumQuery):
     """Run the kernel; returns ((coords, scaled_norm) pairs, scale, stats).
 
     The pairs are every point of the ball, in strictly increasing
-    lexicographic order of the coordinates, as the kernel visits them:
+    lexicographic order of the coordinates, as the kernel returns them:
     nothing sorts them.  Raises NotPositiveDefiniteError, naming the first
     non-positive pivot, unless the form is positive definite.
     """

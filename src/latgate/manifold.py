@@ -241,6 +241,11 @@ def sw_boundary_number(k: int) -> BoundaryNumber:
     return BoundaryNumber(value=value, nonzero=bool(value))
 
 
+# the largest b1 that `donaldson_verdict` surgers away, one certificate per
+# step: `donaldson --json` at b1 = 10,000 takes about 0.3 s and 100 MB, and
+# at b1 = 10^5 it took 5.2 s and 851 MB
+B1_CAP = 10_000
+
 # every definiteness class except negative definite is outside the hypothesis
 _NOT_APPLICABLE_REASONS = {
     Definiteness.POSITIVE_DEFINITE:
@@ -255,8 +260,12 @@ def donaldson_verdict(m: ManifoldDescriptor) -> ModuliReport:
     """Full pipeline: surger to b1 = 0, then classify the intersection form.
 
     Negative definite unimodular forms get the dichotomy treatment; other
-    definiteness classes report NotApplicable with the reason.
+    definiteness classes report NotApplicable with the reason.  The report
+    keeps one surgery certificate per unit of b1, so a b1 above `B1_CAP` is
+    refused (BadShapeError) before any surgery step runs.
     """
+    if m.b1 > B1_CAP:
+        raise BadShapeError(f"b1 {m.b1} exceeds the cap of {B1_CAP}")
     certificates: list[SurgeryCertificate] = []
     current = m
     while current.b1 > 0:

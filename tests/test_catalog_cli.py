@@ -438,6 +438,24 @@ class TestCliDonaldson:
         assert "NotApplicable" in capsys.readouterr().out
 
 
+def _run_child(argv):
+    """main(argv) in a child process under a 1 GB address-space limit and a
+    30 s timeout."""
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from latgate.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+
 class TestOverCapCatalogIds:
     """A catalog id whose form would be searched is refused above the rank
     cap from the rank the id gives, before anything is built; every other
@@ -501,21 +519,91 @@ class TestOverCapCatalogIds:
 
     def test_huge_id_in_bounded_memory(self):
         # building Z^100000 would need far more than the address-space limit
-        script = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-            "from latgate.cli import main\n"
-            "sys.exit(main(['analyze', '--catalog', 'Zn:100000']))\n"
-        )
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, timeout=30,
-            env={**os.environ, "PYTHONPATH": src},
-        )
+        proc = _run_child(["analyze", "--catalog", "Zn:100000"])
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == "latgate: error: rank 100000 exceeds the cap of 24\n"
+
+
+class TestCatalogRankLimit:
+    """An id of rank above 256, D<n> atoms included, is refused from the
+    grammar alone; ids of rank 256 or less keep their answers, and an id
+    that would be searched keeps the search cap's message."""
+
+    @pytest.mark.parametrize("argv, fid, rank", [
+        (["analyze", "--catalog", "Zn:400+D4"], "Zn:400+D4", 404),
+        (["donaldson", "--catalog", "Zn:400"], "Zn:400", 400),
+        (["donaldson", "--catalog", "Zn:128+D130"], "Zn:128+D130", 258),
+        (["donaldson", "--catalog", "E8+Z249", "--b1", "3"], "E8+Z249", 257),
+    ])
+    def test_refused_before_built(self, monkeypatch, capsys, argv, fid, rank):
+        TestOverCapCatalogIds.refuse_to_build(monkeypatch)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"latgate: error: catalog id {fid!r} has rank {rank}, "
+                                "above the limit of 256\n")
+
+    def test_limit_counts_every_atom(self):
+        from latgate.catalog import _parse_id
+
+        assert sum(n for _, n in _parse_id("Zn:200+E8+D48")) == 256
+        with pytest.raises(InvalidParameterError, match="rank 257, above the limit of 256"):
+            _parse_id("Zn:200+E8+D49")
+        with pytest.raises(InvalidParameterError, match="rank 257"):
+            catalog_get("D257")
+
+    def test_rank_256_keeps_its_answer(self, capsys):
+        assert main(["donaldson", "--catalog", "Zn:256"]) == 0
+        assert "verdict: NotApplicable" in capsys.readouterr().out
+
+    def test_searched_id_keeps_the_cap_message(self, capsys):
+        assert main(["analyze", "--catalog", "Zn:400"]) == 1
+        assert capsys.readouterr().err == "latgate: error: rank 400 exceeds the cap of 24\n"
+
+
+class TestB1Cap:
+    """donaldson refuses b1 above 10,000 before any surgery step runs, for
+    a manifold document and for --catalog ID --b1 N alike."""
+
+    @staticmethod
+    def refuse_to_surger(monkeypatch):
+        import latgate.manifold as manifold_mod
+
+        def refuse(m):
+            raise AssertionError("a surgery step ran")
+
+        monkeypatch.setattr(manifold_mod, "surgery_reduce_b1", refuse)
+
+    @pytest.mark.parametrize("argv, b1", [
+        (["donaldson", json.dumps({"b1": 10_001, "form": {"rank": 1, "gram": [[-1]]}})],
+         10_001),
+        (["donaldson", json.dumps({"b1": 10**9, "form": {"rank": 1, "gram": [[-1]]}}),
+          "--json"], 10**9),
+        (["donaldson", "--catalog", "E8", "--negate", "--b1", "10001"], 10_001),
+        (["donaldson", "--catalog", "Zn:2", "--b1", "1000000000", "--json"], 10**9),
+    ])
+    def test_refused_before_surgery(self, monkeypatch, capsys, argv, b1):
+        self.refuse_to_surger(monkeypatch)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"latgate: error: b1 {b1} exceeds the cap of 10000\n"
+
+    def test_cap_itself_is_admitted(self, capsys):
+        doc = json.dumps({"b1": 10_000, "form": {"rank": 1, "gram": [[-1]]}})
+        assert main(["donaldson", doc]) == 0
+        out = capsys.readouterr().out
+        assert "step 1 (surgery): 10000 step(s) reduce b1 to 0" in out
+        assert "verdict: Realizable" in out
+
+    def test_huge_b1_in_bounded_memory(self):
+        # 10^9 surgery certificates would need far more than the limit
+        doc = json.dumps({"b1": 10**9, "form": {"rank": 1, "gram": [[-1]]}})
+        proc = _run_child(["donaldson", doc, "--json"])
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "latgate: error: b1 1000000000 exceeds the cap of 10000\n"
 
 
 _ZN2 = catalog_get("Zn:2")

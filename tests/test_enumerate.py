@@ -201,24 +201,36 @@ class TestLexOrder:
     """The search emits its points in lexicographic order of the caller's
     coordinates, and `_search` returns them as emitted: nothing sorts them."""
 
-    @pytest.mark.parametrize("fid", ("Zn:1", "Zn:2", "Zn:3", "D4", "D5", "Zn:6", "Zn:7", "Zn:8"))
-    def test_search_emits_lex_order(self, fid, monkeypatch):
+    FORMS = ("Zn:1", "Zn:2", "Zn:3", "D4", "D5", "Zn:6", "Zn:7", "Zn:8")
+
+    @staticmethod
+    def check_lex_order(fid, denominators, monkeypatch):
+        """Four seeded balls of `fid` whose shift denominators are drawn from
+        `denominators`, each checked against the oracle's scan; returns how
+        many of them the kernel searched as a half and its mirror."""
         emitted = []
+        unfolded = []
         dfs = enumeration._kernel.dfs_enumerate
+        unfold = _pykernel._unfold
 
         def recording(*args):
             out = dfs(*args)
             emitted.append(list(out[0]))
             return out
 
+        def spy(*args):
+            unfolded.append(args[3])
+            return unfold(*args)
+
         monkeypatch.setattr(enumeration._kernel, "dfs_enumerate", recording)
+        monkeypatch.setattr(_pykernel, "_unfold", spy)
         gram = catalog_get(fid).gram
         n = gram.rank
         rng = random.Random(11)
         checked = hits = 0
         while checked < 4:
             conj = basis_change(gram, random_unimodular(n, rng, bound=1))
-            shift = tuple(Fraction(rng.randint(-3, 3), rng.choice((2, 3, 4))) for _ in range(n))
+            shift = tuple(Fraction(rng.randint(-3, 3), rng.choice(denominators)) for _ in range(n))
             q = EnumQuery(form=conj, shift=shift, radius=Fraction(rng.randint(1, 5), 2))
             if enumeration._scan_problem(q)[-1] > CUBE_CELLS:
                 continue  # the oracle's scan would be slow
@@ -232,6 +244,18 @@ class TestLexOrder:
             assert tuple(Fraction(norm, scale) for _, norm in pairs) == slow.norms
             hits += len(pairs)
         assert hits > 0
+        return len(unfolded)
+
+    @pytest.mark.parametrize("fid", FORMS)
+    def test_search_emits_lex_order(self, fid, monkeypatch):
+        self.check_lex_order(fid, (2, 3, 4), monkeypatch)
+
+    @pytest.mark.parametrize("fid", FORMS)
+    def test_half_search_emits_lex_order(self, fid, monkeypatch):
+        # a shift in (1/2)Z^n makes every ball point-symmetric: the kernel
+        # searches half of it and mirrors the rest, and the oracle's scan,
+        # which shares no code with it, must still see the same ball in order
+        assert self.check_lex_order(fid, (1, 2), monkeypatch) == 4
 
 
 def _plain_dfs(n, W, M, T, D, C):
@@ -300,6 +324,58 @@ class TestIncrementalCentres:
                 assert out == _plain_dfs(n, W, M, T, D, C)
                 leaves += len(out[0])
         assert leaves > 0
+
+    # (form, shift, radius, the catalog basis's (vectors, nodes, prunes) or
+    # None): half-integral shifts, searched as a half and its mirror
+    SYMMETRIC_CASES = (
+        # an integral nonzero shift: the centre u = -t is a lattice point
+        ("Zn:2", (1, -2), 1, ([(-2, 2), (-1, 1), (-1, 2), (-1, 3), (0, 2)], 8, 0)),
+        ("D12plus", (2, -1, 0, 3, 0, 0, -1, 1, 0, 0, 2, 0), 1, None),
+        # integral leading coordinates, then a half-integral one: the zero
+        # path stops at coordinate 2, with the prune there at radius 0 and
+        # without it at 1/4
+        ("Zn:3", (1, 0, Fraction(1, 2)), 0, ([], 2, 1)),
+        ("Zn:3", (1, 0, Fraction(1, 2)), Fraction(1, 4), ([(-1, 0, -1), (-1, 0, 0)], 4, 0)),
+        ("E8", (0, 0, 0, Fraction(1, 2), 0, Fraction(-1, 2), 0, 0), 0, ([], 3, 1)),
+        ("E8", (0, 0, 0, Fraction(1, 2), 0, Fraction(-1, 2), 0, 0), 2, None),
+        # radius 0 at shift 0: the zero path alone
+        ("E8", (0,) * 8, 0, ([(0,) * 8], 8, 0)),
+        ("Zn:1", (0,), 0, ([(0,)], 1, 0)),
+        ("Zn:1", (0,), 3, ([(-1,), (0,), (1,)], 3, 0)),
+        ("Zn:1", (Fraction(1, 2),), Fraction(1, 4), ([(-1,), (0,)], 2, 0)),
+        ("Zn:1", (Fraction(-3, 2),), Fraction(1, 5), ([], 0, 1)),
+        ("Zn:1", (2,), 1, ([(-3,), (-2,), (-1,)], 3, 0)),
+    )
+
+    def test_symmetric_edge_cases(self, monkeypatch):
+        # the half search runs on every case below but the last, which has a
+        # third of a unit in its shift and is searched whole
+        unfolded = []
+        unfold = _pykernel._unfold
+
+        def spy(*args):
+            unfolded.append(args[3])  # n
+            return unfold(*args)
+
+        monkeypatch.setattr(_pykernel, "_unfold", spy)
+        rng = random.Random(17)
+        whole = 0
+        cases = self.SYMMETRIC_CASES + (("Zn:2", (Fraction(1, 3), 0), 1, None),)
+        for fid, shift, radius, pinned in cases:
+            gram = catalog_get(fid).gram
+            n = gram.rank
+            shift = [Fraction(x) for x in shift]
+            for form in [gram] + [basis_change(gram, random_unimodular(n, rng))
+                                  for _ in range(3)]:
+                W, M, T, D, C, _ = enumeration._scaled_problem(form, shift, Fraction(radius))
+                before = len(unfolded)
+                out = _pykernel.dfs_enumerate(n, W, M, T, D, C)
+                assert out == _plain_dfs(n, W, M, T, D, C)
+                whole += len(unfolded) == before
+                if form is gram and pinned is not None:
+                    vectors, nodes, prunes = pinned
+                    assert ([u for u, _ in out[0]], out[1], out[2]) == (vectors, nodes, prunes)
+        assert len(unfolded) == 4 * len(self.SYMMETRIC_CASES) and whole == 4
 
     def test_empty_top_interval(self):
         # radius 0 and a half-integral coordinate 0: the outermost level

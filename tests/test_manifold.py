@@ -216,6 +216,14 @@ class TestVerdictPipeline:
         with pytest.raises(NotUnimodularError):
             donaldson_verdict(ManifoldDescriptor(b1=0, form=neg("D4")))
 
+    def test_b1_above_cap_refused_before_surgery(self, monkeypatch):
+        import latgate.manifold as manifold_mod
+
+        assert manifold_mod.B1_CAP == 10_000
+        monkeypatch.setattr(manifold_mod, "surgery_reduce_b1", None)  # must not run
+        with pytest.raises(BadShapeError, match="b1 10001 exceeds the cap of 10000"):
+            donaldson_verdict(ManifoldDescriptor(b1=10_001, form=neg("E8")))
+
     def test_surgery_invariance(self):
         flat = donaldson_verdict(ManifoldDescriptor(b1=0, form=neg("E8")))
         tall = donaldson_verdict(ManifoldDescriptor(b1=3, form=neg("E8")))
