@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .core import GramMatrix, _times, direct_sum
+from .core import GramMatrix, direct_sum
 from .errors import InvalidParameterError, UnknownIdError
 
 __all__ = ["CatalogEntry", "catalog_get", "builtin_ids"]
@@ -59,26 +58,31 @@ _DN_PLUS_RE = re.compile(r"^D(\d+)plus$")
 _DN_RE = re.compile(r"^D(\d+)$")
 
 
-def _gram_from_vectors(vectors: list[list[Fraction]]) -> GramMatrix:
-    rows = _times(vectors, tuple(zip(*vectors)))
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            if x.denominator != 1:
-                raise InvalidParameterError(f"non-integral Gram entry {x} at ({i},{j})")
-    return GramMatrix(tuple(tuple(map(int, row)) for row in rows))
-
-
 def _zn_gram(n: int) -> GramMatrix:
     return GramMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
 
-def _dn_basis(n: int) -> list[list[Fraction]]:
-    """The root basis e1-e2, ..., e_{n-1}-e_n, e_{n-1}+e_n of D_n, as rows."""
-    basis = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n - 1):
-        basis[i][i], basis[i][i + 1] = Fraction(1), Fraction(-1)
-    basis[n - 1][n - 2] = basis[n - 1][n - 1] = Fraction(1)
-    return basis
+def _dn_gram(n: int, glue: bool) -> GramMatrix:
+    """The Gram matrix of D_n's root basis e1-e2, ..., e_{n-1}-e_n,
+    e_{n-1}+e_n, written down entry by entry: 2 on the diagonal, -1 between
+    consecutive difference roots, and the last root meets the
+    third-to-last root at -1 and its neighbour at 0.  With `glue`, the
+    D<n>plus basis: the glue vector (1/2, ..., 1/2) in place of e1-e2 has
+    norm n/4, pairs to 1 with e_{n-1}+e_n and to 0 with every difference.
+    """
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 2
+    for i in range(n - 2):
+        rows[i][i + 1] = rows[i + 1][i] = -1
+    if n > 2:
+        rows[n - 3][n - 1] = rows[n - 1][n - 3] = -1
+    if glue:
+        for j in range(n):
+            rows[0][j] = rows[j][0] = 0
+        rows[0][0] = n // 4
+        rows[0][n - 1] = rows[n - 1][0] = 1
+    return GramMatrix(tuple(map(tuple, rows)))
 
 
 def _parse_atom(token: str) -> tuple[str, int]:
@@ -149,12 +153,10 @@ def _atom(family: str, n: int) -> tuple[GramMatrix, dict]:
         return GramMatrix(_E8_ROWS), {"det": 1, "even": True, "m": 0}
     if family == "Z":
         return _zn_gram(n), {"det": 1, "even": False, "m": n}
-    basis = _dn_basis(n)
     if family == "D":
-        return _gram_from_vectors(basis), {"det": 4, "even": True, "m": None}
-    basis[0] = [Fraction(1, 2)] * n  # the glue vector in place of e1-e2
+        return _dn_gram(n, glue=False), {"det": 4, "even": True, "m": None}
     even = n % 8 == 0
-    return _gram_from_vectors(basis), {"det": 1, "even": even, "m": 0 if even else 4}
+    return _dn_gram(n, glue=True), {"det": 1, "even": even, "m": 0 if even else 4}
 
 
 def catalog_get(form_id: str) -> CatalogEntry:

@@ -9,24 +9,29 @@ of every symmetric form: it gives the determinant, the leading principal
 minors whose signs give the inertia (a determinant +-1 congruence brings a
 nonzero pivot forward when the next one vanishes, so Sylvester's law of
 inertia applies to every form, degenerate ones included), and the integer
-pivot rows that every lattice search reads (`_reversed_pivots`, the rows of
-the coordinate-reversed form, checked as `_positive_pivots` checks).  Each
-`GramMatrix` computes its determinant and inertia once, on first use, and
-keeps them; classification builds no Fraction.  `cholesky` reads the same
-rows as Fractions; no search uses it.
+pivot rows that the lattice searches read (`_reversed_pivots`, the rows of
+the coordinate-reversed form, checked as `_positive_pivots` checks).  Its
+working matrix stays symmetric, so it updates only the entries on and
+right of the diagonal.  Each `GramMatrix` computes its determinant and
+inertia once, on first use, and keeps them; classification builds no
+Fraction.  `cholesky` reads the same rows as Fractions; no search uses it.
 
 `_times` is the package's one matrix product, on rows of ints or
-Fractions: the basis changes, the catalog's Gram matrices and the
-characteristic search's change of coordinates all go through it.  The
-oracle's arithmetic (`pairing`, `evaluate` and the box scan) does not, so
-that a fault in the product cannot also hide from the cross-check.
+Fractions: the basis changes and the characteristic search's change of
+coordinates go through it.  The oracle's arithmetic (`pairing`, `evaluate`
+and the box scan) does not, so that a fault in the product cannot also
+hide from the cross-check.
 
 `lll_reduce` is the all-integer LLL reduction of a positive definite form
 (Lenstra, Lenstra and Lovasz 1982, in the Gram form of Cohen, Alg. 2.6.7).
-`latgate.charvec` reduces each odd form it searches, computed per call, no
-state kept on the form; an even form is never reduced there: an even input
-is answered without a search, and an even complement is searched as built,
-its one search, the radius-0 ball around 0, being one path in any basis.
+Its integer Gram-Schmidt data d and lambda are the `_bareiss` pivot rows of
+the reduced form, and the private `_lll` hands them back with it, so the
+searches of a reduced form run on LLL's rows and nothing eliminates that
+form again.  `latgate.charvec` reduces each odd form it searches, computed
+per call, no state kept on the form; an even form is never reduced there:
+an even input is answered without a search, and an even complement is
+searched as built, its one search, the radius-0 ball around 0, being one
+path in any basis.
 """
 
 from __future__ import annotations
@@ -206,6 +211,12 @@ def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, list[int], list[list[i
     row k holds d_{k+1} on the diagonal (its entries left of the diagonal
     are stale).  A positive definite form needs no congruence, so all n of
     its rows come back.
+
+    The working matrix stays symmetric, so each step updates only the
+    entries on and right of the diagonal, row i taking its multiplier
+    m[i][k] from pivot row k as m[k][i].  A congruence reads whole rows and
+    columns, so it first mirrors the upper triangle of rows k.. into the
+    lower one; entries left of the diagonal are otherwise never updated.
     """
     n = len(rows)
     m = [list(row) for row in rows]
@@ -214,6 +225,10 @@ def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, list[int], list[list[i
     prev = 1
     for k in range(n):
         if m[k][k] == 0:
+            for i in range(k + 1, n):
+                row = m[i]
+                for j in range(k, i):
+                    row[j] = m[j][i]
             a = next((i for i in range(k + 1, n) if m[i][i] != 0), None)
             if a is None:
                 a, b = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if m[i][j] != 0),
@@ -228,11 +243,13 @@ def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, list[int], list[list[i
                 row[k], row[a] = row[a], row[k]
         elif len(pivot_rows) == k:
             pivot_rows.append(m[k])
-        pivot = m[k][k]
+        pivot_row = m[k]
+        pivot = pivot_row[k]
         minors.append(pivot)
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+            row, f = m[i], pivot_row[i]
+            for j in range(i, n):
+                row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
         prev = pivot
     return prev, minors, pivot_rows
 
@@ -367,13 +384,30 @@ def lll_reduce(g: GramMatrix) -> tuple[IntMatrix, GramMatrix]:
     """All-integer LLL reduction of a positive definite form, delta = 3/4.
 
     Returns (H, g') with det H = +-1 and g' = H g H^T: the rows of H are
-    the reduced basis in the coordinates of g.  The Gram-Schmidt data are
-    kept as integers (Cohen, Alg. 2.6.7): d[i+1] is the Gram determinant of
-    the first i+1 basis vectors (d[0] = 1) and lam[k][j] = d[j+1]*mu_kj, so
-    size reduction rounds with q = (2*lam + d) // (2*d) and every other
-    division is exact.  g' is updated in place by each step (a row and
-    column for b_k -= q*b_l, two rows and columns for a swap), never
-    recomputed from H.  Raises NotPositiveDefiniteError otherwise.
+    the reduced basis in the coordinates of g.  `_lll` computes it, with
+    the pivot rows of g' besides.  Raises NotPositiveDefiniteError unless g
+    is positive definite.
+    """
+    h, reduced, _ = _lll(g)
+    return h, reduced
+
+
+def _lll(g: GramMatrix) -> tuple[IntMatrix, GramMatrix, list[list[int]]]:
+    """(H, g', rows): `lll_reduce`, with the fraction-free elimination of g'.
+
+    The Gram-Schmidt data are kept as integers (Cohen, Alg. 2.6.7): d[i+1]
+    is the Gram determinant of the first i+1 basis vectors (d[0] = 1) and
+    lam[k][j] = d[j+1]*mu_kj, so size reduction rounds with
+    q = (2*lam + d) // (2*d) and every other division is exact.  g' is
+    updated in place by each step (a row and column for b_k -= q*b_l, two
+    rows and columns for a swap), never recomputed from H.
+
+    d[i+1] is the leading principal minor of g' of order i+1 and lam[j][i]
+    the bordered minor of rows 0..i and columns 0..i-1, j: the entries of
+    the `_bareiss` pivot rows of g'.  So row i of `rows` holds d[i+1] on
+    the diagonal and lam[j][i] at column j > i, and equals
+    `_bareiss(g'.entries)[2][i]` on and right of the diagonal; its entries
+    left of the diagonal are 0 and are never read.
     """
     if definiteness(g) is not Definiteness.POSITIVE_DEFINITE:
         raise NotPositiveDefiniteError("LLL reduction needs a positive definite form")
@@ -440,7 +474,8 @@ def lll_reduce(g: GramMatrix) -> tuple[IntMatrix, GramMatrix]:
             for l in range(k - 2, -1, -1):
                 reduce(k, l)
             k += 1
-    return tuple(map(tuple, h)), GramMatrix(tuple(map(tuple, gram)))
+    rows = [[0] * i + [d[i + 1]] + [lam[j][i] for j in range(i + 1, n)] for i in range(n)]
+    return tuple(map(tuple, h)), GramMatrix(tuple(map(tuple, gram))), rows
 
 
 def evaluate(g: GramMatrix, x: Sequence[int]) -> int:

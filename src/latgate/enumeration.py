@@ -8,7 +8,10 @@ fraction-free elimination (Bareiss 1968), so that the kernel
 (`latgate._pykernel`) decides membership with integer square roots only and
 no Fraction is built before the norms are reported.  The elimination is of
 the coordinate-reversed form, so the search fixes coordinate 0 outermost
-and emits the points in lexicographic order: nothing sorts them.  When the
+and emits the points in lexicographic order: nothing sorts them.  `_search`
+takes the rows from its caller: `enumerate_coset` eliminates the query's
+form, and the characteristic searches pass the rows of their search plan,
+which for an LLL-reduced form are LLL's own (`core._lll`).  When the
 shift lies in (1/2)Z^n (every zero-shift ball, every unit search and every
 rung of the characteristic ladder), u -> -u - 2t maps the ball onto itself
 and keeps each norm, so the kernel searches only the lex-negative half of
@@ -102,19 +105,19 @@ class EnumResult:
     stats: EnumStats | None = field(default=None, compare=False)
 
 
-def _scaled_problem(form: GramMatrix, shift: Sequence[Fraction], radius: Fraction):
+def _scaled_problem(M: Sequence[Sequence[int]], shift: Sequence[Fraction], radius: Fraction):
     """The kernel's integer problem: returns (W, M, T, D, C, scale).
 
     The problem is the coordinate-reversed one, P*G*P with P the reversal,
-    so that the kernel's outermost level is the caller's coordinate 0.  M is
-    `_reversed_pivots(form)`, the pivot rows of P*G*P, and d_{i+1} = M[i][i]
-    its leading minors.  D clears the shift's denominators, T = D*P*shift,
-    L is the lcm of the products d_i*d_{i+1} and W[i] = L / (d_i*d_{i+1}),
-    so that scale*Q(u + shift) is sum_i W[i]*(M_i . w)^2 with w = D*P*u + T
-    and scale = L*D^2.  C is floor(scale*radius); exact norms are
-    Fraction(scaled_norm, scale).
+    so that the kernel's outermost level is the caller's coordinate 0.  M
+    is the caller's `_reversed_pivots(form)`, or rows equal to it on and
+    right of the diagonal: the pivot rows of P*G*P, with d_{i+1} = M[i][i]
+    its leading minors.  D clears the shift's denominators,
+    T = D*P*shift, L is the lcm of the products d_i*d_{i+1} and
+    W[i] = L / (d_i*d_{i+1}), so that scale*Q(u + shift) is
+    sum_i W[i]*(M_i . w)^2 with w = D*P*u + T and scale = L*D^2.  C is
+    floor(scale*radius); exact norms are Fraction(scaled_norm, scale).
     """
-    M = _reversed_pivots(form)
     minors = [1] + [row[i] for i, row in enumerate(M)]
     products = [a * b for a, b in zip(minors, minors[1:])]
     L = lcm(*products)
@@ -131,15 +134,17 @@ def _check_rank_cap(n: int) -> None:
         raise RankCapExceededError(f"rank {n} exceeds the cap of {DEFAULT_RANK_CAP}")
 
 
-def _search(query: EnumQuery):
-    """Run the kernel; returns ((coords, scaled_norm) pairs, scale, stats).
+def _search(query: EnumQuery, rows: Sequence[Sequence[int]]):
+    """Run the kernel on the pivot rows `rows` of the query's form (see
+    `_scaled_problem`); returns ((coords, scaled_norm) pairs, scale, stats).
 
     The pairs are every point of the ball, in strictly increasing
     lexicographic order of the coordinates, as the kernel returns them:
-    nothing sorts them.  Raises NotPositiveDefiniteError, naming the first
-    non-positive pivot, unless the form is positive definite.
+    nothing sorts them.  The rows come from `_reversed_pivots`, which
+    refuses a form that is not positive definite, or from LLL, which
+    reduces positive definite forms only.
     """
-    W, M, T, D, C, scale = _scaled_problem(query.form, query.shift, query.radius)
+    W, M, T, D, C, scale = _scaled_problem(rows, query.shift, query.radius)
     pairs, nodes, prunes = _kernel.dfs_enumerate(query.form.rank, W, M, T, D, C)
     return pairs, scale, EnumStats(nodes=nodes, prunes=prunes)
 
@@ -156,10 +161,11 @@ def enumerate_coset(query: EnumQuery) -> EnumResult:
     emits them in that order, so nothing sorts them.  The result carries the
     search's counters.
 
-    Raises on rank above `DEFAULT_RANK_CAP` and on non-positive-definite forms.
+    Raises on rank above `DEFAULT_RANK_CAP` and on non-positive-definite
+    forms, naming the first non-positive pivot.
     """
     _check_rank_cap(query.form.rank)
-    pairs, scale, stats = _search(query)
+    pairs, scale, stats = _search(query, _reversed_pivots(query.form))
     return EnumResult(
         vectors=tuple(p[0] for p in pairs),
         norms=_exact_norms(pairs, scale),

@@ -5,6 +5,9 @@ code: determinants go through plain rational Gaussian elimination, inertia
 through congruence diagonalization over Q, characteristic conditions are
 checked straight from their definition, and the glued lattices are rebuilt
 in ambient coordinates where membership and norms are elementary.
+Two references keep the library's older, plainer forms of a computation:
+`bareiss_full_update` updates the whole working matrix at every step, and
+`gram_from_vectors` builds a Gram matrix as the product V V^T.
 """
 
 from __future__ import annotations
@@ -74,6 +77,69 @@ def inertia_by_diagonalization(rows) -> tuple[int, int, int]:
                 for k in range(n):
                     a[k][j] -= f * a[k][i]
     return pos, neg, zero
+
+
+def bareiss_full_update(rows):
+    """(det, minors, pivot_rows) as `latgate.core._bareiss` returns them,
+    from the same symmetric pivoting but with every entry of the trailing
+    block updated at every step, so that no step relies on symmetry."""
+    n = len(rows)
+    m = [list(row) for row in rows]
+    minors = []
+    pivot_rows = []
+    prev = 1
+    for k in range(n):
+        if m[k][k] == 0:
+            a = next((i for i in range(k + 1, n) if m[i][i] != 0), None)
+            if a is None:
+                a, b = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if m[i][j] != 0),
+                            (None, None))
+                if a is None:
+                    return 0, minors, pivot_rows
+                for row in m[k:]:
+                    row[a] += row[b]
+                m[a] = [x + y for x, y in zip(m[a], m[b])]
+            m[k], m[a] = m[a], m[k]
+            for row in m[k:]:
+                row[k], row[a] = row[a], row[k]
+        elif len(pivot_rows) == k:
+            pivot_rows.append(m[k])
+        pivot = m[k][k]
+        minors.append(pivot)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+        prev = pivot
+    return prev, minors, pivot_rows
+
+
+def gram_from_vectors(vectors):
+    """V V^T for rows V of Fractions, as integers; every entry must be
+    integral.  Each inner product runs over the nonzero entries of v."""
+    rows = []
+    for v in vectors:
+        support = [(i, a) for i, a in enumerate(v) if a]
+        row = []
+        for w in vectors:
+            x = sum(a * w[i] for i, a in support)
+            assert x.denominator == 1
+            row.append(int(x))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def dn_basis(n: int):
+    """The root basis e1-e2, ..., e_{n-1}-e_n, e_{n-1}+e_n of D_n in ambient
+    coordinates."""
+    basis = []
+    for i in range(n - 1):
+        v = [Fraction(0)] * n
+        v[i], v[i + 1] = Fraction(1), Fraction(-1)
+        basis.append(v)
+    v = [Fraction(0)] * n
+    v[n - 2] = v[n - 1] = Fraction(1)
+    basis.append(v)
+    return basis
 
 
 def pair(gram_rows, x, y) -> int:

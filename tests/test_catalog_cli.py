@@ -33,7 +33,7 @@ from latgate.cli import main
 from latgate.formats import load_gram, load_manifold, manifold_from_obj
 from latgate.manifold import ExactSequence, Verdict
 from latgate.selftest import CheckResult
-from oracle_helpers import det_gauss
+from oracle_helpers import det_gauss, dn_basis, dn_plus_basis, gram_from_vectors
 
 
 class TestCatalogGrammar:
@@ -50,6 +50,16 @@ class TestCatalogGrammar:
     def test_composite_rank(self):
         assert catalog_get("E8+Z2").gram.rank == 10
         assert catalog_get("E8+E8").gram.rank == 16
+
+    def test_dn_grams_match_root_products(self):
+        # the D<n> and D<n>plus Gram matrices are written down entry by
+        # entry; the products V V^T of their bases in ambient coordinates
+        # must give the same matrices
+        for n in range(2, 65):
+            assert catalog_get(f"D{n}").gram.entries == gram_from_vectors(dn_basis(n)), n
+            if n % 4 == 0:
+                plus = catalog_get(f"D{n}plus").gram.entries
+                assert plus == gram_from_vectors(dn_plus_basis(n)), n
 
     @pytest.mark.parametrize("bad", ["Zn:0", "D1", "D6plus", "D2plus"])
     def test_invalid_parameters(self, bad):
@@ -729,9 +739,9 @@ class TestCliSelftest:
         queries = Counter()
         search = enumeration._search
 
-        def recording(query):
+        def recording(query, rows):
             queries[query.form.entries, query.shift, query.radius] += 1
-            return search(query)
+            return search(query, rows)
 
         checked = []
         unreduced = selftest_mod._unreduced_search_problems

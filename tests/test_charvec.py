@@ -40,7 +40,7 @@ from latgate import (
     sufficient_box,
 )
 from latgate import charvec, enumeration
-from latgate.core import direct_sum, evaluate, lll_reduce
+from latgate.core import _lll, _reversed_pivots, direct_sum, evaluate, lll_reduce
 from oracle_helpers import (
     char_01_vectors,
     char_holds_on_01_cube,
@@ -268,7 +268,7 @@ class TestMinCharVector:
         res = min_char_vector(conj)
         for c in range(g.rank % 8, res.norm_m + 1, 8):
             q = EnumQuery(form=conj, shift=shift, radius=Fraction(c, 4))
-            pairs, scale, _ = enumeration._search(q)
+            pairs, scale, _ = enumeration._search(q, _reversed_pivots(conj))
             if c < res.norm_m:
                 assert pairs == []
         assert {Fraction(4 * norm, scale) for _, norm in pairs} == {c}
@@ -280,13 +280,13 @@ class TestMinCharVector:
         radii = []
         search = enumeration._search
 
-        def recording(query):
+        def recording(query, rows):
             radii.append(query.radius)
-            return search(query)
+            return search(query, rows)
 
         monkeypatch.setattr(charvec, "_search", recording)
         conj = basis_change(catalog_get("Zn:9").gram, random_unimodular(9, random.Random(3)))
-        m, count, minimizer, _ = charvec._char_minimum(conj, None)
+        m, count, minimizer, _ = charvec._char_minimum(conj, _reversed_pivots(conj), None)
         assert radii == [Fraction(1, 4), Fraction(9, 4)]
         assert (m, count) == (9, 512)
         assert is_characteristic(conj.entries, minimizer)
@@ -296,8 +296,8 @@ class TestMinCharVector:
         # a leaf whose norm is not that of its rung is refused, not reported
         search = enumeration._search
 
-        def off_ladder(query):
-            pairs, scale, stats = search(query)
+        def off_ladder(query, rows):
+            pairs, scale, stats = search(query, rows)
             if any(query.shift):  # the characteristic search, not the unit one
                 pairs = [(u, norm - 1) for u, norm in pairs]
             return pairs, scale, stats
@@ -481,9 +481,9 @@ class TestUnitSplit:
         calls = []
         search = enumeration._search
 
-        def recording(query):
+        def recording(query, rows):
             calls.append(query.radius)
-            return search(query)
+            return search(query, rows)
 
         monkeypatch.setattr(charvec, "_search", recording)
         odd = basis_change(catalog_get("E8+Z2").gram, random_unimodular(10, random.Random(4)))
@@ -557,29 +557,31 @@ class TestEvenFormsUnreduced:
 
         def counting(g):
             calls.append(g.entries)
-            return lll_reduce(g)
+            return _lll(g)
 
-        monkeypatch.setattr(charvec, "lll_reduce", counting)
+        monkeypatch.setattr(charvec, "_lll", counting)
         return calls
 
     @staticmethod
     def reduced(g):
-        """(H, form): g's LLL reduction in the reversed order the searches use."""
-        h, form = charvec.lll_reduce(g)
-        return h[::-1], GramMatrix(tuple(row[::-1] for row in form.entries[::-1]))
+        """(H, form, rows): g's LLL reduction in the reversed order the
+        searches use, with pivot rows from a fresh elimination of it."""
+        h, form, _ = charvec._lll(g)
+        form = GramMatrix(tuple(row[::-1] for row in form.entries[::-1]))
+        return h[::-1], form, _reversed_pivots(form)
 
     @classmethod
     def reduced_route(cls, g):
         """The search as it ran when every form was LLL-reduced first."""
-        h, form = cls.reduced(g)
+        h, form, rows = cls.reduced(g)
         assert form.entries != g.entries  # the conjugate is not LLL-reduced as given
-        return charvec._char_minimum(form, h)
+        return charvec._char_minimum(form, rows, h)
 
     def test_even_forms_never_reduced(self, monkeypatch):
         def refuse(g):
             raise AssertionError("an even form was LLL-reduced")
 
-        monkeypatch.setattr(charvec, "lll_reduce", refuse)
+        monkeypatch.setattr(charvec, "_lll", refuse)
         found = []
         for fid, seed in self.EVEN:
             conj = self.conjugate(fid, seed)
@@ -604,14 +606,16 @@ class TestEvenFormsUnreduced:
         # negated form's line bundle
         calls = []
         search = enumeration._search
-        monkeypatch.setattr(charvec, "_search", lambda q: calls.append(q) or search(q))
+        monkeypatch.setattr(charvec, "_search",
+                            lambda q, rows: calls.append(q) or search(q, rows))
         for fid, seed in self.EVEN:
             conj = self.conjugate(fid, seed)
             n = conj.rank
             res, stats = min_char_vector_with_stats(conj)
             report = donaldson_verdict(ManifoldDescriptor(b1=0, form=negate(conj)))
             assert calls == []
-            m, count, minimizer, route_stats = charvec._char_minimum(conj, None)
+            m, count, minimizer, route_stats = charvec._char_minimum(
+                conj, _reversed_pivots(conj), None)
             assert len(calls) == 1 and calls.pop().radius == 0
             assert (res.norm_m, res.count_minimizers, res.minimizer) == (m, count, minimizer)
             assert (stats.nodes, stats.prunes) == (route_stats.nodes, route_stats.prunes) == (n, 0)
@@ -654,6 +658,40 @@ class TestEvenFormsUnreduced:
         res = min_char_vector(conj)
         assert (res.norm_m, res.k, res.count_minimizers) == (8, 1, 384)
         assert len(calls) == 2 and calls[0] == conj.entries and len(calls[1]) == 12
+
+
+class TestSearchPlan:
+    """A form that LLL changes is searched on the pivot rows LLL kept
+    (`core._lll`), with no elimination of its own.  Each plan's rows must
+    equal, on and right of the diagonal, a fresh elimination of the plan's
+    search form, so a fault in LLL's bookkeeping cannot hide behind it."""
+
+    # (form, ranks of the plans whose rows come from LLL): the input, and
+    # after a Z^k split the complement when it is odd
+    CASES = [("E8+Z1", [9]), ("E8+Z4", [12]), ("D12plus", [12]), ("D12plus+Z1", [13, 12]),
+             ("Zn:12", [12])]
+
+    @pytest.mark.parametrize("fid, from_lll", CASES)
+    def test_rows_match_fresh_elimination(self, fid, from_lll, monkeypatch):
+        plans = []
+        search_basis = charvec._search_basis
+
+        def recording(g):
+            plans.append(search_basis(g))
+            return plans[-1]
+
+        monkeypatch.setattr(charvec, "_search_basis", recording)
+        g = catalog_get(fid).gram
+        for seed in range(5):
+            plans.clear()
+            conj = basis_change(g, random_unimodular(g.rank, random.Random(seed)))
+            res = min_char_vector(conj)
+            assert res.norm_m == catalog_get(fid).expected["m"]
+            assert [form.rank for h, form, _ in plans if h is not None] == from_lll
+            for _, form, rows in plans:
+                fresh = _reversed_pivots(form)
+                assert [row[i:] for i, row in enumerate(rows)] == [
+                    row[i:] for i, row in enumerate(fresh)]
 
 
 class TestVerdictAndChecks:

@@ -46,7 +46,7 @@ from latgate import (
     validate,
 )
 from latgate.cli import main
-from oracle_helpers import det_gauss, inertia_by_diagonalization
+from oracle_helpers import bareiss_full_update, det_gauss, inertia_by_diagonalization
 
 
 def _rev(rows):
@@ -213,6 +213,37 @@ class TestInertia:
             assert inertia(g) == inertia_by_diagonalization(rows), rows
         vanishing = sum(map(_has_vanishing_leading_minor, forms))
         assert vanishing >= 0.3 * len(forms)
+
+    @staticmethod
+    def check_against_full_update(rows):
+        """`_bareiss` updates the upper triangle only; its det, minors and
+        pivot rows on and right of the diagonal are those of the plain
+        elimination that updates every entry."""
+        det, minors, pivot_rows = core._bareiss(rows)
+        want_det, want_minors, want_rows = bareiss_full_update(rows)
+        assert (det, minors) == (want_det, want_minors), rows
+        assert [row[i:] for i, row in enumerate(pivot_rows)] == [
+            row[i:] for i, row in enumerate(want_rows)], rows
+        return len(pivot_rows) < len(minors)
+
+    HYPERBOLIC = GramMatrix(((0, 1), (1, 0)))
+
+    def test_half_update_matches_full_update(self):
+        # the random forms include zero diagonals and duplicated rows, so
+        # many need a congruence, which reads the mirrored lower triangle
+        congruences = sum(map(self.check_against_full_update, _random_symmetric(2000, 20)))
+        assert congruences >= 1000
+        for rows, _, _ in _CONGRUENCE_CASES:
+            self.check_against_full_update(rows)
+        for fid in ("Zn:16", "E8+E8", "D16plus", "E8+Z8", "Zn:24", "E8+E8+E8", "D12plus+D12plus",
+                    "D20plus+Z4"):
+            gram = catalog_get(fid).gram
+            for seed in range(3):
+                conj = basis_change(gram, random_unimodular(gram.rank, random.Random(seed)))
+                self.check_against_full_update(conj.entries)
+                self.check_against_full_update(negate(conj).entries)
+                # a hyperbolic plane in front: a congruence at the first step
+                assert self.check_against_full_update(direct_sum(self.HYPERBOLIC, conj).entries)
 
     def test_classification_builds_no_fraction(self, monkeypatch):
         forms = [rows for rows, _, _ in _CONGRUENCE_CASES]
@@ -423,14 +454,16 @@ class TestLLL:
         assert changed == ["E8", "E8+Z1", "E8+Z2", "E8+Z3", "E8+Z4", "E8+E8", "D12plus", "D16plus"]
 
     def test_search_basis(self, monkeypatch):
-        # Z^n is reduced as given; an odd conjugate comes back as (H, form)
-        # with form = H G H^T the reversal of its LLL reduction; an even
-        # form is never reduced
+        # Z^n is reduced as given, and planned with the pivot rows of its
+        # reversal; an odd conjugate comes back as (H, form, rows) with
+        # form = H G H^T the reversal of its LLL reduction and rows the
+        # pivot rows LLL kept; an even form is never reduced
         zn = catalog_get("Zn:6").gram
-        h, form = charvec._search_basis(zn)
-        assert h is None and form is zn
+        h, form, rows = charvec._search_basis(zn)
+        assert h is None and form is zn and rows == core._reversed_pivots(zn)
         g = basis_change(catalog_get("E8+Z2").gram, random_unimodular(10, random.Random(3)))
-        h, form = charvec._search_basis(g)
+        h, form, lll_rows = charvec._search_basis(g)
+        assert lll_rows == core._lll(g)[2]
         assert abs(det_gauss(h)) == 1
         rows = g.entries
         assert form.entries == tuple(
@@ -442,10 +475,10 @@ class TestLLL:
         def refuse(g):
             raise AssertionError("an even form was LLL-reduced")
 
-        monkeypatch.setattr(charvec, "lll_reduce", refuse)
+        monkeypatch.setattr(charvec, "_lll", refuse)
         e8 = basis_change(catalog_get("E8").gram, random_unimodular(8, random.Random(3)))
-        h, form = charvec._search_basis(e8)
-        assert h is None and form is e8
+        h, form, rows = charvec._search_basis(e8)
+        assert h is None and form is e8 and rows == core._reversed_pivots(e8)
 
     @pytest.mark.parametrize("gram", [
         diag(1, -1),
@@ -484,18 +517,20 @@ class TestEvaluatePairing:
 
 class TestClassifiedOnce:
     """Each command eliminates its input form once, for the determinant and
-    inertia; each search eliminates the form it searches once more, for its
-    pivot rows.  The searches of an odd form run on its LLL-reduced form;
-    an even input, whose characteristic search would be one path in any
-    basis, is answered without a search, so nothing but its classification
-    eliminates it, and an even complement is searched as built, never
-    reduced.  Every elimination goes through `core._bareiss`."""
+    inertia.  Each search plan takes its pivot rows from LLL when LLL
+    changed the form, and else eliminates the form it searches once more;
+    every search of that form shares the plan.  The searches of an odd
+    form run on its LLL-reduced form; an even input, whose characteristic
+    search would be one path in any basis, is answered without a search,
+    so nothing but its classification eliminates it, and an even
+    complement is searched as built, never reduced.  Every elimination
+    goes through `core._bareiss`."""
 
     def _count(self, monkeypatch, argv):
         eliminated = Counter()  # rows -> fraction-free eliminations of them
         reductions = []
         bareiss = core._bareiss
-        lll = core.lll_reduce
+        lll = core._lll
 
         def counting_bareiss(rows):
             eliminated[tuple(map(tuple, rows))] += 1
@@ -507,22 +542,21 @@ class TestClassifiedOnce:
             return out
 
         monkeypatch.setattr(core, "_bareiss", counting_bareiss)
-        monkeypatch.setattr(charvec, "lll_reduce", counting_lll)
+        monkeypatch.setattr(charvec, "_lll", counting_lll)
         assert main(argv) == 0
         return eliminated, reductions
 
     def test_analyze_conjugate(self, monkeypatch, capsys):
         # the input is eliminated once (det and inertia) and reduced once;
-        # the reduced form is eliminated once per search (unit search,
-        # min-char search): it is returned in reversed order, and each search
-        # eliminates the reversal of what it searches
+        # the unit search and the min-char search share one plan, whose
+        # pivot rows LLL computed, so nothing eliminates the reduced form
         form = basis_change(catalog_get("D12plus").gram, random_unimodular(12, random.Random(2)))
         argv = ["analyze", "--json", dumps_canonical(gram_to_obj(form))]
         eliminated, reductions = self._count(monkeypatch, argv)
         assert json.loads(capsys.readouterr().out)["charvec"]["m"] == 4
         [(source, reduced)] = reductions
         assert source == form.entries and reduced != form.entries
-        assert eliminated == {form.entries: 1, reduced: 2}
+        assert eliminated == {form.entries: 1}
 
     def test_oracle_adds_no_cholesky(self, monkeypatch, capsys):
         # the oracle bounds its scan by the adjugate's diagonal, from one
@@ -546,13 +580,13 @@ class TestClassifiedOnce:
     def test_split_complement_not_classified(self, monkeypatch, capsys):
         # after the Z^4 split the complement g'' (an E8) is built with its
         # det and inertia known: nothing eliminates it to classify it, and
-        # being even it is not reduced; the min-char search eliminates its
-        # reversal once
+        # being even it is not reduced; its plan eliminates its reversal
+        # once, and the reduced input's plan takes its rows from LLL
         form = basis_change(catalog_get("E8+Z4").gram, random_unimodular(12, random.Random(8)))
         searched = []
         search = charvec._search
         monkeypatch.setattr(charvec, "_search",
-                            lambda q: searched.append(q.form.entries) or search(q))
+                            lambda q, rows: searched.append(q.form.entries) or search(q, rows))
         argv = ["analyze", "--json", dumps_canonical(gram_to_obj(form))]
         eliminated, reductions = self._count(monkeypatch, argv)
         report = json.loads(capsys.readouterr().out)["charvec"]
@@ -563,7 +597,7 @@ class TestClassifiedOnce:
         assert searched[0] == _rev(reduced) and source == form.entries
         [rest] = searched[1:]
         assert len(rest) == 8 and eliminated[rest] == 0
-        assert eliminated == {form.entries: 1, reduced: 1, _rev(rest): 1}
+        assert eliminated == {form.entries: 1, _rev(rest): 1}
 
     def test_donaldson_negated_e8(self, monkeypatch, capsys):
         # E8 = -(-E8) carries the input's classification; E8 is even, so

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latgate import _pykernel, enumeration
+from latgate.core import _reversed_pivots
 from latgate import (
     BadShapeError,
     EnumQuery,
@@ -235,7 +236,7 @@ class TestLexOrder:
             if enumeration._scan_problem(q)[-1] > CUBE_CELLS:
                 continue  # the oracle's scan would be slow
             checked += 1
-            pairs, scale, _ = enumeration._search(q)
+            pairs, scale, _ = enumeration._search(q, _reversed_pivots(q.form))
             assert pairs == emitted.pop()
             vectors = [u for u, _ in pairs]
             assert all(a < b for a, b in zip(vectors, vectors[1:]))
@@ -319,7 +320,8 @@ class TestIncrementalCentres:
             conj = basis_change(gram, random_unimodular(n, rng))
             shift = [Fraction(rng.randint(-3, 3), denominator) for _ in range(n)]
             for radius in radii:
-                W, M, T, D, C, _ = enumeration._scaled_problem(conj, shift, Fraction(radius))
+                W, M, T, D, C, _ = enumeration._scaled_problem(
+                    _reversed_pivots(conj), shift, Fraction(radius))
                 out = _pykernel.dfs_enumerate(n, W, M, T, D, C)
                 assert out == _plain_dfs(n, W, M, T, D, C)
                 leaves += len(out[0])
@@ -367,7 +369,8 @@ class TestIncrementalCentres:
             shift = [Fraction(x) for x in shift]
             for form in [gram] + [basis_change(gram, random_unimodular(n, rng))
                                   for _ in range(3)]:
-                W, M, T, D, C, _ = enumeration._scaled_problem(form, shift, Fraction(radius))
+                W, M, T, D, C, _ = enumeration._scaled_problem(
+                    _reversed_pivots(form), shift, Fraction(radius))
                 before = len(unfolded)
                 out = _pykernel.dfs_enumerate(n, W, M, T, D, C)
                 assert out == _plain_dfs(n, W, M, T, D, C)
@@ -383,7 +386,7 @@ class TestIncrementalCentres:
         gram = catalog_get("E8").gram
         conj = basis_change(gram, random_unimodular(8, random.Random(3)))
         shift = [Fraction(1, 2)] + [Fraction(0)] * 7
-        problem = enumeration._scaled_problem(conj, shift, Fraction(0))
+        problem = enumeration._scaled_problem(_reversed_pivots(conj), shift, Fraction(0))
         assert _pykernel.dfs_enumerate(8, *problem[:5]) == _plain_dfs(8, *problem[:5]) == ([], 0, 1)
 
 
