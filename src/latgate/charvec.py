@@ -7,13 +7,13 @@ members drive the identity-or-short-vector dichotomy: a positive definite
 unimodular form is the standard Z^n form exactly when the minimal
 characteristic norm m equals the rank, and otherwise m <= rank - 8.
 
-Every odd form's searches run on its exact LLL-reduced basis, computed per
-call, no state kept on the form: m, the number of minimizers and the
-unit-vector count do not depend on the basis, and the minimizers are mapped
-back to the caller's coordinates before the lex-least one is chosen.  They
-share one plan (`_search_basis`), whose pivot rows are those LLL computed.
-A form that LLL leaves unchanged is searched as given.  An even form is not
-searched at all: w = 0 is characteristic and the only vector of norm 0,
+Every odd form's searches run on its exact LLL-reduced basis, reversed: m,
+the number of minimizers and the unit-vector count do not depend on the
+basis, and the minimizers are mapped back to the caller's coordinates
+before the lex-least one is chosen.  They share one plan (`_search_basis`),
+whose pivot rows are those LLL computed, so the `--stats` counters of an
+odd form depend only on its LLL reduction.  An even form is not searched
+at all: w = 0 is characteristic and the only vector of norm 0,
 so m = 0, k = n/8 and there is one minimizer, and the counters are those
 of the search it skips, the radius-0 ball around 0, one path of n nodes
 and no prunes in any basis.
@@ -28,6 +28,8 @@ is 2^k times that of L'.  Z^n itself needs no complement and no
 characteristic search at all.  The search of L' climbs the mod-8 ladder of
 norms c = n' mod 8, ..., n' (van der Blij 1959) and stops at the first
 that holds a point; an even L' (the E8 of E8 (+) Z^k) is searched as built.
+Every search passes `enumeration._search` the pivot rows, the shift 0 as
+(0, 1) or w0/2 as (w0, 2), and the radius: no query and no shift Fraction.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from .core import (
     parity,
     signature,
 )
-from .enumeration import EnumQuery, EnumStats, _check_rank_cap, _search
+from .enumeration import EnumStats, _check_rank_cap, _search
 from .errors import (
     DegenerateFormError,
     NoSolutionError,
@@ -169,41 +171,29 @@ def solve_char_coset(g: GramMatrix) -> CharCoset:
     return CharCoset(base=_solve_gf2(g), lattice=g)
 
 
-def _search_basis(g: GramMatrix) -> tuple[IntMatrix | None, GramMatrix, list[list[int]]]:
-    """(H, form, rows): the plan of the searches of the positive definite
-    g, computed per call, no state kept on the form.  form is the basis
-    they run on, H its rows in g's coordinates (None when form is g), and
-    rows the pivot rows the kernel reads, `_reversed_pivots(form)` on and
-    right of the diagonal.  Every search of form shares the one plan.
+def _search_basis(g: GramMatrix) -> tuple[IntMatrix, GramMatrix, list[list[int]]]:
+    """(H, form, rows): the plan of the searches of the odd positive
+    definite g.  form is the basis they run on, H its rows in g's
+    coordinates, and rows the pivot rows the kernel reads,
+    `_reversed_pivots(form)` on and right of the diagonal.  Every search
+    of form shares the one plan.
 
-    An odd form is LLL-reduced, in reversed basis order (H's rows reversed
-    and P*g'*P, P the coordinate reversal), so that the searches, which
-    read the pivot rows of the reversed form, run the LLL tree.  Those rows
-    are the elimination of g' itself, which LLL has just computed (`_lll`),
-    so nothing eliminates form again.  A form that LLL leaves unchanged is
-    returned as it is, and its rows come from one elimination.  An even
-    input is answered without a search, so the even forms that reach here
-    are complements L'.  They are returned as they stand, with rows from
-    one elimination: the characteristic search of an even form is the
-    radius-0 ball around 0, one path of n nodes and no prunes in any basis
-    (every centre 0, every interval [0, 0]), so the result and the counters
-    are those of the reduced search.
+    g is LLL-reduced, in reversed basis order (H's rows reversed and
+    P*g'*P, P the coordinate reversal), so that the searches, which read
+    the pivot rows of the reversed form, run the LLL tree.  Those rows are
+    the elimination of g' itself, which LLL has just computed (`_lll`), so
+    nothing eliminates form again.
     """
-    if parity(g) is Parity.ODD:
-        h, reduced, rows = _lll(g)
-        if reduced.entries != g.entries:
-            return h[::-1], GramMatrix(tuple(row[::-1] for row in reduced.entries[::-1])), rows
-    return None, g, _reversed_pivots(g)
+    h, reduced, rows = _lll(g)
+    return h[::-1], GramMatrix(tuple(row[::-1] for row in reduced.entries[::-1])), rows
 
 
-def _unit_vectors(form: GramMatrix, rows: list[list[int]]) -> tuple[IntMatrix, EnumStats]:
-    """One vector from each +- pair of norm-1 vectors of the odd search
-    form `form`, in its coordinates, with the counters of the radius-1
-    search that found them; `form` and `rows` are from one
-    `_search_basis` plan.  Computed per call, no state kept on the form.
+def _unit_vectors(rows: list[list[int]]) -> tuple[IntMatrix, EnumStats]:
+    """One vector from each +- pair of norm-1 vectors of the odd form whose
+    `_search_basis` plan has the pivot rows `rows`, in that plan's
+    coordinates, with the counters of the radius-1 search that found them.
     """
-    zero = (Fraction(0),) * form.rank
-    pairs, scale, stats = _search(EnumQuery(form=form, shift=zero, radius=Fraction(1)), rows)
+    pairs, scale, stats = _search(rows, (0,) * len(rows), 1, 1)
     # of each pair +-e keep the member whose first nonzero entry is positive
     units = tuple(u for u, norm in pairs if norm == scale and next(filter(None, u)) > 0)
     return units, stats
@@ -239,16 +229,15 @@ def _orthogonal_complement(form: GramMatrix, units: IntMatrix) -> IntMatrix:
 
 
 def _char_minimum(
-    form: GramMatrix, rows: list[list[int]], basis: IntMatrix | None
+    form: GramMatrix, rows: list[list[int]], basis: IntMatrix
 ) -> tuple[int, int, IntVector, EnumStats]:
     """(m, number of minimizers, lex-least minimizer, counters summed over
     the rungs searched) for the characteristic vectors of a positive
     definite unimodular form.
 
-    Every rung is searched on the pivot rows `rows` of form (as
-    `_search_basis` plans them).  The rows of `basis` are form's basis
-    vectors in the caller's coordinates (None: they are the caller's own),
-    and the minimizer is given in the caller's coordinates.
+    Every rung is searched on the pivot rows `rows` of form.  The rows of
+    `basis` are form's basis vectors in the caller's coordinates, and the
+    minimizer is given in the caller's coordinates.
     """
     n = form.rank
     w0 = _solve_gf2(form)  # unique, as the form is unimodular
@@ -257,10 +246,9 @@ def _char_minimum(
     # norm <= n, so the ball of radius c/4 is searched for c = n mod 8,
     # n mod 8 + 8, ..., n: the first rung that is not empty holds exactly the
     # minimizers
-    shift = tuple(Fraction(x, 2) for x in w0)
     stats = EnumStats(nodes=0, prunes=0)
     for c in range(n % 8, n + 1, 8):
-        pairs, scale, rung = _search(EnumQuery(form=form, shift=shift, radius=Fraction(c, 4)), rows)
+        pairs, scale, rung = _search(rows, w0, 2, Fraction(c, 4))
         stats += rung
         if pairs:
             break
@@ -292,7 +280,7 @@ def min_char_vector_with_stats(g: GramMatrix) -> tuple[CharVecResult, EnumStats]
         units, stats = (), EnumStats(nodes=n, prunes=0)
     else:
         h, form, rows = _search_basis(g)
-        units, stats = _unit_vectors(form, rows)
+        units, stats = _unit_vectors(rows)
         # L = Z^k (+) L' with L' the complement of the k units, so the
         # characteristic vectors of L are the sums sum_i +-e_i + w' with w'
         # characteristic in L'.  Lex order is translation invariant, so the
@@ -309,8 +297,14 @@ def min_char_vector_with_stats(g: GramMatrix) -> tuple[CharVecResult, EnumStats]
                 # (when it is odd) needs no elimination to classify it
                 rest = _classified(_times(_times(kernel, form.entries), tuple(zip(*kernel))),
                                    1, (len(kernel), 0, 0))
-                h_rest, form, rows = _search_basis(rest)
-                basis = _times(h_rest, _times(kernel, h))
+                basis = _times(kernel, h)
+                if parity(rest) is Parity.ODD:
+                    h_rest, form, rows = _search_basis(rest)
+                    basis = _times(h_rest, basis)
+                else:
+                    # its one search, the radius-0 ball around 0, is one
+                    # path of n' nodes and no prunes in any basis
+                    form, rows = rest, _reversed_pivots(rest)
             m_rest, count_rest, w_rest, rest_stats = _char_minimum(form, rows, basis)
             m += m_rest
             count *= count_rest
@@ -375,8 +369,7 @@ def count_unit_vectors(g: GramMatrix) -> int:
         _positive_pivots(g)  # refuses the form, naming its first non-positive pivot
     if parity(g) is Parity.EVEN:
         return 0
-    _, form, rows = _search_basis(g)
-    return 2 * len(_unit_vectors(form, rows)[0])
+    return 2 * len(_unit_vectors(_search_basis(g)[2])[0])
 
 
 def charvec_report_with_stats(

@@ -27,11 +27,10 @@ hide from the cross-check.
 Its integer Gram-Schmidt data d and lambda are the `_bareiss` pivot rows of
 the reduced form, and the private `_lll` hands them back with it, so the
 searches of a reduced form run on LLL's rows and nothing eliminates that
-form again.  `latgate.charvec` reduces each odd form it searches, computed
-per call, no state kept on the form; an even form is never reduced there:
-an even input is answered without a search, and an even complement is
-searched as built, its one search, the radius-0 ball around 0, being one
-path in any basis.
+form again.  `latgate.charvec` reduces every odd form it searches; an even
+form is never reduced there: an even input is answered without a search,
+and an even complement is searched as built, its one search, the radius-0
+ball around 0, being one path in any basis.
 """
 
 from __future__ import annotations
@@ -136,15 +135,8 @@ def _classified(entries: IntMatrix, det: int, inertia: tuple[int, int, int]) -> 
     return g
 
 
-def _times(
-    a: Sequence[Sequence] | None, b: Sequence[Sequence] | None
-) -> tuple[tuple, ...] | None:
-    """The matrix product a b, matrices given as rows of ints or Fractions
-    and None standing for the identity."""
-    if a is None:
-        return b
-    if b is None:
-        return a
+def _times(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple[tuple, ...]:
+    """The matrix product a b, matrices given as rows of ints or Fractions."""
     cols = tuple(zip(*b))
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 

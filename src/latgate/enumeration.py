@@ -9,14 +9,16 @@ fraction-free elimination (Bareiss 1968), so that the kernel
 no Fraction is built before the norms are reported.  The elimination is of
 the coordinate-reversed form, so the search fixes coordinate 0 outermost
 and emits the points in lexicographic order: nothing sorts them.  `_search`
-takes the rows from its caller: `enumerate_coset` eliminates the query's
-form, and the characteristic searches pass the rows of their search plan,
-which for an LLL-reduced form are LLL's own (`core._lll`).  When the
-shift lies in (1/2)Z^n (every zero-shift ball, every unit search and every
-rung of the characteristic ladder), u -> -u - 2t maps the ball onto itself
-and keeps each norm, so the kernel searches only the lex-negative half of
-the tree and appends the mirror of that half in reverse, which keeps the
-order.  The counters it reports (`EnumStats`) are those of the ball's whole
+takes no query: the pivot rows, the shift as T/D with T an integer vector
+and D a positive integer, and the radius.  `enumerate_coset` eliminates
+the query's form and clears its shift's denominators; the characteristic
+searches pass the rows of their search plan, which for an odd form are
+LLL's own (`core._lll`), and the shifts 0 and w0/2 as (0, 1) and (w0, 2),
+so they build no EnumQuery and no shift Fraction.  When the shift lies in
+(1/2)Z^n (every zero-shift ball, every unit search and every rung of the
+characteristic ladder), u -> -u - 2t maps the ball onto itself and keeps
+each norm, so the kernel searches only the lex-negative half of the tree
+and appends the mirror of that half in reverse, which keeps the order.  The counters it reports (`EnumStats`) are those of the ball's whole
 search tree either way: nodes are the prefixes of partial norm within the
 radius, prunes the levels entered with an empty interval.
 
@@ -62,17 +64,28 @@ def kernel_name() -> str:
     return "python"
 
 
+def _exact(x, name: str) -> Fraction:
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise BadShapeError(f"{name} is not an int or a Fraction: {x!r}")
+    return Fraction(x)
+
+
 @dataclass(frozen=True)
 class EnumQuery:
-    """A coset ball: all u in Z^n with (u+shift)^T form (u+shift) <= radius."""
+    """A coset ball: all u in Z^n with (u+shift)^T form (u+shift) <= radius.
+
+    The shift's entries and the radius are ints or Fractions, kept as
+    Fractions; a float, a bool or a string is refused, not coerced.
+    """
 
     form: GramMatrix
     shift: tuple[Fraction, ...]
     radius: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "shift", tuple(Fraction(s) for s in self.shift))
-        object.__setattr__(self, "radius", Fraction(self.radius))
+        object.__setattr__(self, "shift", tuple(
+            _exact(s, f"shift entry {i}") for i, s in enumerate(self.shift)))
+        object.__setattr__(self, "radius", _exact(self.radius, "radius"))
         if len(self.shift) != self.form.rank:
             raise BadShapeError(
                 f"shift has length {len(self.shift)}, expected {self.form.rank}"
@@ -105,27 +118,25 @@ class EnumResult:
     stats: EnumStats | None = field(default=None, compare=False)
 
 
-def _scaled_problem(M: Sequence[Sequence[int]], shift: Sequence[Fraction], radius: Fraction):
-    """The kernel's integer problem: returns (W, M, T, D, C, scale).
+def _scaled_problem(M: Sequence[Sequence[int]], T: Sequence[int], D: int, radius: Fraction | int):
+    """The kernel's integer problem for the ball Q(u + T/D) <= radius:
+    returns (W, T', C, scale).
 
     The problem is the coordinate-reversed one, P*G*P with P the reversal,
     so that the kernel's outermost level is the caller's coordinate 0.  M
-    is the caller's `_reversed_pivots(form)`, or rows equal to it on and
-    right of the diagonal: the pivot rows of P*G*P, with d_{i+1} = M[i][i]
-    its leading minors.  D clears the shift's denominators,
-    T = D*P*shift, L is the lcm of the products d_i*d_{i+1} and
-    W[i] = L / (d_i*d_{i+1}), so that scale*Q(u + shift) is
-    sum_i W[i]*(M_i . w)^2 with w = D*P*u + T and scale = L*D^2.  C is
+    is `_reversed_pivots(form)`, or rows equal to it on and right of the
+    diagonal: the pivot rows of P*G*P, with d_{i+1} = M[i][i] its leading
+    minors.  T' = P*T, L is the lcm of the products d_i*d_{i+1} and
+    W[i] = L / (d_i*d_{i+1}), so that scale*Q(u + T/D) is
+    sum_i W[i]*(M_i . w)^2 with w = D*P*u + T' and scale = L*D^2.  C is
     floor(scale*radius); exact norms are Fraction(scaled_norm, scale).
     """
     minors = [1] + [row[i] for i, row in enumerate(M)]
     products = [a * b for a, b in zip(minors, minors[1:])]
     L = lcm(*products)
     W = [L // p for p in products]
-    D = lcm(*[s.denominator for s in shift])
-    T = [s.numerator * (D // s.denominator) for s in reversed(shift)]
     scale = L * D * D
-    return W, M, T, D, radius.numerator * scale // radius.denominator, scale
+    return W, T[::-1], radius.numerator * scale // radius.denominator, scale
 
 
 def _check_rank_cap(n: int) -> None:
@@ -134,9 +145,10 @@ def _check_rank_cap(n: int) -> None:
         raise RankCapExceededError(f"rank {n} exceeds the cap of {DEFAULT_RANK_CAP}")
 
 
-def _search(query: EnumQuery, rows: Sequence[Sequence[int]]):
-    """Run the kernel on the pivot rows `rows` of the query's form (see
-    `_scaled_problem`); returns ((coords, scaled_norm) pairs, scale, stats).
+def _search(rows: Sequence[Sequence[int]], T: Sequence[int], D: int, radius: Fraction | int):
+    """Search the ball Q(u + T/D) <= radius of the form whose pivot rows are
+    `rows` (see `_scaled_problem`), T an integer vector and D > 0; returns
+    ((coords, scaled_norm) pairs, scale, stats).
 
     The pairs are every point of the ball, in strictly increasing
     lexicographic order of the coordinates, as the kernel returns them:
@@ -144,8 +156,8 @@ def _search(query: EnumQuery, rows: Sequence[Sequence[int]]):
     refuses a form that is not positive definite, or from LLL, which
     reduces positive definite forms only.
     """
-    W, M, T, D, C, scale = _scaled_problem(rows, query.shift, query.radius)
-    pairs, nodes, prunes = _kernel.dfs_enumerate(query.form.rank, W, M, T, D, C)
+    W, T, C, scale = _scaled_problem(rows, T, D, radius)
+    pairs, nodes, prunes = _kernel.dfs_enumerate(len(rows), W, rows, T, D, C)
     return pairs, scale, EnumStats(nodes=nodes, prunes=prunes)
 
 
@@ -165,7 +177,11 @@ def enumerate_coset(query: EnumQuery) -> EnumResult:
     forms, naming the first non-positive pivot.
     """
     _check_rank_cap(query.form.rank)
-    pairs, scale, stats = _search(query, _reversed_pivots(query.form))
+    # cleared here and again in `_scan_problem`: the oracle keeps its own
+    # arithmetic, so a fault in this step cannot hide from the cross-check
+    D = lcm(*[s.denominator for s in query.shift])
+    T = [s.numerator * (D // s.denominator) for s in query.shift]
+    pairs, scale, stats = _search(_reversed_pivots(query.form), T, D, query.radius)
     return EnumResult(
         vectors=tuple(p[0] for p in pairs),
         norms=_exact_norms(pairs, scale),

@@ -732,16 +732,17 @@ class TestCliSelftest:
     def test_gl_check_of_even_conjugate_is_independent(self, monkeypatch):
         # an even conjugate is answered without a search, and the GL check
         # does not search it either: the clipped scan is its only check, so
-        # its radius-0 query never runs
+        # its radius-0 query never runs; its radius-1 unit query does
         import latgate.selftest as selftest_mod
         from latgate import charvec, enumeration, run_selftest
+        from latgate.core import _reversed_pivots
 
         queries = Counter()
         search = enumeration._search
 
-        def recording(query, rows):
-            queries[query.form.entries, query.shift, query.radius] += 1
-            return search(query, rows)
+        def recording(rows, T, D, radius):
+            queries[tuple(map(tuple, rows)), tuple(T), radius] += 1
+            return search(rows, T, D, radius)
 
         checked = []
         unreduced = selftest_mod._unreduced_search_problems
@@ -765,7 +766,9 @@ class TestCliSelftest:
         assert len(results) == 133 and all(r.ok for r in results)
         [e8] = [conj for conj, m in checked if m == 0]
         assert e8.rank == 8 and e8 != catalog_get("E8").gram
-        assert queries[e8.entries, (0,) * 8, 0] == 0
+        e8_rows = tuple(map(tuple, _reversed_pivots(e8)))
+        assert queries[e8_rows, (0,) * 8, 0] == 0
+        assert queries[e8_rows, (0,) * 8, 1] == 1
         assert scanned.count(e8.entries) == 1
 
     def test_faulty_even_shortcut_fails_gl_check(self, monkeypatch):

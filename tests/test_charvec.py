@@ -20,6 +20,7 @@ from latgate import (
     NoSolutionError,
     NotPositiveDefiniteError,
     NotUnimodularError,
+    Parity,
     RankCapExceededError,
     Verdict,
     basis_change,
@@ -53,6 +54,10 @@ from oracle_helpers import (
 )
 
 HYPERBOLIC = GramMatrix.from_rows([[0, 1], [1, 0]])
+
+
+def identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def all_minimizers(g, result, scan=enumerate_coset):
@@ -245,11 +250,13 @@ class TestMinCharVector:
             mins = all_minimizers(conj, res)
             assert len(mins) == res.count_minimizers == min_char_vector(g).count_minimizers
             assert res.minimizer == min(mins)
-        # forms that LLL leaves unchanged, searched as given: several
-        # minimizers, and the identity maps them back
+        # forms that LLL leaves unchanged: their plan is their reversal,
+        # and several minimizers are mapped back through it
         for fid, count in (("D12plus", 24), ("D12plus+Z1", 48)):
             r = lll_reduce(catalog_get(fid).gram)[1]
-            assert charvec._search_basis(r)[0] is None
+            h, form, _ = charvec._search_basis(r)
+            assert h == identity(r.rank)[::-1]
+            assert form.entries == tuple(row[::-1] for row in r.entries[::-1])
             res = min_char_vector(r)
             assert res.count_minimizers == count
             assert res.minimizer == min(all_minimizers(r, res))
@@ -258,7 +265,9 @@ class TestMinCharVector:
     def test_rung_contract(self, fid, seed):
         # on the conjugate's own characteristic ball (no reduction, no
         # split) every rung of the mod-8 ladder below m is empty, and the
-        # rung at m holds every minimizer and nothing else
+        # rung at m holds every minimizer and nothing else; the integer
+        # search (w0, 2) of each rung returns the ball of the query with
+        # shift w0/2, in the same order
         g = catalog_get(fid).gram
         conj = basis_change(g, random_unimodular(g.rank, random.Random(seed)))
         with warnings.catch_warnings():
@@ -267,8 +276,10 @@ class TestMinCharVector:
         shift = tuple(Fraction(x, 2) for x in w0)
         res = min_char_vector(conj)
         for c in range(g.rank % 8, res.norm_m + 1, 8):
-            q = EnumQuery(form=conj, shift=shift, radius=Fraction(c, 4))
-            pairs, scale, _ = enumeration._search(q, _reversed_pivots(conj))
+            pairs, scale, _ = enumeration._search(_reversed_pivots(conj), w0, 2, Fraction(c, 4))
+            ball = enumerate_coset(EnumQuery(form=conj, shift=shift, radius=Fraction(c, 4)))
+            assert tuple(u for u, _ in pairs) == ball.vectors
+            assert tuple(Fraction(norm, scale) for _, norm in pairs) == ball.norms
             if c < res.norm_m:
                 assert pairs == []
         assert {Fraction(4 * norm, scale) for _, norm in pairs} == {c}
@@ -280,13 +291,13 @@ class TestMinCharVector:
         radii = []
         search = enumeration._search
 
-        def recording(query, rows):
-            radii.append(query.radius)
-            return search(query, rows)
+        def recording(rows, T, D, radius):
+            radii.append(radius)
+            return search(rows, T, D, radius)
 
         monkeypatch.setattr(charvec, "_search", recording)
         conj = basis_change(catalog_get("Zn:9").gram, random_unimodular(9, random.Random(3)))
-        m, count, minimizer, _ = charvec._char_minimum(conj, _reversed_pivots(conj), None)
+        m, count, minimizer, _ = charvec._char_minimum(conj, _reversed_pivots(conj), identity(9))
         assert radii == [Fraction(1, 4), Fraction(9, 4)]
         assert (m, count) == (9, 512)
         assert is_characteristic(conj.entries, minimizer)
@@ -296,9 +307,9 @@ class TestMinCharVector:
         # a leaf whose norm is not that of its rung is refused, not reported
         search = enumeration._search
 
-        def off_ladder(query, rows):
-            pairs, scale, stats = search(query, rows)
-            if any(query.shift):  # the characteristic search, not the unit one
+        def off_ladder(rows, T, D, radius):
+            pairs, scale, stats = search(rows, T, D, radius)
+            if any(T):  # the characteristic search, not the unit one
                 pairs = [(u, norm - 1) for u, norm in pairs]
             return pairs, scale, stats
 
@@ -481,9 +492,9 @@ class TestUnitSplit:
         calls = []
         search = enumeration._search
 
-        def recording(query, rows):
-            calls.append(query.radius)
-            return search(query, rows)
+        def recording(rows, T, D, radius):
+            calls.append(radius)
+            return search(rows, T, D, radius)
 
         monkeypatch.setattr(charvec, "_search", recording)
         odd = basis_change(catalog_get("E8+Z2").gram, random_unimodular(10, random.Random(4)))
@@ -607,7 +618,7 @@ class TestEvenFormsUnreduced:
         calls = []
         search = enumeration._search
         monkeypatch.setattr(charvec, "_search",
-                            lambda q, rows: calls.append(q) or search(q, rows))
+                            lambda rows, T, D, r: calls.append(r) or search(rows, T, D, r))
         for fid, seed in self.EVEN:
             conj = self.conjugate(fid, seed)
             n = conj.rank
@@ -615,8 +626,9 @@ class TestEvenFormsUnreduced:
             report = donaldson_verdict(ManifoldDescriptor(b1=0, form=negate(conj)))
             assert calls == []
             m, count, minimizer, route_stats = charvec._char_minimum(
-                conj, _reversed_pivots(conj), None)
-            assert len(calls) == 1 and calls.pop().radius == 0
+                conj, _reversed_pivots(conj), identity(n))
+            assert calls == [0]
+            calls.clear()
             assert (res.norm_m, res.count_minimizers, res.minimizer) == (m, count, minimizer)
             assert (stats.nodes, stats.prunes) == (route_stats.nodes, route_stats.prunes) == (n, 0)
             assert (res.k, res.unit_vector_count) == (n // 8, 0)
@@ -644,8 +656,9 @@ class TestEvenFormsUnreduced:
         assert calls == [conj.entries]
         assert (res.norm_m, res.count_minimizers) == (2, 4)
         assert (m, count, minimizer) == (res.norm_m, res.count_minimizers, res.minimizer)
-        # the counters are those of the route that reduces the complement too
-        monkeypatch.setattr(charvec, "_search_basis", self.reduced)
+        # the counters are those of the route that reduces the complement
+        # too, which it takes when it is planned as an odd form
+        monkeypatch.setattr(charvec, "parity", lambda g: Parity.ODD)
         fresh = GramMatrix(conj.entries)
         assert min_char_vector_with_stats(fresh) == (res, stats)
         assert len(calls) == 3
@@ -661,10 +674,10 @@ class TestEvenFormsUnreduced:
 
 
 class TestSearchPlan:
-    """A form that LLL changes is searched on the pivot rows LLL kept
-    (`core._lll`), with no elimination of its own.  Each plan's rows must
-    equal, on and right of the diagonal, a fresh elimination of the plan's
-    search form, so a fault in LLL's bookkeeping cannot hide behind it."""
+    """Every odd form is searched on the pivot rows LLL kept (`core._lll`),
+    with no elimination of its own.  Each plan's rows must equal, on and
+    right of the diagonal, a fresh elimination of the plan's search form,
+    so a fault in LLL's bookkeeping cannot hide behind it."""
 
     # (form, ranks of the plans whose rows come from LLL): the input, and
     # after a Z^k split the complement when it is odd
@@ -687,11 +700,36 @@ class TestSearchPlan:
             conj = basis_change(g, random_unimodular(g.rank, random.Random(seed)))
             res = min_char_vector(conj)
             assert res.norm_m == catalog_get(fid).expected["m"]
-            assert [form.rank for h, form, _ in plans if h is not None] == from_lll
+            assert [form.rank for _, form, _ in plans] == from_lll
             for _, form, rows in plans:
                 fresh = _reversed_pivots(form)
                 assert [row[i:] for i, row in enumerate(rows)] == [
                     row[i:] for i, row in enumerate(fresh)]
+
+
+class TestReductionSearchedAlike:
+    """Every odd form is searched on the plan of its LLL reduction, so a
+    form and its reduction run the same searches: the same m, count and
+    counters, and minimizers that the reduction's basis maps one to one."""
+
+    @pytest.mark.parametrize("fid", ["E8+Z1", "E8+Z2", "D12plus", "D12plus+Z1", "D20plus+Z4",
+                                     "Z1+D12plus+E8", "Zn:9"])
+    def test_same_answer_and_counters(self, fid):
+        g = catalog_get(fid).gram
+        n = g.rank
+        for seed in range(10):
+            conj = basis_change(g, random_unimodular(n, random.Random(seed)))
+            h, reduced = lll_reduce(conj)
+            res, stats = min_char_vector_with_stats(conj)
+            res_r, stats_r = min_char_vector_with_stats(reduced)
+            assert stats == stats_r
+            assert (res.norm_m, res.count_minimizers, res.unit_vector_count) == (
+                res_r.norm_m, res_r.count_minimizers, res_r.unit_vector_count)
+            # w in the reduced basis is sum_i w_i h_i in the conjugate's
+            mins = all_minimizers(reduced, res_r)
+            assert len(mins) == res.count_minimizers and res_r.minimizer == min(mins)
+            assert res.minimizer == min(
+                tuple(sum(x * row[j] for x, row in zip(w, h)) for j in range(n)) for w in mins)
 
 
 class TestVerdictAndChecks:

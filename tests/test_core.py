@@ -454,13 +454,15 @@ class TestLLL:
         assert changed == ["E8", "E8+Z1", "E8+Z2", "E8+Z3", "E8+Z4", "E8+E8", "D12plus", "D16plus"]
 
     def test_search_basis(self, monkeypatch):
-        # Z^n is reduced as given, and planned with the pivot rows of its
-        # reversal; an odd conjugate comes back as (H, form, rows) with
-        # form = H G H^T the reversal of its LLL reduction and rows the
-        # pivot rows LLL kept; an even form is never reduced
+        # Z^n is left as it is by LLL, and planned as its reversal with the
+        # pivot rows LLL kept; an odd conjugate comes back as (H, form,
+        # rows) with form = H G H^T the reversal of its LLL reduction and
+        # rows the pivot rows LLL kept; an even complement is planned where
+        # it is built, on the rows of its reversal, and never reduced
         zn = catalog_get("Zn:6").gram
         h, form, rows = charvec._search_basis(zn)
-        assert h is None and form is zn and rows == core._reversed_pivots(zn)
+        assert h == identity(6).entries[::-1]
+        assert form.entries == zn.entries and rows == core._lll(zn)[2]
         g = basis_change(catalog_get("E8+Z2").gram, random_unimodular(10, random.Random(3)))
         h, form, lll_rows = charvec._search_basis(g)
         assert lll_rows == core._lll(g)[2]
@@ -472,13 +474,28 @@ class TestLLL:
             for hi in h
         ) == _rev(core.lll_reduce(g)[1].entries)
 
-        def refuse(g):
-            raise AssertionError("an even form was LLL-reduced")
+        lll = core._lll
 
-        monkeypatch.setattr(charvec, "_lll", refuse)
-        e8 = basis_change(catalog_get("E8").gram, random_unimodular(8, random.Random(3)))
-        h, form, rows = charvec._search_basis(e8)
-        assert h is None and form is e8 and rows == core._reversed_pivots(e8)
+        def odd_only(g):
+            assert parity(g) is Parity.ODD, "an even form was LLL-reduced"
+            return lll(g)
+
+        planned, searched = [], []
+        reversed_pivots, search = core._reversed_pivots, charvec._search
+
+        def planning(g):
+            planned.append((g, reversed_pivots(g)))
+            return planned[-1][1]
+
+        monkeypatch.setattr(charvec, "_lll", odd_only)
+        monkeypatch.setattr(charvec, "_reversed_pivots", planning)
+        monkeypatch.setattr(charvec, "_search",
+                            lambda rows, *args: searched.append(rows) or search(rows, *args))
+        e8z2 = basis_change(catalog_get("E8+Z2").gram, random_unimodular(10, random.Random(3)))
+        assert min_char_vector(e8z2).norm_m == 2
+        [(rest, rows)] = planned
+        assert rest.rank == 8 and parity(rest) is Parity.EVEN
+        assert searched[-1] is rows
 
     @pytest.mark.parametrize("gram", [
         diag(1, -1),
@@ -517,14 +534,12 @@ class TestEvaluatePairing:
 
 class TestClassifiedOnce:
     """Each command eliminates its input form once, for the determinant and
-    inertia.  Each search plan takes its pivot rows from LLL when LLL
-    changed the form, and else eliminates the form it searches once more;
-    every search of that form shares the plan.  The searches of an odd
-    form run on its LLL-reduced form; an even input, whose characteristic
-    search would be one path in any basis, is answered without a search,
-    so nothing but its classification eliminates it, and an even
-    complement is searched as built, never reduced.  Every elimination
-    goes through `core._bareiss`."""
+    inertia.  The searches of an odd form share one plan, whose pivot rows
+    LLL computed; an even input, whose characteristic search would be one
+    path in any basis, is answered without a search, so nothing but its
+    classification eliminates it, and an even complement is searched as
+    built, never reduced, on the rows of one elimination of its reversal.
+    Every elimination goes through `core._bareiss`."""
 
     def _count(self, monkeypatch, argv):
         eliminated = Counter()  # rows -> fraction-free eliminations of them
@@ -583,21 +598,24 @@ class TestClassifiedOnce:
         # being even it is not reduced; its plan eliminates its reversal
         # once, and the reduced input's plan takes its rows from LLL
         form = basis_change(catalog_get("E8+Z4").gram, random_unimodular(12, random.Random(8)))
-        searched = []
-        search = charvec._search
+        searched, built = [], []
+        search, classified = charvec._search, charvec._classified
         monkeypatch.setattr(charvec, "_search",
-                            lambda q, rows: searched.append(q.form.entries) or search(q, rows))
+                            lambda rows, *args: searched.append(rows) or search(rows, *args))
+        monkeypatch.setattr(charvec, "_classified",
+                            lambda rows, *args: built.append(rows) or classified(rows, *args))
         argv = ["analyze", "--json", dumps_canonical(gram_to_obj(form))]
         eliminated, reductions = self._count(monkeypatch, argv)
         report = json.loads(capsys.readouterr().out)["charvec"]
         assert (report["m"], report["unit_vector_count"]) == (4, 8)
         [(source, reduced)] = reductions
-        # the unit search ran on the reversed reduced form, the min-char
-        # search on the complement as built
-        assert searched[0] == _rev(reduced) and source == form.entries
-        [rest] = searched[1:]
+        [rest] = built
         assert len(rest) == 8 and eliminated[rest] == 0
         assert eliminated == {form.entries: 1, _rev(rest): 1}
+        # the unit search ran on the rows LLL kept for the reduced input,
+        # the min-char search on those of the complement's reversal
+        assert source == form.entries and searched[0] == core._lll(form)[2]
+        assert searched[1:] == [core._reversed_pivots(GramMatrix(rest))]
 
     def test_donaldson_negated_e8(self, monkeypatch, capsys):
         # E8 = -(-E8) carries the input's classification; E8 is even, so

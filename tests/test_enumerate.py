@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import isqrt, prod
+from math import isqrt, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +32,20 @@ def query(fid, shift=None, radius=1):
     if shift is None:
         shift = (Fraction(0),) * gram.rank
     return EnumQuery(form=gram, shift=shift, radius=Fraction(radius))
+
+
+def cleared(shift):
+    """(T, D): the shift as T/D, T integral and D the lcm of its denominators."""
+    D = lcm(*[s.denominator for s in shift])
+    return [s.numerator * (D // s.denominator) for s in shift], D
+
+
+def kernel_problem(rows, shift, radius):
+    """The kernel's (W, M, T, D, C) for the ball Q(u + shift) <= radius of
+    the form whose reversed pivot rows are `rows`."""
+    T, D = cleared(shift)
+    W, T, C, _ = enumeration._scaled_problem(rows, T, D, Fraction(radius))
+    return W, rows, T, D, C
 
 
 def exact_norm(q, u):
@@ -236,7 +250,8 @@ class TestLexOrder:
             if enumeration._scan_problem(q)[-1] > CUBE_CELLS:
                 continue  # the oracle's scan would be slow
             checked += 1
-            pairs, scale, _ = enumeration._search(q, _reversed_pivots(q.form))
+            pairs, scale, _ = enumeration._search(_reversed_pivots(q.form), *cleared(q.shift),
+                                                  q.radius)
             assert pairs == emitted.pop()
             vectors = [u for u, _ in pairs]
             assert all(a < b for a, b in zip(vectors, vectors[1:]))
@@ -320,8 +335,7 @@ class TestIncrementalCentres:
             conj = basis_change(gram, random_unimodular(n, rng))
             shift = [Fraction(rng.randint(-3, 3), denominator) for _ in range(n)]
             for radius in radii:
-                W, M, T, D, C, _ = enumeration._scaled_problem(
-                    _reversed_pivots(conj), shift, Fraction(radius))
+                W, M, T, D, C = kernel_problem(_reversed_pivots(conj), shift, radius)
                 out = _pykernel.dfs_enumerate(n, W, M, T, D, C)
                 assert out == _plain_dfs(n, W, M, T, D, C)
                 leaves += len(out[0])
@@ -369,8 +383,7 @@ class TestIncrementalCentres:
             shift = [Fraction(x) for x in shift]
             for form in [gram] + [basis_change(gram, random_unimodular(n, rng))
                                   for _ in range(3)]:
-                W, M, T, D, C, _ = enumeration._scaled_problem(
-                    _reversed_pivots(form), shift, Fraction(radius))
+                W, M, T, D, C = kernel_problem(_reversed_pivots(form), shift, radius)
                 before = len(unfolded)
                 out = _pykernel.dfs_enumerate(n, W, M, T, D, C)
                 assert out == _plain_dfs(n, W, M, T, D, C)
@@ -386,8 +399,8 @@ class TestIncrementalCentres:
         gram = catalog_get("E8").gram
         conj = basis_change(gram, random_unimodular(8, random.Random(3)))
         shift = [Fraction(1, 2)] + [Fraction(0)] * 7
-        problem = enumeration._scaled_problem(_reversed_pivots(conj), shift, Fraction(0))
-        assert _pykernel.dfs_enumerate(8, *problem[:5]) == _plain_dfs(8, *problem[:5]) == ([], 0, 1)
+        problem = kernel_problem(_reversed_pivots(conj), shift, 0)
+        assert _pykernel.dfs_enumerate(8, *problem) == _plain_dfs(8, *problem) == ([], 0, 1)
 
 
 class TestAxisReach:
@@ -486,6 +499,28 @@ class TestValidationAndCaps:
         gram = catalog_get("Zn:2").gram
         with pytest.raises(BadShapeError):
             EnumQuery(form=gram, shift=(Fraction(0), Fraction(0)), radius=Fraction(-1))
+
+    @pytest.mark.parametrize("shift, radius, message", [
+        ((0.1, 0), 1, "shift entry 0 is not an int or a Fraction: 0.1"),
+        ((0, True), 1, "shift entry 1 is not an int or a Fraction: True"),
+        (("1/3", 0), 1, "shift entry 0 is not an int or a Fraction: '1/3'"),
+        ((float("nan"), 0), 1, "shift entry 0 is not an int or a Fraction: nan"),
+        ((0, 0), float("inf"), "radius is not an int or a Fraction: inf"),
+        ((0, 0), 0.5, "radius is not an int or a Fraction: 0.5"),
+        ((0, 0), False, "radius is not an int or a Fraction: False"),
+        ((0, 0), "1", "radius is not an int or a Fraction: '1'"),
+    ])
+    def test_inexact_values_refused(self, shift, radius, message):
+        # a float, bool or string is refused, not coerced into a Fraction
+        gram = catalog_get("Zn:2").gram
+        with pytest.raises(BadShapeError) as info:
+            EnumQuery(form=gram, shift=shift, radius=radius)
+        assert str(info.value) == message
+
+    def test_ints_and_fractions_accepted(self):
+        q = EnumQuery(form=catalog_get("Zn:2").gram, shift=(1, Fraction(-1, 2)), radius=2)
+        assert q.shift == (Fraction(1), Fraction(-1, 2)) and q.radius == Fraction(2)
+        assert all(type(x) is Fraction for x in q.shift + (q.radius,))
 
     def test_rank_cap(self):
         with pytest.raises(RankCapExceededError, match="rank 25 exceeds the cap of 24"):
