@@ -18,9 +18,19 @@ so they build no EnumQuery and no shift Fraction.  When the shift lies in
 (1/2)Z^n (every zero-shift ball, every unit search and every rung of the
 characteristic ladder), u -> -u - 2t maps the ball onto itself and keeps
 each norm, so the kernel searches only the lex-negative half of the tree
-and appends the mirror of that half in reverse, which keeps the order.  The counters it reports (`EnumStats`) are those of the ball's whole
-search tree either way: nodes are the prefixes of partial norm within the
-radius, prunes the levels entered with an empty interval.
+and appends the mirror of that half in reverse, which keeps the order.
+
+A ball of an orthogonal sum A (+) B shows a cut in its pivot rows
+(`_cuts`): below it, no row reads a level above it, so the scaled norm of
+u = a + b is tot_a + tot_b, and the part in B depends on a only through
+the leftover radius.  `enumerate_coset` therefore searches the upper block
+at the whole radius and the lower block once per distinct leftover,
+splitting again at every cut inside either (`_block_search`); the
+characteristic searches, whose balls are small, keep one kernel call.
+The counters reported (`EnumStats`) are those of the ball's whole search
+tree in every case: nodes are the prefixes of partial norm within the
+radius, prunes the levels entered with an empty interval, computed in
+closed form from the halves and the blocks actually searched.
 
 The oracle (`brute_force_coset`, `sufficient_box`) is a second, independent
 route: it evaluates the Gram form on every cell of a box, and takes the
@@ -96,6 +106,12 @@ class EnumQuery:
 
 @dataclass(frozen=True)
 class EnumStats:
+    """The counters of a ball's whole search tree: nodes, its prefixes of
+    partial norm within the radius, and prunes, the levels entered with an
+    empty interval.  They are the tree's whatever was searched to find the
+    points (a half and its mirror, or blocks once per leftover radius), so
+    they depend on the pivot rows and the query only."""
+
     nodes: int
     prunes: int
 
@@ -147,8 +163,8 @@ def _check_rank_cap(n: int) -> None:
 
 def _search(rows: Sequence[Sequence[int]], T: Sequence[int], D: int, radius: Fraction | int):
     """Search the ball Q(u + T/D) <= radius of the form whose pivot rows are
-    `rows` (see `_scaled_problem`), T an integer vector and D > 0; returns
-    ((coords, scaled_norm) pairs, scale, stats).
+    `rows` (see `_scaled_problem`), T an integer vector and D > 0, in one
+    kernel call; returns ((coords, scaled_norm) pairs, scale, stats).
 
     The pairs are every point of the ball, in strictly increasing
     lexicographic order of the coordinates, as the kernel returns them:
@@ -161,6 +177,66 @@ def _search(rows: Sequence[Sequence[int]], T: Sequence[int], D: int, radius: Fra
     return pairs, scale, EnumStats(nodes=nodes, prunes=prunes)
 
 
+def _cuts(M: Sequence[Sequence[int]]) -> list[int]:
+    """The levels k, 0 < k < n, at which the pivot rows M split: no row
+    i < k has a nonzero entry at or right of column k.
+
+    Then S_i reads only the levels below k for i < k and only those at or
+    above k otherwise, so the ball's scaled norm is the sum of two blocks'.
+    One scan per row from the right, stopping at the first column beyond
+    the rows above it.
+    """
+    cuts, reach = [], 0  # the last nonzero column of rows 0 .. i
+    for i, row in enumerate(M[:-1]):
+        for j in range(len(M) - 1, reach, -1):
+            if row[j]:
+                reach = j
+                break
+        if reach == i:
+            cuts.append(i + 1)
+    return cuts
+
+
+def _block_search(W, M, T, D, C, lo, hi, cuts, memo):
+    """The kernel's (pairs, nodes, prunes) for levels lo .. hi-1 of the
+    problem (W, M, T, D) at bound C, those levels' rows reading no level
+    outside them: a search of the block's levels alone, with the coordinates
+    of caller positions n-hi .. n-1-lo.
+
+    At a cut k inside the block (the one nearest its middle), the upper
+    levels k .. hi-1 are searched at C and, for each of their points a of
+    scaled norm tot_a, the lower levels lo .. k-1 at the leftover C - tot_a.
+    The points are a + b in a-major order, which is lexicographic, with norm
+    tot_a + tot_b.  The joint tree holds the upper block's nodes and, under
+    each point a, the lower block's tree at C - tot_a, so its counters are
+    sums of the blocks'.  `memo` keeps each block's result per bound, so a
+    block is searched once per distinct leftover.
+    """
+    key = lo, hi, C
+    if key in memo:
+        return memo[key]
+    inner = [k for k in cuts if lo < k < hi]
+    if not inner:
+        rows = [row[lo:hi] for row in M[lo:hi]]
+        out = _kernel.dfs_enumerate(hi - lo, W[lo:hi], rows, T[lo:hi], D, C)
+    else:
+        k = min(inner, key=lambda c: abs(2 * c - lo - hi))
+        upper, nodes, prunes = _block_search(W, M, T, D, C, k, hi, cuts, memo)
+        pairs = []
+        summed = {}  # tot_a -> the lower block's points and their joint norms
+        for a, tot_a in upper:
+            if tot_a not in summed:
+                low, n_low, p_low = _block_search(W, M, T, D, C - tot_a, lo, k, cuts, memo)
+                summed[tot_a] = [b for b, _ in low], [tot_a + t for _, t in low], n_low, p_low
+            bs, norms, n_low, p_low = summed[tot_a]
+            nodes += n_low
+            prunes += p_low
+            pairs.extend(zip([a + b for b in bs], norms))
+        out = pairs, nodes, prunes
+    memo[key] = out
+    return out
+
+
 def _exact_norms(pairs, scale: int) -> tuple[Fraction, ...]:
     """Fraction(scaled_norm, scale) for each pair, one Fraction per distinct
     norm: a ball holds many vectors but few distinct norms."""
@@ -170,8 +246,13 @@ def _exact_norms(pairs, scale: int) -> tuple[Fraction, ...]:
 
 def enumerate_coset(query: EnumQuery) -> EnumResult:
     """All u with Q(u + shift) <= radius, in lexicographic order: the search
-    emits them in that order, so nothing sorts them.  The result carries the
-    search's counters.
+    emits them in that order, so nothing sorts them.
+
+    The ball is searched by orthogonal blocks of the form's reversed pivot
+    rows (`_cuts`, `_block_search`): each block once per distinct leftover
+    radius, in one or more kernel calls.  The result carries the counters
+    of the whole search tree, summed from the blocks' in closed form, so
+    they equal those of one search of the whole form.
 
     Raises on rank above `DEFAULT_RANK_CAP` and on non-positive-definite
     forms, naming the first non-positive pivot.
@@ -181,12 +262,14 @@ def enumerate_coset(query: EnumQuery) -> EnumResult:
     # arithmetic, so a fault in this step cannot hide from the cross-check
     D = lcm(*[s.denominator for s in query.shift])
     T = [s.numerator * (D // s.denominator) for s in query.shift]
-    pairs, scale, stats = _search(_reversed_pivots(query.form), T, D, query.radius)
+    rows = _reversed_pivots(query.form)
+    W, T, C, scale = _scaled_problem(rows, T, D, query.radius)
+    pairs, nodes, prunes = _block_search(W, rows, T, D, C, 0, len(rows), _cuts(rows), {})
     return EnumResult(
         vectors=tuple(p[0] for p in pairs),
         norms=_exact_norms(pairs, scale),
         exhaustive=True,
-        stats=stats,
+        stats=EnumStats(nodes=nodes, prunes=prunes),
     )
 
 

@@ -18,6 +18,7 @@ from latgate import (
     brute_force_coset,
     catalog_get,
     cholesky,
+    direct_sum,
     enumerate_coset,
     kernel_name,
     negate,
@@ -401,6 +402,141 @@ class TestIncrementalCentres:
         shift = [Fraction(1, 2)] + [Fraction(0)] * 7
         problem = kernel_problem(_reversed_pivots(conj), shift, 0)
         assert _pykernel.dfs_enumerate(8, *problem) == _plain_dfs(8, *problem) == ([], 0, 1)
+
+
+def sign_flipped(gram, rng):
+    """The same lattice with seeded basis signs, which keeps every block."""
+    signs = [rng.choice((-1, 1)) for _ in range(gram.rank)]
+    return GramMatrix.from_rows([[signs[i] * signs[j] * x for j, x in enumerate(row)]
+                                 for i, row in enumerate(gram.entries)])
+
+
+def joint_search(q):
+    """(vectors, norms, nodes, prunes) of one kernel call on the whole of
+    q's problem, the search before it was split into blocks."""
+    rows = _reversed_pivots(q.form)
+    T, D = cleared(q.shift)
+    W, T, C, scale = enumeration._scaled_problem(rows, T, D, q.radius)
+    pairs, nodes, prunes = _pykernel.dfs_enumerate(len(rows), W, rows, T, D, C)
+    return tuple(u for u, _ in pairs), tuple(Fraction(t, scale) for _, t in pairs), nodes, prunes
+
+
+def kernel_calls(monkeypatch):
+    """A list that records (n, nodes) of every kernel call from now on."""
+    calls = []
+    dfs = enumeration._kernel.dfs_enumerate
+
+    def recording(*args):
+        out = dfs(*args)
+        calls.append((args[0], out[1]))
+        return out
+
+    monkeypatch.setattr(enumeration._kernel, "dfs_enumerate", recording)
+    return calls
+
+
+def split_search(q):
+    res = enumerate_coset(q)
+    return res.vectors, res.norms, res.stats.nodes, res.stats.prunes
+
+
+class TestBlockSplit:
+    """`enumerate_coset` searches each orthogonal block of the ball once per
+    leftover radius; its points, norms, order and counters must be those of
+    one search of the whole problem."""
+
+    @pytest.mark.parametrize("fid, radii, blocks", (
+        ("E8+Z1", (0, 1, Fraction(5, 2), 3), 2),
+        ("Z1+E8", (0, 1, 2, Fraction(7, 3)), 2),
+        ("Z2+D4+Z1", (0, 1, Fraction(5, 2), 4), 4),
+        ("E8+E8+E8", (0, 1, Fraction(3, 2)), 3),
+        ("Zn:9", (0, 1, Fraction(7, 3), 3), 9),
+    ))
+    def test_matches_joint_search(self, fid, radii, blocks, monkeypatch):
+        calls = kernel_calls(monkeypatch)
+        gram = catalog_get(fid).gram
+        n = gram.rank
+        rng = random.Random(19)
+        hits = 0
+        for denominator in (1, 2, 3):
+            form = sign_flipped(gram, rng)
+            assert len(enumeration._cuts(_reversed_pivots(form))) == blocks - 1
+            shift = tuple(Fraction(rng.randint(-3, 3), denominator) for _ in range(n))
+            for radius in radii:
+                q = EnumQuery(form=form, shift=shift, radius=Fraction(radius))
+                calls.clear()
+                got = split_search(q)
+                assert calls and max(calls)[0] < n  # every kernel call is on part of the form
+                assert got == joint_search(q)
+                hits += len(got[0])
+        assert hits > 0
+
+    def test_empty_upper_block(self):
+        # coordinate 0 is a Z1 block at shift 1/2: below radius 1/4 it has
+        # no point, so the ball is empty and the lower block never searched
+        form = catalog_get("Z1+E8").gram
+        shift = (Fraction(1, 2),) + (Fraction(0),) * 8
+        for radius in (0, Fraction(1, 5)):
+            q = EnumQuery(form=form, shift=shift, radius=radius)
+            assert split_search(q) == joint_search(q) == ((), (), 0, 1)
+
+    BRUTE_BLOCKS = (("D4", "Zn:2"), ("Zn:2", "D4"), ("Zn:1", "D4", "Zn:1"), ("D5", "Zn:1"),
+                    ("Zn:3", "Zn:3"))
+
+    @pytest.mark.parametrize("parts", BRUTE_BLOCKS, ids="+".join)
+    def test_matches_oracle(self, parts):
+        # each block conjugated on its own keeps the cuts and moves the rows
+        rng = random.Random(23)
+        checked = 0
+        for _ in range(3):
+            blocks = [catalog_get(fid).gram for fid in parts]
+            blocks = [basis_change(b, random_unimodular(b.rank, rng, bound=1)) for b in blocks]
+            form = blocks[0]
+            for b in blocks[1:]:
+                form = direct_sum(form, b)
+            assert enumeration._cuts(_reversed_pivots(form))
+            for denominator in (1, 2, 3):
+                shift = tuple(Fraction(rng.randint(-2, 2), denominator) for _ in range(form.rank))
+                for radius in (0, Fraction(1, 2), Fraction(5, 3), 2):
+                    q = EnumQuery(form=form, shift=shift, radius=radius)
+                    slow = brute_force_coset(q, sufficient_box(q))
+                    fast = enumerate_coset(q)
+                    assert (fast.vectors, fast.norms) == (slow.vectors, slow.norms)
+                    assert split_search(q) == joint_search(q)
+                    checked += len(fast.vectors)
+        assert checked > 0
+
+    def test_interleaved_summands_have_no_cut(self, monkeypatch):
+        # E8+Z1 with the Z1 coordinate moved to the middle: no contiguous
+        # cut separates the summands, so the ball is one kernel call, and it
+        # is the E8+Z1 ball with its coordinates permuted
+        calls = kernel_calls(monkeypatch)
+        gram = catalog_get("E8+Z1").gram
+        perm = (0, 1, 2, 3, 8, 4, 5, 6, 7)  # position p holds E8+Z1's coordinate perm[p]
+        mixed = GramMatrix.from_rows([[gram.entries[i][j] for j in perm] for i in perm])
+        assert enumeration._cuts(_reversed_pivots(mixed)) == []
+        shift = (Fraction(1, 2), 0, 0, Fraction(-1, 3), 1, 0, 0, 0, Fraction(1, 2))
+        for radius in (0, 1, Fraction(5, 2)):
+            q = EnumQuery(form=mixed, shift=shift, radius=radius)
+            calls.clear()
+            got = split_search(q)
+            assert [n for n, _ in calls] == [9]
+            assert got == joint_search(q)
+            unmixed = [0] * 9
+            for p, i in enumerate(perm):
+                unmixed[i] = shift[p]
+            ref = enumerate_coset(EnumQuery(form=gram, shift=tuple(unmixed), radius=radius))
+            moved = sorted((tuple(u[i] for i in perm), nu) for u, nu in zip(ref.vectors, ref.norms))
+            assert list(zip(got[0], got[1])) == moved
+
+    def test_e8_plus_e8_searches_each_block_once_per_leftover(self, monkeypatch):
+        # E8+E8 at radius 4: the upper E8 once at 4, the lower E8 once at
+        # each leftover 4, 2 and 0, about 11,700 visited nodes for the
+        # 204,388 the whole tree holds (pinned in TestFrozenResults)
+        calls = kernel_calls(monkeypatch)
+        res = enumerate_coset(query("E8+E8", radius=4))
+        assert (len(res.vectors), res.stats.nodes) == (62401, 204388)
+        assert len(calls) <= 4 and sum(nodes for _, nodes in calls) < 12_000
 
 
 class TestAxisReach:
