@@ -286,13 +286,7 @@ def min_char_vector_with_stats(g: GramMatrix) -> tuple[CharVecResult, EnumStats]
         # characteristic in L'.  Lex order is translation invariant, so the
         # least of them adds the lex-least of each +-e_i to the least w'.
         m, count, minimizer = len(units), 2 ** len(units), (0,) * n
-        for u in units:
-            # u's image u.h, summed over its nonzero coefficients only: a
-            # unit has few, and may lie off the plan's basis
-            e = (0,) * n
-            for c, row in zip(u, h):
-                if c:
-                    e = tuple(x + c * y for x, y in zip(e, row))
+        for e in _times(units, h):
             sign = -1 if next(filter(None, e)) > 0 else 1
             minimizer = tuple(x + sign * y for x, y in zip(minimizer, e))
         if len(units) < n:  # Z^n itself has no complement to search

@@ -40,7 +40,6 @@ from enum import Enum
 from functools import cached_property
 from fractions import Fraction
 from math import isqrt
-from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -136,9 +135,20 @@ def _classified(entries: IntMatrix, det: int, inertia: tuple[int, int, int]) -> 
 
 
 def _times(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple[tuple, ...]:
-    """The matrix product a b, matrices given as rows of ints or Fractions."""
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+    """The matrix product a b, matrices given as rows of ints or Fractions.
+
+    Each row of the product is the sum of b's rows weighted by the row of
+    a, over a's nonzero entries only, so a sparse factor costs little.
+    """
+    zero = (0,) * (len(b[0]) if b else 0)
+    out = []
+    for row in a:
+        acc = zero
+        for c, b_row in zip(row, b):
+            if c:
+                acc = tuple(x + c * y for x, y in zip(acc, b_row))
+        out.append(acc)
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,9 @@ and appends the mirror of that half in reverse, which keeps the order.
 A ball of an orthogonal sum A (+) B shows a cut in its pivot rows
 (`_cuts`): below it, no row reads a level above it, so the scaled norm of
 u = a + b is tot_a + tot_b, and the part in B depends on a only through
-the leftover radius.  `enumerate_coset` therefore searches the upper block
-at the whole radius and the lower block once per distinct leftover,
-splitting again at every cut inside either (`_block_search`); the
-characteristic searches, whose balls are small, keep one kernel call.
+the leftover radius.  `_search` therefore searches the upper block at the
+whole radius and the lower block once per distinct leftover, splitting
+again at every cut inside either (`_block_search`), for every caller.
 The counters reported (`EnumStats`) are those of the ball's whole search
 tree in every case: nodes are the prefixes of partial norm within the
 radius, prunes the levels entered with an empty interval, computed in
@@ -161,22 +160,6 @@ def _check_rank_cap(n: int) -> None:
         raise RankCapExceededError(f"rank {n} exceeds the cap of {DEFAULT_RANK_CAP}")
 
 
-def _search(rows: Sequence[Sequence[int]], T: Sequence[int], D: int, radius: Fraction | int):
-    """Search the ball Q(u + T/D) <= radius of the form whose pivot rows are
-    `rows` (see `_scaled_problem`), T an integer vector and D > 0, in one
-    kernel call; returns ((coords, scaled_norm) pairs, scale, stats).
-
-    The pairs are every point of the ball, in strictly increasing
-    lexicographic order of the coordinates, as the kernel returns them:
-    nothing sorts them.  The rows come from `_reversed_pivots`, which
-    refuses a form that is not positive definite, or from LLL, which
-    reduces positive definite forms only.
-    """
-    W, T, C, scale = _scaled_problem(rows, T, D, radius)
-    pairs, nodes, prunes = _kernel.dfs_enumerate(len(rows), W, rows, T, D, C)
-    return pairs, scale, EnumStats(nodes=nodes, prunes=prunes)
-
-
 def _cuts(M: Sequence[Sequence[int]]) -> list[int]:
     """The levels k, 0 < k < n, at which the pivot rows M split: no row
     i < k has a nonzero entry at or right of column k.
@@ -209,16 +192,18 @@ def _block_search(W, M, T, D, C, lo, hi, cuts, memo):
     The points are a + b in a-major order, which is lexicographic, with norm
     tot_a + tot_b.  The joint tree holds the upper block's nodes and, under
     each point a, the lower block's tree at C - tot_a, so its counters are
-    sums of the blocks'.  `memo` keeps each block's result per bound, so a
-    block is searched once per distinct leftover.
+    sums of the blocks'.  `memo` keeps each block's result per bound, keyed
+    by the block's weights, rows and shift, so a block is searched once per
+    distinct leftover, and equal blocks (those of Z^n, or of E8 (+) E8) share
+    their searches.
     """
-    key = lo, hi, C
+    block = tuple(W[lo:hi]), tuple(tuple(row[lo:hi]) for row in M[lo:hi]), tuple(T[lo:hi])
+    key = block, C
     if key in memo:
         return memo[key]
     inner = [k for k in cuts if lo < k < hi]
     if not inner:
-        rows = [row[lo:hi] for row in M[lo:hi]]
-        out = _kernel.dfs_enumerate(hi - lo, W[lo:hi], rows, T[lo:hi], D, C)
+        out = _kernel.dfs_enumerate(hi - lo, *block, D, C)
     else:
         k = min(inner, key=lambda c: abs(2 * c - lo - hi))
         upper, nodes, prunes = _block_search(W, M, T, D, C, k, hi, cuts, memo)
@@ -237,6 +222,25 @@ def _block_search(W, M, T, D, C, lo, hi, cuts, memo):
     return out
 
 
+def _search(rows: Sequence[Sequence[int]], T: Sequence[int], D: int, radius: Fraction | int):
+    """Search the ball Q(u + T/D) <= radius of the form whose pivot rows are
+    `rows` (see `_scaled_problem`), T an integer vector and D > 0, by its
+    orthogonal blocks (`_cuts`, `_block_search`); returns
+    ((coords, scaled_norm) pairs, scale, stats).
+
+    The pairs are every point of the ball, in strictly increasing
+    lexicographic order of the coordinates: each block's kernel call emits
+    its points in that order, and the blocks are joined a-major, so nothing
+    sorts them.  The stats are those of one search of the whole form.  The
+    rows come from `_reversed_pivots`, which refuses a form that is not
+    positive definite, or from LLL, which reduces positive definite forms
+    only.
+    """
+    W, T, C, scale = _scaled_problem(rows, T, D, radius)
+    pairs, nodes, prunes = _block_search(W, rows, T, D, C, 0, len(rows), _cuts(rows), {})
+    return pairs, scale, EnumStats(nodes=nodes, prunes=prunes)
+
+
 def _exact_norms(pairs, scale: int) -> tuple[Fraction, ...]:
     """Fraction(scaled_norm, scale) for each pair, one Fraction per distinct
     norm: a ball holds many vectors but few distinct norms."""
@@ -249,10 +253,10 @@ def enumerate_coset(query: EnumQuery) -> EnumResult:
     emits them in that order, so nothing sorts them.
 
     The ball is searched by orthogonal blocks of the form's reversed pivot
-    rows (`_cuts`, `_block_search`): each block once per distinct leftover
-    radius, in one or more kernel calls.  The result carries the counters
-    of the whole search tree, summed from the blocks' in closed form, so
-    they equal those of one search of the whole form.
+    rows (`_search`): each block once per distinct leftover radius, in one
+    or more kernel calls.  The result carries the counters of the whole
+    search tree, summed from the blocks' in closed form, so they equal
+    those of one search of the whole form.
 
     Raises on rank above `DEFAULT_RANK_CAP` and on non-positive-definite
     forms, naming the first non-positive pivot.
@@ -262,14 +266,12 @@ def enumerate_coset(query: EnumQuery) -> EnumResult:
     # arithmetic, so a fault in this step cannot hide from the cross-check
     D = lcm(*[s.denominator for s in query.shift])
     T = [s.numerator * (D // s.denominator) for s in query.shift]
-    rows = _reversed_pivots(query.form)
-    W, T, C, scale = _scaled_problem(rows, T, D, query.radius)
-    pairs, nodes, prunes = _block_search(W, rows, T, D, C, 0, len(rows), _cuts(rows), {})
+    pairs, scale, stats = _search(_reversed_pivots(query.form), T, D, query.radius)
     return EnumResult(
         vectors=tuple(p[0] for p in pairs),
         norms=_exact_norms(pairs, scale),
         exhaustive=True,
-        stats=EnumStats(nodes=nodes, prunes=prunes),
+        stats=stats,
     )
 
 

@@ -732,20 +732,17 @@ class TestCliSelftest:
     def test_gl_check_of_even_conjugate_is_independent(self, monkeypatch):
         # an even conjugate is answered without a search, and the GL check
         # does not search it either: the clipped scan is its only check, so
-        # its radius-0 query never runs; its radius-1 unit query does.  Every
-        # search, `_search` and `enumerate_coset`'s block search alike,
-        # builds its problem in `_scaled_problem`, so that is where they are
-        # recorded
+        # its radius-0 query never runs; its radius-1 unit query does
         import latgate.selftest as selftest_mod
-        from latgate import enumeration, run_selftest
+        from latgate import charvec, enumeration, run_selftest
         from latgate.core import _reversed_pivots
 
         queries = Counter()
-        scaled_problem = enumeration._scaled_problem
+        search = enumeration._search
 
         def recording(rows, T, D, radius):
             queries[tuple(map(tuple, rows)), tuple(T), radius] += 1
-            return scaled_problem(rows, T, D, radius)
+            return search(rows, T, D, radius)
 
         checked = []
         unreduced = selftest_mod._unreduced_search_problems
@@ -761,7 +758,8 @@ class TestCliSelftest:
             scanned.append(query.form.entries)
             return scan(query, box)
 
-        monkeypatch.setattr(enumeration, "_scaled_problem", recording)
+        for module in (charvec, enumeration):
+            monkeypatch.setattr(module, "_search", recording)
         monkeypatch.setattr(selftest_mod, "_unreduced_search_problems", capturing)
         monkeypatch.setattr(selftest_mod, "brute_force_coset", scanning)
         results = run_selftest()

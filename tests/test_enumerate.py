@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import comb, isqrt, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -215,7 +215,8 @@ class TestClippedScan:
 
 class TestLexOrder:
     """The search emits its points in lexicographic order of the caller's
-    coordinates, and `_search` returns them as emitted: nothing sorts them."""
+    coordinates, and `_search` returns them as emitted, or joins its blocks'
+    in that order: nothing sorts them."""
 
     FORMS = ("Zn:1", "Zn:2", "Zn:3", "D4", "D5", "Zn:6", "Zn:7", "Zn:8")
 
@@ -223,7 +224,8 @@ class TestLexOrder:
     def check_lex_order(fid, denominators, monkeypatch):
         """Four seeded balls of `fid` whose shift denominators are drawn from
         `denominators`, each checked against the oracle's scan; returns how
-        many of them the kernel searched as a half and its mirror."""
+        many of them the kernel searched as a half and its mirror, in every
+        one of its calls."""
         emitted = []
         unfolded = []
         dfs = enumeration._kernel.dfs_enumerate
@@ -243,7 +245,7 @@ class TestLexOrder:
         gram = catalog_get(fid).gram
         n = gram.rank
         rng = random.Random(11)
-        checked = hits = 0
+        checked = hits = halves = 0
         while checked < 4:
             conj = basis_change(gram, random_unimodular(n, rng, bound=1))
             shift = tuple(Fraction(rng.randint(-3, 3), rng.choice(denominators)) for _ in range(n))
@@ -251,9 +253,18 @@ class TestLexOrder:
             if enumeration._scan_problem(q)[-1] > CUBE_CELLS:
                 continue  # the oracle's scan would be slow
             checked += 1
-            pairs, scale, _ = enumeration._search(_reversed_pivots(q.form), *cleared(q.shift),
-                                                  q.radius)
-            assert pairs == emitted.pop()
+            rows = _reversed_pivots(q.form)
+            emitted.clear()
+            before = len(unfolded)
+            pairs, scale, _ = enumeration._search(rows, *cleared(q.shift), q.radius)
+            # a ball is one kernel call per block searched; one call is
+            # returned as emitted, and blocks are joined into what one
+            # call on the whole problem emits
+            if len(emitted) == 1:
+                assert pairs == emitted[0]
+            else:
+                assert pairs == _plain_dfs(n, *kernel_problem(rows, q.shift, q.radius))[0]
+            halves += len(unfolded) - before == len(emitted)
             vectors = [u for u, _ in pairs]
             assert all(a < b for a, b in zip(vectors, vectors[1:]))
             slow = brute_force_coset(q, sufficient_box(q))
@@ -261,7 +272,7 @@ class TestLexOrder:
             assert tuple(Fraction(norm, scale) for _, norm in pairs) == slow.norms
             hits += len(pairs)
         assert hits > 0
-        return len(unfolded)
+        return halves
 
     @pytest.mark.parametrize("fid", FORMS)
     def test_search_emits_lex_order(self, fid, monkeypatch):
@@ -412,13 +423,10 @@ def sign_flipped(gram, rng):
 
 
 def joint_search(q):
-    """(vectors, norms, nodes, prunes) of one kernel call on the whole of
-    q's problem, the search before it was split into blocks."""
+    """(pairs, nodes, prunes) of one kernel call on the whole of q's
+    problem: the search unsplit."""
     rows = _reversed_pivots(q.form)
-    T, D = cleared(q.shift)
-    W, T, C, scale = enumeration._scaled_problem(rows, T, D, q.radius)
-    pairs, nodes, prunes = _pykernel.dfs_enumerate(len(rows), W, rows, T, D, C)
-    return tuple(u for u, _ in pairs), tuple(Fraction(t, scale) for _, t in pairs), nodes, prunes
+    return _pykernel.dfs_enumerate(len(rows), *kernel_problem(rows, q.shift, q.radius))
 
 
 def kernel_calls(monkeypatch):
@@ -436,14 +444,17 @@ def kernel_calls(monkeypatch):
 
 
 def split_search(q):
-    res = enumerate_coset(q)
-    return res.vectors, res.norms, res.stats.nodes, res.stats.prunes
+    """(pairs, nodes, prunes) of `enumeration._search`, which splits q's
+    ball at its blocks: the route of `enumerate_coset` and of the
+    characteristic searches alike."""
+    pairs, _, stats = enumeration._search(_reversed_pivots(q.form), *cleared(q.shift), q.radius)
+    return pairs, stats.nodes, stats.prunes
 
 
 class TestBlockSplit:
-    """`enumerate_coset` searches each orthogonal block of the ball once per
-    leftover radius; its points, norms, order and counters must be those of
-    one search of the whole problem."""
+    """Every search splits its ball at its orthogonal blocks and searches
+    each once per leftover radius; its points, scaled norms, order and
+    counters must be those of one search of the whole problem."""
 
     @pytest.mark.parametrize("fid, radii, blocks", (
         ("E8+Z1", (0, 1, Fraction(5, 2), 3), 2),
@@ -478,7 +489,7 @@ class TestBlockSplit:
         shift = (Fraction(1, 2),) + (Fraction(0),) * 8
         for radius in (0, Fraction(1, 5)):
             q = EnumQuery(form=form, shift=shift, radius=radius)
-            assert split_search(q) == joint_search(q) == ((), (), 0, 1)
+            assert split_search(q) == joint_search(q) == ([], 0, 1)
 
     BRUTE_BLOCKS = (("D4", "Zn:2"), ("Zn:2", "D4"), ("Zn:1", "D4", "Zn:1"), ("D5", "Zn:1"),
                     ("Zn:3", "Zn:3"))
@@ -527,16 +538,27 @@ class TestBlockSplit:
                 unmixed[i] = shift[p]
             ref = enumerate_coset(EnumQuery(form=gram, shift=tuple(unmixed), radius=radius))
             moved = sorted((tuple(u[i] for i in perm), nu) for u, nu in zip(ref.vectors, ref.norms))
-            assert list(zip(got[0], got[1])) == moved
+            res = enumerate_coset(q)
+            assert list(zip(res.vectors, res.norms)) == moved
 
     def test_e8_plus_e8_searches_each_block_once_per_leftover(self, monkeypatch):
-        # E8+E8 at radius 4: the upper E8 once at 4, the lower E8 once at
-        # each leftover 4, 2 and 0, about 11,700 visited nodes for the
-        # 204,388 the whole tree holds (pinned in TestFrozenResults)
+        # E8+E8 at radius 4: the two E8 blocks are equal, so one E8 search
+        # at each leftover 4, 2 and 0 serves both, about 6,200 visited
+        # nodes for the 204,388 the whole tree holds (pinned in
+        # TestFrozenResults)
         calls = kernel_calls(monkeypatch)
         res = enumerate_coset(query("E8+E8", radius=4))
         assert (len(res.vectors), res.stats.nodes) == (62401, 204388)
         assert len(calls) <= 4 and sum(nodes for _, nodes in calls) < 12_000
+
+    def test_equal_blocks_share_their_searches(self, monkeypatch):
+        # Z^16 at radius 3 is sixteen equal Z1 blocks: one search of Z1 at
+        # each leftover 3, 2, 1 and 0 serves them all
+        calls = kernel_calls(monkeypatch)
+        res = enumerate_coset(query("Zn:16", radius=3))
+        # u of norm <= 3 has at most three entries, each +-1
+        assert len(res.vectors) == sum(2 ** k * comb(16, k) for k in range(4)) == 4993
+        assert sorted(calls) == [(1, 1), (1, 3), (1, 3), (1, 3)]
 
 
 class TestAxisReach:
