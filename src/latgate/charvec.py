@@ -9,25 +9,31 @@ characteristic norm m equals the rank, and otherwise m <= rank - 8.
 
 Every odd form's searches run on its exact LLL-reduced basis, reversed: m,
 the number of minimizers and the unit-vector count do not depend on the
-basis, and the minimizers are mapped back to the caller's coordinates
-before the lex-least one is chosen.  They share one plan (`_search_basis`),
-whose pivot rows are those LLL computed, so the `--stats` counters of an
-odd form depend only on its LLL reduction.  An even form is not searched
-at all: w = 0 is characteristic and the only vector of norm 0,
-so m = 0, k = n/8 and there is one minimizer, and the counters are those
-of the search it skips, the radius-0 ball around 0, one path of n nodes
-and no prunes in any basis.
+basis, and the lex-least minimizer is chosen in the caller's coordinates,
+one coordinate at a time.  They run on one plan (`_search_basis`), whose
+pivot rows are those LLL computed, or on principal blocks of its form, so
+the `--stats` counters of an odd form depend only on its LLL reduction.
+An even form is not searched at all: w = 0 is characteristic and the only
+vector of norm 0, so m = 0, k = n/8 and there is one minimizer, and the
+counters are those of the search it skips, the radius-0 ball around 0, one
+path of n nodes and no prunes in any basis.
 
 The norm-1 vectors of a positive definite integral lattice are +-e_1, ...,
-+-e_k, pairwise orthogonal, and they split off: L = Z^k (+) L' with L'
-their orthogonal complement (Elkies, "A characterization of the Z^n
-lattice", Math. Res. Lett. 2, 1995).  One radius-1 search on the reduced
-basis finds them; the min-char search counts them (`unit_vector_count`) and
-then searches L' alone, since m = k + m' and the number of minimizers
-is 2^k times that of L'.  Z^n itself needs no complement and no
-characteristic search at all.  The search of L' climbs the mod-8 ladder of
-norms c = n' mod 8, ..., n' (van der Blij 1959) and stops at the first
-that holds a point; an even L' (the E8 of E8 (+) Z^k) is searched as built.
++-e_k, pairwise orthogonal, and they split off: L = Z^k (+) L' (Elkies, "A
+characterization of the Z^n lattice", Math. Res. Lett. 2, 1995).  One
+radius-1 search on the reduced basis counts them (`unit_vector_count`).
+The characteristic search does not build L': the reduced basis already
+shows the summands, as the connected components of its Gram graph
+(`_components`).  A block-diagonal unimodular form has unimodular blocks,
+each positive definite, so m is the sum of the blocks' minima, the number
+of minimizers their product, and, lex order being a group order, the
+lex-least minimizer the sum of theirs.  A rank-1 block is a unit: m = 1,
+two minimizers, +-its basis vector.  Every other block, an even one too,
+climbs the mod-8 ladder of norms c = n_b mod 8, ..., n_b (van der Blij 1959)
+and stops at the first that holds a point; a form of one component is
+searched on its plan's rows, each block of several on those of its own
+reversal.  Z^n itself needs no characteristic search at all, and a unit
+that LLL leaves off the basis stays inside its block, whose ladder finds it.
 Every search passes `enumeration._search` the pivot rows, the shift 0 as
 (0, 1) or w0/2 as (w0, 2), and the radius: no query and no shift Fraction.
 """
@@ -37,7 +43,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 
 from .core import (
     Definiteness,
@@ -45,11 +51,9 @@ from .core import (
     IntMatrix,
     IntVector,
     Parity,
-    _classified,
     _lll,
     _positive_pivots,
     _reversed_pivots,
-    _times,
     definiteness,
     inertia,
     is_unimodular,
@@ -199,33 +203,21 @@ def _unit_vectors(rows: list[list[int]]) -> tuple[IntMatrix, EnumStats]:
     return units, stats
 
 
-def _orthogonal_complement(form: GramMatrix, units: IntMatrix) -> IntMatrix:
-    """Rows: a basis of the vectors of `form` orthogonal to every unit.
-
-    That is the integer kernel of the k x n matrix A = (e_i^T G).  Unimodular
-    column operations, Euclid's algorithm on one row at a time, bring A to
-    [L | 0] with L lower triangular; the same operations applied to the
-    identity give U with A U = [L | 0], and the last n - k columns of U are
-    a basis of the kernel.  Columns are stored as rows here.
-    """
-    n, k = form.rank, len(units)
-    a = list(_times(form.entries, tuple(zip(*units))))  # row c: column c of A, G symmetric
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-    for r in range(k):
-        while True:
-            p = min((c for c in range(r, n) if a[c][r]), key=lambda c: abs(a[c][r]))
-            a[r], a[p] = a[p], a[r]
-            u[r], u[p] = u[p], u[r]
-            pivot, done = a[r][r], True
-            for c in range(r + 1, n):
-                q = a[c][r] // pivot
-                if q:
-                    a[c] = [x - q * y for x, y in zip(a[c], a[r])]
-                    u[c] = [x - q * y for x, y in zip(u[c], u[r])]
-                done = done and not a[c][r]
-            if done:
-                break
-    return tuple(map(tuple, u[k:]))
+def _components(form: GramMatrix) -> list[list[int]]:
+    """The connected components of form's Gram graph (i ~ j when
+    form[i][j] != 0), each as its ascending indices, ordered by their least
+    index: form is the orthogonal sum of its principal blocks on them."""
+    parts, seen = [], set()
+    for start in range(form.rank):
+        if start not in seen:
+            part, todo = {start}, [start]
+            while todo:
+                new = {j for j, x in enumerate(form.entries[todo.pop()]) if x} - part
+                part |= new
+                todo.extend(new)
+            seen |= part
+            parts.append(sorted(part))
+    return parts
 
 
 def _char_minimum(
@@ -256,15 +248,23 @@ def _char_minimum(
         raise NoSolutionError(f"internal error: no characteristic vector of norm <= {n}")
     if any(4 * norm != c * scale for _, norm in pairs):
         raise NoSolutionError(f"internal error: a characteristic norm in rung {c} is not {c}")
-    # w' = w0 + 2u in form's basis is w = basis^T w' in the caller's
+    # w' = w0 + 2u in form's basis is w = basis^T w' in the caller's; the
+    # lex-least w is built one coordinate at a time, each computed only for
+    # the minimizers that tie on every coordinate before it
     mins = [tuple(x + 2 * y for x, y in zip(w0, u)) for u, _ in pairs]
-    return c, len(mins), min(_times(mins, basis)), stats
+    least = []
+    for column in zip(*basis):
+        values = [sum(map(mul, w, column)) for w in mins]
+        x = min(values)
+        mins = [w for w, v in zip(mins, values) if v == x]
+        least.append(x)
+    return c, len(pairs), tuple(least), stats
 
 
 def min_char_vector_with_stats(g: GramMatrix) -> tuple[CharVecResult, EnumStats]:
     """Like `min_char_vector` but also returns the search counters: those of
-    the unit-vector search plus those of the search of the complement.  An
-    even form is answered without a search, with the counters that search
+    the unit-vector search plus those of every component's ladder.  An even
+    form is answered without a search, with the counters that search
     reports: one path of n nodes and no prunes."""
     n = g.rank
     if definiteness(g) is not Definiteness.POSITIVE_DEFINITE:
@@ -272,44 +272,33 @@ def min_char_vector_with_stats(g: GramMatrix) -> tuple[CharVecResult, EnumStats]
     if not is_unimodular(g):
         raise NotUnimodularError("minimal characteristic vectors need determinant +-1")
     _check_rank_cap(n)
+    m, count, minimizer = 0, 1, (0,) * n
     if parity(g) is Parity.EVEN:
         # w = 0 is characteristic and the only vector of norm 0: the search
         # would be the radius-0 ball around 0, in any basis one path of n
         # nodes with no prunes (every centre 0, every interval [0, 0])
-        m, count, minimizer = 0, 1, (0,) * n
         units, stats = (), EnumStats(nodes=n, prunes=0)
     else:
         h, form, rows = _search_basis(g)
         units, stats = _unit_vectors(rows)
-        # L = Z^k (+) L' with L' the complement of the k units, so the
-        # characteristic vectors of L are the sums sum_i +-e_i + w' with w'
-        # characteristic in L'.  Lex order is translation invariant, so the
-        # least of them adds the lex-least of each +-e_i to the least w'.
-        m, count, minimizer = len(units), 2 ** len(units), (0,) * n
-        for e in _times(units, h):
-            sign = -1 if next(filter(None, e)) > 0 else 1
-            minimizer = tuple(x + sign * y for x, y in zip(minimizer, e))
-        if len(units) < n:  # Z^n itself has no complement to search
-            basis = h
-            if units:
-                kernel = _orthogonal_complement(form, units)
-                # L' is positive definite and unimodular, so its LLL reduction
-                # (when it is odd) needs no elimination to classify it
-                rest = _classified(_times(_times(kernel, form.entries), tuple(zip(*kernel))),
-                                   1, (len(kernel), 0, 0))
-                basis = _times(kernel, h)
-                if parity(rest) is Parity.ODD:
-                    h_rest, form, rows = _search_basis(rest)
-                    basis = _times(h_rest, basis)
+        parts = _components(form)
+        for part in parts:
+            if len(part) == 1:
+                # a unimodular block of rank 1 is (1): its minimizers are
+                # +-its basis vector e, and the lex-least starts negative
+                e = h[part[0]]
+                m, count = m + 1, 2 * count
+                w = tuple(-x for x in e) if next(filter(None, e)) > 0 else e
+            else:
+                if len(parts) == 1:
+                    block, block_rows, basis = form, rows, h
                 else:
-                    # its one search, the radius-0 ball around 0, is one
-                    # path of n' nodes and no prunes in any basis
-                    form, rows = rest, _reversed_pivots(rest)
-            m_rest, count_rest, w_rest, rest_stats = _char_minimum(form, rows, basis)
-            m += m_rest
-            count *= count_rest
-            minimizer = tuple(map(add, minimizer, w_rest))
-            stats += rest_stats
+                    block = GramMatrix(tuple(tuple(form.entries[i][j] for j in part)
+                                             for i in part))
+                    block_rows, basis = _reversed_pivots(block), tuple(h[i] for i in part)
+                m_part, count_part, w, part_stats = _char_minimum(block, block_rows, basis)
+                m, count, stats = m + m_part, count * count_part, stats + part_stats
+            minimizer = tuple(map(add, minimizer, w))
     if (n - m) % 8 != 0:
         raise NoSolutionError(f"internal error: rank {n} and norm {m} differ by {n - m} mod 8")
     result = CharVecResult(

@@ -17,20 +17,20 @@ inertia once, on first use, and keeps them; classification builds no
 Fraction.  `cholesky` reads the same rows as Fractions; no search uses it.
 
 `_times` is the package's one matrix product, on rows of ints or
-Fractions: the basis changes and the characteristic search's change of
-coordinates go through it.  The oracle's arithmetic (`pairing`, `evaluate`
-and the box scan) does not, so that a fault in the product cannot also
-hide from the cross-check.
+Fractions: the basis changes go through it.  The characteristic search
+maps its minimizers back one coordinate at a time, and the oracle's
+arithmetic (`pairing`, `evaluate` and the box scan) does not use it either,
+so that a fault in the product cannot also hide from the cross-check.
 
 `lll_reduce` is the all-integer LLL reduction of a positive definite form
 (Lenstra, Lenstra and Lovasz 1982, in the Gram form of Cohen, Alg. 2.6.7).
 Its integer Gram-Schmidt data d and lambda are the `_bareiss` pivot rows of
 the reduced form, and the private `_lll` hands them back with it, so the
 searches of a reduced form run on LLL's rows and nothing eliminates that
-form again.  `latgate.charvec` reduces every odd form it searches; an even
-form is never reduced there: an even input is answered without a search,
-and an even complement is searched as built, its one search, the radius-0
-ball around 0, being one path in any basis.
+form again.  `latgate.charvec` reduces every odd input once, and never an
+even one (an even input is answered without a search), nor any block of a
+reduced basis: each block of rank > 1, even or odd, is searched on a
+principal block of the reduced form, with the pivot rows of its reversal.
 """
 
 from __future__ import annotations

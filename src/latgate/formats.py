@@ -59,7 +59,10 @@ def gram_from_obj(obj: Any) -> GramMatrix:
             raise ParseError(f"field 'gram' row {i}: expected a list")
         if len(row) != rank:
             raise BadShapeError(f"field 'gram' row {i}: expected {rank} entries, got {len(row)}")
-        entries.append(tuple(_require_int(x, f"field 'gram' entry ({i},{j})") for j, x in enumerate(row)))
+        if not set(map(type, row)) <= {int}:  # find and name the first bad entry
+            for j, x in enumerate(row):
+                _require_int(x, f"field 'gram' entry ({i},{j})")
+        entries.append(tuple(row))
     return GramMatrix.from_rows(entries)
 
 

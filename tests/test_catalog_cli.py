@@ -168,6 +168,14 @@ class TestFormats:
             load_gram(path)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("entry, shown", (("true", "True"), ("1.5", "1.5"), ('"1"', "'1'")))
+    def test_off_diagonal_entry_message(self, entry, shown):
+        # the first bad entry is named by its row and column, after a valid
+        # row and a valid entry of its own row
+        with pytest.raises(ParseError) as info:
+            load_gram(f'{{"rank": 3, "gram": [[1, 0, 0], [0, 1, {entry}], [0, 0, 1]]}}')
+        assert str(info.value) == f"field 'gram' entry (1,2): expected an integer, got {shown}"
+
     def test_manifold_document_not_an_object(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('[{"b1": 0}]')
@@ -364,7 +372,8 @@ class TestCliAnalyze:
         assert main(["analyze", doc, "--json", "--stats"]) == 0
         serial = capsys.readouterr().out
         # the radius-1 unit search (98 nodes, 32 prunes) plus the
-        # characteristic search of the complement (189 nodes, 16 prunes)
+        # characteristic search of the reduced form, one block (189 nodes,
+        # 16 prunes)
         assert json.loads(serial)["stats"] == {"kernel": "python", "nodes": 287, "prunes": 48}
         assert main(["analyze", doc, "--json", "--stats", "--workers", "4"]) == 0
         assert capsys.readouterr().out == serial

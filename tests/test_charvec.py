@@ -41,11 +41,10 @@ from latgate import (
     sufficient_box,
 )
 from latgate import charvec, enumeration
-from latgate.core import _lll, _reversed_pivots, direct_sum, evaluate, lll_reduce
+from latgate.core import _lll, _reversed_pivots, _times, evaluate, lll_reduce, parity
 from oracle_helpers import (
     char_01_vectors,
     char_holds_on_01_cube,
-    det_gauss,
     dn_plus_basis,
     dn_plus_char_minimum,
     is_characteristic,
@@ -370,25 +369,18 @@ class TestMinCharVector:
             assert str(info.value) == "minimal characteristic vectors need a positive definite form"
 
 
-def split_form(fid):
-    """Catalog ids plus Zk+D12plus, the standard form Z^k summed with D12plus."""
-    if fid.endswith("+D12plus"):
-        k = int(fid[1:fid.index("+")])
-        return direct_sum(catalog_get(f"Zn:{k}").gram, catalog_get("D12plus").gram)
-    return catalog_get(fid).gram
-
-
 def unit_count_by_scan(g, scan):
     zero = tuple(Fraction(0) for _ in range(g.rank))
     return sum(1 for nu in scan(EnumQuery(form=g, shift=zero, radius=Fraction(1))).norms if nu == 1)
 
 
 class TestUnitSplit:
-    """The norm-1 vectors split off as Z^k, and only their complement is
-    searched; every answer must equal a search that does not split."""
+    """The reduced basis splits into the components of its Gram graph: the
+    units, answered in closed form, and blocks searched each on its own;
+    every answer must equal a search that does not split."""
 
     # (form, seed, k, m, count): Z^k (+) E8 and Z^k (+) D12plus up to rank
-    # 14, and Z^n itself, whose complement is empty
+    # 14, and Z^n itself, all units
     CASES = [
         ("E8+Z1", 0, 1, 1, 2),
         ("E8+Z2", 1, 2, 2, 4),
@@ -401,8 +393,15 @@ class TestUnitSplit:
         ("Zn:3", 8, 3, 3, 8),
         ("Zn:6", 9, 6, 6, 64),
     ]
+    # conjugates whose reduced basis holds two or more blocks of rank > 1,
+    # some not contiguous, so no cut of the pivot rows can see them
+    BLOCKS = [
+        ("D12plus+D12plus", 100, 0, 8, 576),
+        ("Z1+D12plus+E8", 100, 1, 5, 48),
+        ("E8+E8+Z1", 100, 1, 1, 2),
+    ]
     # conjugates on which some unit is not a vector of the LLL-reduced basis,
-    # so the complement's basis comes from the general kernel computation
+    # so it lies inside a block of rank > 1, whose ladder must still find it
     OFF_BASIS = [
         ("E8+Z3", 131, 3, 3, 8),
         ("E8+Z4", 15, 4, 4, 16),
@@ -410,9 +409,9 @@ class TestUnitSplit:
         ("Z2+D12plus", 48, 2, 6, 96),
     ]
 
-    @pytest.mark.parametrize("fid, seed, k, m, count", CASES + OFF_BASIS)
+    @pytest.mark.parametrize("fid, seed, k, m, count", CASES + BLOCKS + OFF_BASIS)
     def test_matches_unsplit_search(self, fid, seed, k, m, count):
-        g = split_form(fid)
+        g = catalog_get(fid).gram
         conj = basis_change(g, random_unimodular(g.rank, random.Random(seed)))
         res = min_char_vector(conj)
         assert (res.norm_m, res.k, res.count_minimizers) == (m, (g.rank - m) // 8, count)
@@ -426,7 +425,7 @@ class TestUnitSplit:
 
     @pytest.mark.parametrize("fid, seed, k, m, count", OFF_BASIS)
     def test_unit_off_the_reduced_basis(self, fid, seed, k, m, count):
-        g = split_form(fid)
+        g = catalog_get(fid).gram
         conj = basis_change(g, random_unimodular(g.rank, random.Random(seed)))
         reduced = lll_reduce(conj)[1]
         zero = tuple(Fraction(0) for _ in range(g.rank))
@@ -435,36 +434,29 @@ class TestUnitSplit:
         assert len(units) == 2 * k
         assert any(sum(map(abs, u)) > 1 for u in units)
 
-    @pytest.mark.parametrize("fid, seed, m_rest", (
-        ("E8+Z2", 1, 0),
-        ("E8+Z3", 2, 0),
-        ("E8+Z3", 15, 0),  # one unit's column takes a second Euclid pass
-        ("D12plus+Z1", 4, 4),
-        ("Zn:6", 5, None),
-    ))
-    def test_complement_of_units_off_the_basis(self, fid, seed, m_rest):
-        # the kernel computation on an unreduced conjugate, some of whose
-        # units are not +-basis vectors, whatever basis LLL would return;
-        # every check below is test-local arithmetic
+    @pytest.mark.parametrize("fid, seed, k, m, count", BLOCKS)
+    def test_blocks_off_the_cuts(self, fid, seed, k, m, count):
         g = catalog_get(fid).gram
         conj = basis_change(g, random_unimodular(g.rank, random.Random(seed)))
-        rows = conj.entries
-        zero = tuple(Fraction(0) for _ in range(g.rank))
-        ball = enumerate_coset(EnumQuery(form=conj, shift=zero, radius=Fraction(1)))
-        units = tuple(u for u, nu in zip(ball.vectors, ball.norms)
-                      if nu == 1 and next(filter(None, u)) > 0)
-        assert any(sum(map(abs, e)) > 1 for e in units)
-        kernel = charvec._orthogonal_complement(conj, units)
-        assert all(pair(rows, x, e) == 0 for x in kernel for e in units)
-        assert abs(det_gauss(units + kernel)) == 1
-        if m_rest is None:
-            assert kernel == ()
-            return
-        rest = [[pair(rows, x, y) for y in kernel] for x in kernel]
-        # positive definite: every leading principal minor is positive
-        assert all(det_gauss([row[:i] for row in rest[:i]]) > 0 for i in range(1, len(rest) + 1))
-        assert det_gauss(rest) == 1
-        assert min_char_vector(GramMatrix.from_rows(rest)).norm_m == m_rest
+        form = charvec._search_basis(conj)[1]
+        parts = charvec._components(form)
+        assert sorted(i for part in parts for i in part) == list(range(g.rank))
+        assert all(form.entries[i][j] == 0 for a in parts for b in parts if a != b
+                   for i in a for j in b)
+        blocks = [part for part in parts if len(part) > 1]
+        assert len(parts) - len(blocks) == k and len(blocks) >= 2
+        assert any(part != list(range(part[0], part[-1] + 1)) for part in blocks)
+
+    @pytest.mark.parametrize("fid, seed, k, m, count", BLOCKS + OFF_BASIS)
+    def test_one_block_route_agrees(self, fid, seed, k, m, count, monkeypatch):
+        # the whole reduced form searched as one block, on its plan's rows,
+        # gives the same answer as the split
+        g = catalog_get(fid).gram
+        conj = basis_change(g, random_unimodular(g.rank, random.Random(seed)))
+        res = min_char_vector(conj)
+        monkeypatch.setattr(charvec, "_components", lambda form: [list(range(form.rank))])
+        assert min_char_vector(conj) == res
+        assert (res.norm_m, res.count_minimizers, res.unit_vector_count) == (m, count, 2 * k)
 
     def test_unit_count_two_routes(self):
         # the count the min-char search reads off its own unit search
@@ -500,7 +492,8 @@ class TestUnitSplit:
         odd = basis_change(catalog_get("E8+Z2").gram, random_unimodular(10, random.Random(4)))
         even = basis_change(catalog_get("E8").gram, random_unimodular(8, random.Random(4)))
         assert charvec_report(odd, "odd")["unit_vector_count"] == 4
-        # the unit search, then the rung c = 0 of the complement E8
+        # the unit search, then the rung c = 0 of the E8 block; the two
+        # units are answered without a search
         assert calls == [1, 0]
         calls.clear()
         assert min_char_vector(odd).norm_m == 2 and count_unit_vectors(odd) == 4
@@ -508,13 +501,15 @@ class TestUnitSplit:
         calls.clear()
         assert count_unit_vectors(even) == 0 and min_char_vector(even).norm_m == 0
         assert calls == []
-        # D12plus+D12plus has no units; its ladder is c = 0 (empty), then
-        # c = 8, which holds every minimizer
+        # D12plus+D12plus has no units; its reduced basis splits into the
+        # two D12plus blocks, each answered at its first rung c = 4, with 24
+        # minimizers: not the ladder of the whole form, c = 0 (empty), then
+        # c = 8
         calls.clear()
         g = catalog_get("D12plus+D12plus").gram
         conj = basis_change(g, random_unimodular(24, random.Random(1)))
         res = min_char_vector(conj)
-        assert calls == [1, 0, 2]
+        assert calls == [1, 1, 1]
         assert (res.norm_m, res.count_minimizers) == (8, 576)
 
     def test_stats_add_both_searches(self):
@@ -552,8 +547,9 @@ class TestEvenFormsUnreduced:
     """An even unimodular form is answered without a search: w = 0 is its
     one minimizer, and its search would be the radius-0 ball around 0, one
     path of n nodes and no prunes in any basis, so neither the answer nor
-    the counters change.  An even complement L' is still searched, as it
-    stands; odd forms and odd complements are still reduced."""
+    the counters change.  An even block of an odd form's reduced basis is
+    still searched, from rung 0; an odd form is reduced once, and none of
+    its blocks again."""
 
     EVEN = [("E8", 11), ("E8+E8", 12), ("D16plus", 13), ("D24plus", 14), ("E8+E8+E8", 15)]
 
@@ -648,29 +644,41 @@ class TestEvenFormsUnreduced:
         assert (report["oracle"]["mode"], report["oracle"]["ok"]) == ("brute", True)
 
     def test_even_complement_not_reduced(self, monkeypatch):
-        # E8+Z2 splits into Z^2 and an even E8: only the input is reduced
+        # E8+Z2 splits on its reduced basis into two units and an even E8
+        # block: only the input is reduced, and the E8 block is searched at
+        # rung 0 on the pivot rows of its own reversal
         conj = self.conjugate("E8+Z2", 16)
         m, count, minimizer, _ = self.reduced_route(conj)
+        form = charvec._search_basis(conj)[1]
+        [e8] = [part for part in charvec._components(form) if len(part) > 1]
+        block = GramMatrix(tuple(tuple(form.entries[i][j] for j in e8) for i in e8))
+        assert parity(block) is Parity.EVEN
         calls = self.counting_lll(monkeypatch)
+        searched = []
+        search = enumeration._search
+        monkeypatch.setattr(charvec, "_search", lambda rows, T, D, r: searched.append(
+            (rows, r)) or search(rows, T, D, r))
         res, stats = min_char_vector_with_stats(conj)
         assert calls == [conj.entries]
         assert (res.norm_m, res.count_minimizers) == (2, 4)
         assert (m, count, minimizer) == (res.norm_m, res.count_minimizers, res.minimizer)
-        # the counters are those of the route that reduces the complement
-        # too, which it takes when it is planned as an odd form
+        assert [r for _, r in searched] == [1, 0]
+        assert searched[1][0] == _reversed_pivots(block)
+        # no block's parity is asked: planning every form as odd changes
+        # nothing and reduces no block
         monkeypatch.setattr(charvec, "parity", lambda g: Parity.ODD)
-        fresh = GramMatrix(conj.entries)
-        assert min_char_vector_with_stats(fresh) == (res, stats)
-        assert len(calls) == 3
+        assert min_char_vector_with_stats(GramMatrix(conj.entries)) == (res, stats)
+        assert calls == [conj.entries] * 2
 
     def test_odd_forms_still_reduced(self, monkeypatch):
-        # D12plus+Z4 has rank 16 = 0 mod 8 but is odd, and so is its
-        # complement D12plus: both are reduced
+        # D12plus+Z4 has rank 16 = 0 mod 8 but is odd: it is reduced once,
+        # and its odd D12plus block is searched on the reduced basis, not
+        # reduced again
         conj = self.conjugate("D12plus+Z4", 17)
         calls = self.counting_lll(monkeypatch)
         res = min_char_vector(conj)
         assert (res.norm_m, res.k, res.count_minimizers) == (8, 1, 384)
-        assert len(calls) == 2 and calls[0] == conj.entries and len(calls[1]) == 12
+        assert calls == [conj.entries]
 
 
 class TestSearchPlan:
@@ -679,9 +687,9 @@ class TestSearchPlan:
     right of the diagonal, a fresh elimination of the plan's search form,
     so a fault in LLL's bookkeeping cannot hide behind it."""
 
-    # (form, ranks of the plans whose rows come from LLL): the input, and
-    # after a Z^k split the complement when it is odd
-    CASES = [("E8+Z1", [9]), ("E8+Z4", [12]), ("D12plus", [12]), ("D12plus+Z1", [13, 12]),
+    # (form, ranks of the plans whose rows come from LLL): the input's
+    # alone, as no block of its reduced basis is reduced again
+    CASES = [("E8+Z1", [9]), ("E8+Z4", [12]), ("D12plus", [12]), ("D12plus+Z1", [13]),
              ("Zn:12", [12])]
 
     @pytest.mark.parametrize("fid, from_lll", CASES)
@@ -705,6 +713,31 @@ class TestSearchPlan:
                 fresh = _reversed_pivots(form)
                 assert [row[i:] for i, row in enumerate(rows)] == [
                     row[i:] for i, row in enumerate(fresh)]
+
+
+class TestMapBack:
+    """`_char_minimum` builds the lex-least minimizer in the caller's
+    coordinates one coordinate at a time, for the minimizers still tied;
+    it must equal the least of all of them mapped back by a full product."""
+
+    @pytest.mark.parametrize("fid, count", [("E8+Z4", 16), ("D12plus+Z1", 48), ("Zn:9", 512),
+                                            ("Z1+D12plus+E8", 48)])
+    def test_matches_full_product(self, fid, count):
+        g = catalog_get(fid).gram
+        tied = 0
+        for seed in range(3):
+            conj = basis_change(g, random_unimodular(g.rank, random.Random(seed)))
+            h, form, rows = charvec._search_basis(conj)
+            m, found, minimizer, _ = charvec._char_minimum(form, rows, h)
+            w0 = charvec._solve_gf2(form)
+            pairs = enumeration._search(rows, w0, 2, Fraction(m, 4))[0]
+            mapped = _times([tuple(x + 2 * y for x, y in zip(w0, u)) for u, _ in pairs], h)
+            assert found == len(mapped) == count
+            assert minimizer == min(mapped)
+            tied += sum(w[0] == minimizer[0] for w in mapped) > 1
+        # on some seed several minimizers tie at coordinate 0, so later
+        # coordinates narrow the survivors
+        assert tied
 
 
 class TestReductionSearchedAlike:

@@ -457,8 +457,8 @@ class TestLLL:
         # Z^n is left as it is by LLL, and planned as its reversal with the
         # pivot rows LLL kept; an odd conjugate comes back as (H, form,
         # rows) with form = H G H^T the reversal of its LLL reduction and
-        # rows the pivot rows LLL kept; an even complement is planned where
-        # it is built, on the rows of its reversal, and never reduced
+        # rows the pivot rows LLL kept; an even block of the reduced form is
+        # planned on the rows of its reversal, and never reduced
         zn = catalog_get("Zn:6").gram
         h, form, rows = charvec._search_basis(zn)
         assert h == identity(6).entries[::-1]
@@ -537,9 +537,10 @@ class TestClassifiedOnce:
     inertia.  The searches of an odd form share one plan, whose pivot rows
     LLL computed; an even input, whose characteristic search would be one
     path in any basis, is answered without a search, so nothing but its
-    classification eliminates it, and an even complement is searched as
-    built, never reduced, on the rows of one elimination of its reversal.
-    Every elimination goes through `core._bareiss`."""
+    classification eliminates it, and each block of rank > 1 of a reduced
+    basis that splits is searched, never classified or reduced, on the rows
+    of one elimination of its reversal.  Every elimination goes through
+    `core._bareiss`."""
 
     def _count(self, monkeypatch, argv):
         eliminated = Counter()  # rows -> fraction-free eliminations of them
@@ -593,27 +594,29 @@ class TestClassifiedOnce:
         assert reached == [form.entries]
 
     def test_split_complement_not_classified(self, monkeypatch, capsys):
-        # after the Z^4 split the complement g'' (an E8) is built with its
-        # det and inertia known: nothing eliminates it to classify it, and
-        # being even it is not reduced; its plan eliminates its reversal
-        # once, and the reduced input's plan takes its rows from LLL
+        # E8+Z4 splits on its reduced basis into four units and an E8
+        # block, read off the reduced form: nothing eliminates the block to
+        # classify it, and nothing reduces it; its plan eliminates its
+        # reversal once, and the reduced input's plan takes its rows from LLL
         form = basis_change(catalog_get("E8+Z4").gram, random_unimodular(12, random.Random(8)))
-        searched, built = [], []
-        search, classified = charvec._search, charvec._classified
+        searched = []
+        search = charvec._search
         monkeypatch.setattr(charvec, "_search",
                             lambda rows, *args: searched.append(rows) or search(rows, *args))
-        monkeypatch.setattr(charvec, "_classified",
-                            lambda rows, *args: built.append(rows) or classified(rows, *args))
         argv = ["analyze", "--json", dumps_canonical(gram_to_obj(form))]
         eliminated, reductions = self._count(monkeypatch, argv)
         report = json.loads(capsys.readouterr().out)["charvec"]
         assert (report["m"], report["unit_vector_count"]) == (4, 8)
         [(source, reduced)] = reductions
-        [rest] = built
-        assert len(rest) == 8 and eliminated[rest] == 0
+        plan_form = _rev(reduced)
+        parts = charvec._components(GramMatrix(plan_form))
+        [e8] = [part for part in parts if len(part) > 1]
+        assert len(parts) == 5 and len(e8) == 8
+        rest = tuple(tuple(plan_form[i][j] for j in e8) for i in e8)
+        assert rest != _rev(rest) and eliminated[rest] == 0
         assert eliminated == {form.entries: 1, _rev(rest): 1}
         # the unit search ran on the rows LLL kept for the reduced input,
-        # the min-char search on those of the complement's reversal
+        # the min-char search on those of the block's reversal
         assert source == form.entries and searched[0] == core._lll(form)[2]
         assert searched[1:] == [core._reversed_pivots(GramMatrix(rest))]
 
