@@ -6,170 +6,32 @@ Everything is integer or Fraction arithmetic end to end: classification
 shifted lattices, the minimal characteristic vector and its dichotomy, and
 the surgery/moduli bookkeeping that turns a negative definite intersection
 form into a Realizable/Forbidden verdict.
+
+The package's public names are those of its library modules, each declared
+once, in its own module's `__all__`, and republished here; `cli` and the
+pure-Python kernel stay out.
 """
 
-from .catalog import CatalogEntry, builtin_ids, catalog_get
-from .charvec import (
-    CharCoset,
-    CharVecResult,
-    ElkiesVerdict,
-    charvec_report,
-    count_unit_vectors,
-    elkies_verdict,
-    min_char_vector,
-    min_char_vector_with_stats,
-    signature_mod8_check,
-    solve_char_coset,
-)
-from .core import (
-    Definiteness,
-    GramMatrix,
-    Parity,
-    RationalCholesky,
-    basis_change,
-    cholesky,
-    definiteness,
-    determinant,
-    direct_sum,
-    evaluate,
-    inertia,
-    is_unimodular,
-    negate,
-    pairing,
-    parity,
-    signature,
-    validate,
-)
-from .enumeration import (
-    DEFAULT_RANK_CAP,
-    EnumQuery,
-    EnumResult,
-    EnumStats,
-    brute_force_coset,
-    enumerate_coset,
-    kernel_name,
-    sufficient_box,
-)
-from .errors import (
-    BadShapeError,
-    DegenerateFormError,
-    InconsistentDimensionError,
-    InvalidKError,
-    InvalidParameterError,
-    LatgateError,
-    NegativePerturbationNormError,
-    NoLoopToSurgerError,
-    NoSolutionError,
-    NotNegativeDefiniteError,
-    NotPositiveDefiniteError,
-    NotSymmetricError,
-    NotUnimodularError,
-    NotUnimodularTransformError,
-    ParseError,
-    RankCapExceededError,
-    UnknownIdError,
-)
-from .formats import dumps_canonical, gram_from_obj, gram_to_obj, load_gram, load_manifold
-from .manifold import (
-    BoundaryNumber,
-    ExactSequence,
-    LineBundleClass,
-    ManifoldDescriptor,
-    ModuliReport,
-    SurgeryCertificate,
-    SurgeryStep,
-    Verdict,
-    choose_line_bundle,
-    donaldson_verdict,
-    reduce_to_b1_zero,
-    surgery_reduce_b1,
-    sw_boundary_number,
-    virtual_dimension,
-    weitzenbock_bound,
-)
-from .selftest import CheckResult, format_table, random_unimodular, run_selftest
+from . import catalog, charvec, core, enumeration, errors, formats, manifold, selftest
+from .catalog import *
+from .charvec import *
+from .core import *
+from .enumeration import *
+from .errors import *
+from .formats import *
+from .manifold import *
+from .selftest import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "BadShapeError",
-    "BoundaryNumber",
-    "CatalogEntry",
-    "CharCoset",
-    "CharVecResult",
-    "CheckResult",
-    "DEFAULT_RANK_CAP",
-    "Definiteness",
-    "DegenerateFormError",
-    "ElkiesVerdict",
-    "EnumQuery",
-    "EnumResult",
-    "EnumStats",
-    "ExactSequence",
-    "GramMatrix",
-    "InconsistentDimensionError",
-    "InvalidKError",
-    "InvalidParameterError",
-    "LatgateError",
-    "LineBundleClass",
-    "ManifoldDescriptor",
-    "ModuliReport",
-    "NegativePerturbationNormError",
-    "NoLoopToSurgerError",
-    "NoSolutionError",
-    "NotNegativeDefiniteError",
-    "NotPositiveDefiniteError",
-    "NotSymmetricError",
-    "NotUnimodularError",
-    "NotUnimodularTransformError",
-    "Parity",
-    "ParseError",
-    "RankCapExceededError",
-    "RationalCholesky",
-    "SurgeryCertificate",
-    "SurgeryStep",
-    "UnknownIdError",
-    "Verdict",
-    "basis_change",
-    "brute_force_coset",
-    "builtin_ids",
-    "catalog_get",
-    "charvec_report",
-    "cholesky",
-    "choose_line_bundle",
-    "count_unit_vectors",
-    "definiteness",
-    "determinant",
-    "direct_sum",
-    "donaldson_verdict",
-    "dumps_canonical",
-    "elkies_verdict",
-    "enumerate_coset",
-    "evaluate",
-    "format_table",
-    "gram_from_obj",
-    "gram_to_obj",
-    "inertia",
-    "is_unimodular",
-    "kernel_name",
-    "load_gram",
-    "load_manifold",
-    "min_char_vector",
-    "min_char_vector_with_stats",
-    "negate",
-    "pairing",
-    "parity",
-    "random_unimodular",
-    "reduce_to_b1_zero",
-    "run_selftest",
-    "signature",
-    "signature_mod8_check",
-    "solve_char_coset",
-    "sufficient_box",
-    "surgery_reduce_b1",
-    "sw_boundary_number",
-    "validate",
-    "virtual_dimension",
-    "weitzenbock_bound",
+    *catalog.__all__,
+    *charvec.__all__,
+    *core.__all__,
+    *enumeration.__all__,
+    *errors.__all__,
+    *formats.__all__,
+    *manifold.__all__,
+    *selftest.__all__,
 ]

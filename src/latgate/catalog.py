@@ -180,10 +180,10 @@ def catalog_get(form_id: str) -> CatalogEntry:
     return CatalogEntry(id=form_id, gram=gram, expected=expected)
 
 
-def builtin_ids(max_zn: int = 16) -> tuple[str, ...]:
-    """The stock catalog: Z^n up to max_zn, E8 and its Z paddings, E8+E8,
+def builtin_ids() -> tuple[str, ...]:
+    """The stock catalog: Z^n up to n = 16, E8 and its Z paddings, E8+E8,
     and the two glue extensions used as goldens."""
-    ids = [f"Zn:{n}" for n in range(1, max_zn + 1)]
+    ids = [f"Zn:{n}" for n in range(1, 17)]
     ids.append("E8")
     ids.extend(f"E8+Z{k}" for k in range(1, 5))
     ids.extend(["E8+E8", "D12plus", "D16plus"])

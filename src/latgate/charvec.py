@@ -179,8 +179,10 @@ def _search_basis(g: GramMatrix) -> tuple[IntMatrix, GramMatrix, list[list[int]]
     """(H, form, rows): the plan of the searches of the odd positive
     definite g.  form is the basis they run on, H its rows in g's
     coordinates, and rows the pivot rows the kernel reads,
-    `_reversed_pivots(form)` on and right of the diagonal.  Every search
-    of form shares the one plan.
+    `_reversed_pivots(form)` on and right of the diagonal.  The unit search
+    runs on rows, and so does the characteristic ladder when form is one
+    component; when it is several, each component that is not a unit
+    climbs its ladder on the rows of its own reversal instead.
 
     g is LLL-reduced, in reversed basis order (H's rows reversed and
     P*g'*P, P the coordinate reversal), so that the searches, which read
@@ -192,15 +194,14 @@ def _search_basis(g: GramMatrix) -> tuple[IntMatrix, GramMatrix, list[list[int]]
     return h[::-1], GramMatrix(tuple(row[::-1] for row in reduced.entries[::-1])), rows
 
 
-def _unit_vectors(rows: list[list[int]]) -> tuple[IntMatrix, EnumStats]:
-    """One vector from each +- pair of norm-1 vectors of the odd form whose
-    `_search_basis` plan has the pivot rows `rows`, in that plan's
-    coordinates, with the counters of the radius-1 search that found them.
+def _unit_count(rows: list[list[int]]) -> tuple[int, EnumStats]:
+    """The number of norm-1 vectors of the odd form whose `_search_basis`
+    plan has the pivot rows `rows`, with the counters of the radius-1 search
+    that counts them: both members of each pair +-e lie in that ball, and an
+    integral lattice has no norm strictly between 0 and 1.
     """
     pairs, scale, stats = _search(rows, (0,) * len(rows), 1, 1)
-    # of each pair +-e keep the member whose first nonzero entry is positive
-    units = tuple(u for u, norm in pairs if norm == scale and next(filter(None, u)) > 0)
-    return units, stats
+    return sum(norm == scale for _, norm in pairs), stats
 
 
 def _components(form: GramMatrix) -> list[list[int]]:
@@ -277,10 +278,10 @@ def min_char_vector_with_stats(g: GramMatrix) -> tuple[CharVecResult, EnumStats]
         # w = 0 is characteristic and the only vector of norm 0: the search
         # would be the radius-0 ball around 0, in any basis one path of n
         # nodes with no prunes (every centre 0, every interval [0, 0])
-        units, stats = (), EnumStats(nodes=n, prunes=0)
+        units, stats = 0, EnumStats(nodes=n, prunes=0)
     else:
         h, form, rows = _search_basis(g)
-        units, stats = _unit_vectors(rows)
+        units, stats = _unit_count(rows)
         parts = _components(form)
         for part in parts:
             if len(part) == 1:
@@ -306,7 +307,7 @@ def min_char_vector_with_stats(g: GramMatrix) -> tuple[CharVecResult, EnumStats]
         norm_m=m,
         k=(n - m) // 8,
         count_minimizers=count,
-        unit_vector_count=2 * len(units),
+        unit_vector_count=units,
     )
     return result, stats
 
@@ -349,7 +350,7 @@ def signature_mod8_check(g: GramMatrix) -> bool:
 def count_unit_vectors(g: GramMatrix) -> int:
     """Number of lattice vectors of norm exactly 1 (2n for the standard form),
     counted on the LLL-reduced form.  It runs the same `_search_basis` and
-    `_unit_vectors` search as `min_char_vector`, so it can show leaked state
+    `_unit_count` search as `min_char_vector`, so it can show leaked state
     or nondeterminism but not a wrong reduction or search: it is not an
     independent route to `CharVecResult.unit_vector_count`.  An even form
     has none and is not searched."""
@@ -358,7 +359,7 @@ def count_unit_vectors(g: GramMatrix) -> int:
         _positive_pivots(g)  # refuses the form, naming its first non-positive pivot
     if parity(g) is Parity.EVEN:
         return 0
-    return 2 * len(_unit_vectors(_search_basis(g)[2])[0])
+    return _unit_count(_search_basis(g)[2])[0]
 
 
 def charvec_report_with_stats(

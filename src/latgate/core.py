@@ -126,14 +126,6 @@ class GramMatrix:
         return det, (len(minors) - neg, neg, self.rank - len(minors))
 
 
-def _classified(entries: IntMatrix, det: int, inertia: tuple[int, int, int]) -> GramMatrix:
-    """A GramMatrix whose (det, inertia) the caller already knows, so that
-    nothing eliminates it to classify it."""
-    g = GramMatrix(entries)
-    g.__dict__["_det_and_inertia"] = (det, inertia)
-    return g
-
-
 def _times(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple[tuple, ...]:
     """The matrix product a b, matrices given as rows of ints or Fractions.
 
@@ -306,12 +298,12 @@ def direct_sum(a: GramMatrix, b: GramMatrix) -> GramMatrix:
 
 def negate(g: GramMatrix) -> GramMatrix:
     """-g; carries g's (det, inertia) when g has already computed them."""
-    entries = tuple(tuple(-x for x in row) for row in g.entries)
+    out = GramMatrix(tuple(tuple(-x for x in row) for row in g.entries))
     memo = g.__dict__.get("_det_and_inertia")
-    if memo is None:
-        return GramMatrix(entries)
-    det, (pos, neg, zero) = memo
-    return _classified(entries, det * (-1) ** g.rank, (neg, pos, zero))
+    if memo is not None:
+        det, (pos, neg, zero) = memo
+        out.__dict__["_det_and_inertia"] = (det * (-1) ** g.rank, (neg, pos, zero))
+    return out
 
 
 def basis_change(g: GramMatrix, u: Sequence[Sequence[int]]) -> GramMatrix:

@@ -316,6 +316,31 @@ class TestMinCharVector:
         with pytest.raises(NoSolutionError, match="internal error: a characteristic norm"):
             min_char_vector(catalog_get("D12plus").gram)
 
+    def test_empty_ladder_is_verification_failure(self, monkeypatch, capsys):
+        # a ladder whose every rung is empty is an internal error, which the
+        # command line reports as a verification failure
+        from latgate.cli import main
+
+        monkeypatch.setattr(charvec, "_search", lambda rows, T, D, radius: (
+            [], 1, enumeration.EnumStats(nodes=0, prunes=0)))
+        assert main(["analyze", "--catalog", "D12plus"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("latgate: verification failure: internal error: "
+                                "no characteristic vector of norm <= 12\n")
+
+    def test_norm_off_rank_mod8_is_internal_error(self, monkeypatch):
+        # a minimum m with n - m not divisible by 8 is refused, not reported
+        char_minimum = charvec._char_minimum
+
+        def off_by_one(form, rows, basis):
+            m, count, minimizer, stats = char_minimum(form, rows, basis)
+            return m + 1, count, minimizer, stats
+
+        monkeypatch.setattr(charvec, "_char_minimum", off_by_one)
+        with pytest.raises(NoSolutionError, match="internal error: rank 12 and norm 5 differ by 7"):
+            min_char_vector(catalog_get("D12plus").gram)
+
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(fid=st.sampled_from(("Zn:1", "Zn:2", "Zn:3", "Zn:4", "Zn:5", "Zn:6", "E8",
                                 "E8+Z1", "E8+Z2", "E8+Z3", "E8+Z4", "D12plus")),
@@ -465,7 +490,8 @@ class TestUnitSplit:
         # wrong search (`test_matches_unsplit_search` scans the conjugate's
         # own basis, as the self-test's `_unreduced_search_problems` does);
         # neither leaves state on the form
-        forms = [e.gram for e in map(catalog_get, builtin_ids(24)) if "m" in e.expected]
+        ids = builtin_ids() + tuple(f"Zn:{n}" for n in range(17, 25))
+        forms = [e.gram for e in map(catalog_get, ids) if "m" in e.expected]
         for fid, seed in (("E8+Z1", 21), ("E8+Z2", 22), ("E8+Z3", 23), ("E8+Z4", 24),
                           ("D12plus+Z4", 25), ("Zn:5", 26)):
             g = catalog_get(fid).gram

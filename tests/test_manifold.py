@@ -14,6 +14,7 @@ from latgate import (
     NoLoopToSurgerError,
     NotNegativeDefiniteError,
     NotUnimodularError,
+    SurgeryCertificate,
     Verdict,
     basis_change,
     catalog_get,
@@ -87,6 +88,25 @@ class TestSurgery:
         m = ManifoldDescriptor(b1=1, form=neg("Zn:1"))
         assert m.chi == 1
         assert reduce_to_b1_zero(m).chi == 3
+
+    def test_unbalanced_ledger_is_verification_failure(self, monkeypatch, capsys):
+        # a surgery whose rank ledger does not balance is an internal error,
+        # which the command line reports as a verification failure
+        from latgate.cli import main
+
+        monkeypatch.setattr(SurgeryCertificate, "rank_preserved",
+                            property(lambda self: False))
+        assert main(["donaldson", "--catalog", "Zn:3", "--negate", "--b1", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "latgate: verification failure: surgery rank ledger does not balance\n")
+
+    def test_euler_step_off_by_wrong_amount(self, monkeypatch):
+        monkeypatch.setattr(ManifoldDescriptor, "chi", property(lambda self: 5))
+        with pytest.raises(InconsistentDimensionError,
+                           match=r"Euler characteristic moved by 0, expected \+2"):
+            surgery_reduce_b1(ManifoldDescriptor(b1=1, form=neg("Zn:1")))
 
 
 class TestLineBundle:
