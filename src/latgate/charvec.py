@@ -197,11 +197,11 @@ def _search_basis(g: GramMatrix) -> tuple[IntMatrix, GramMatrix, list[list[int]]
 def _unit_count(rows: list[list[int]]) -> tuple[int, EnumStats]:
     """The number of norm-1 vectors of the odd form whose `_search_basis`
     plan has the pivot rows `rows`, with the counters of the radius-1 search
-    that counts them: both members of each pair +-e lie in that ball, and an
-    integral lattice has no norm strictly between 0 and 1.
+    that counts them: an integral lattice has no norm strictly between 0 and
+    1, so that ball holds 0 and both members of each pair +-e, and no more.
     """
-    pairs, scale, stats = _search(rows, (0,) * len(rows), 1, 1)
-    return sum(norm == scale for _, norm in pairs), stats
+    pairs, _, stats = _search(rows, (0,) * len(rows), 1, 1)
+    return len(pairs) - 1, stats
 
 
 def _components(form: GramMatrix) -> list[list[int]]:

@@ -84,7 +84,7 @@ def _build_parser() -> _Parser:
         description="Exact analysis of integer quadratic forms: the characteristic-vector "
         "dichotomy and the obstruction pipeline for closed four-manifolds.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    sub = parser.add_subparsers(required=True, metavar="command")
 
     analyze = sub.add_parser(
         "analyze", help="classify a form and locate its minimal characteristic vector"
@@ -100,6 +100,7 @@ def _build_parser() -> _Parser:
         "--stats", action="store_true", help="include search counters in the output"
     )
     analyze.add_argument("--workers", type=int, default=1, help=_IGNORED_HELP)
+    analyze.set_defaults(run=_cmd_analyze)
 
     donaldson = sub.add_parser(
         "donaldson", help="run the realizability pipeline on a closed-manifold descriptor"
@@ -114,11 +115,13 @@ def _build_parser() -> _Parser:
     )
     donaldson.add_argument("--json", action="store_true", help="emit the JSON report")
     donaldson.add_argument("--workers", type=int, default=1, help=_IGNORED_HELP)
+    donaldson.set_defaults(run=_cmd_donaldson)
 
     selftest = sub.add_parser("selftest", help="run the built-in invariant suite")
     selftest.add_argument(
         "--max-rank", type=int, default=16, help="skip checks on forms above this rank"
     )
+    selftest.set_defaults(run=_cmd_selftest)
     return parser
 
 
@@ -305,15 +308,7 @@ def _cmd_selftest(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except _UsageError as exc:
-        print(f"latgate: error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "donaldson":
-            return _cmd_donaldson(args)
-        return _cmd_selftest(args)
+        return args.run(args)
     except (_UsageError, *_USAGE_ERRORS) as exc:
         print(f"latgate: error: {exc}", file=sys.stderr)
         return 1

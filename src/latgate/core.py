@@ -176,15 +176,17 @@ def validate(g: GramMatrix) -> None:
     for i, row in enumerate(rows):
         if len(row) != n:
             raise BadShapeError(f"row {i} has length {len(row)}, expected {n}")
-        for j, x in enumerate(row):
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise BadShapeError(f"entry ({i},{j}) is not an integer: {x!r}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                raise NotSymmetricError(
-                    f"entries ({i},{j})={rows[i][j]} and ({j},{i})={rows[j][i]} differ"
-                )
+        if not set(map(type, row)) <= {int}:  # find the first bad entry, if any
+            for j, x in enumerate(row):
+                if isinstance(x, bool) or not isinstance(x, int):
+                    raise BadShapeError(f"entry ({i},{j}) is not an integer: {x!r}")
+    if tuple(zip(*rows)) != rows:  # find the first asymmetric pair, if any
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rows[i][j] != rows[j][i]:
+                    raise NotSymmetricError(
+                        f"entries ({i},{j})={rows[i][j]} and ({j},{i})={rows[j][i]} differ"
+                    )
 
 
 def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, list[int], list[list[int]]]:

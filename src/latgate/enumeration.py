@@ -11,10 +11,12 @@ the coordinate-reversed form, so the search fixes coordinate 0 outermost
 and emits the points in lexicographic order: nothing sorts them.  `_search`
 takes no query: the pivot rows, the shift as T/D with T an integer vector
 and D a positive integer, and the radius.  `enumerate_coset` eliminates
-the query's form and clears its shift's denominators; the characteristic
-searches pass the rows of their search plan, which for an odd form are
-LLL's own (`core._lll`), and the shifts 0 and w0/2 as (0, 1) and (w0, 2),
-so they build no EnumQuery and no shift Fraction.  When the shift lies in
+the query's form and clears its shift's denominators.  The characteristic
+searches pass their own rows: an odd form's unit search, and the ladder of
+a form of one component, read LLL's (`core._lll`), and a form of several
+components searches each non-unit block on the pivot rows of that block's
+own reversal.  They pass the shifts 0 and w0/2 as (0, 1) and (w0, 2), so
+they build no EnumQuery and no shift Fraction.  When the shift lies in
 (1/2)Z^n (every zero-shift ball, every unit search and every rung of the
 characteristic ladder), u -> -u - 2t maps the ball onto itself and keeps
 each norm, so the kernel searches only the lex-negative half of the tree

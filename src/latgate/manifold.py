@@ -129,13 +129,13 @@ class Verdict(Enum):
 class ModuliReport:
     verdict: Verdict
     reason: str | None
-    k: int | None
-    virtual_dim: int | None
-    based_dim: int | None
-    boundary: str | None
-    sw_number_nonzero: bool | None
-    line_bundle: LineBundleClass | None
-    surgery_certificates: tuple[SurgeryCertificate, ...]
+    k: int | None = None
+    virtual_dim: int | None = None
+    based_dim: int | None = None
+    boundary: str | None = None
+    sw_number_nonzero: bool | None = None
+    line_bundle: LineBundleClass | None = None
+    surgery_certificates: tuple[SurgeryCertificate, ...] = ()
 
 
 def surgery_reduce_b1(m: ManifoldDescriptor) -> SurgeryStep:
@@ -275,17 +275,8 @@ def donaldson_verdict(m: ManifoldDescriptor) -> ModuliReport:
 
     reason = _NOT_APPLICABLE_REASONS.get(definiteness(current.form))
     if reason is not None:
-        return ModuliReport(
-            verdict=Verdict.NOT_APPLICABLE,
-            reason=reason,
-            k=None,
-            virtual_dim=None,
-            based_dim=None,
-            boundary=None,
-            sw_number_nonzero=None,
-            line_bundle=None,
-            surgery_certificates=tuple(certificates),
-        )
+        return ModuliReport(Verdict.NOT_APPLICABLE, reason,
+                            surgery_certificates=tuple(certificates))
 
     if not is_unimodular(current.form):
         raise NotUnimodularError("intersection forms of closed manifolds are unimodular")

@@ -36,6 +36,7 @@ from latgate import (
     gram_to_obj,
     inertia,
     is_unimodular,
+    load_gram,
     min_char_vector,
     negate,
     pairing,
@@ -92,6 +93,39 @@ class TestValidation:
     def test_catalog_forms_valid(self):
         for fid in ("E8", "D4", "D12plus"):
             validate(catalog_get(fid).gram)
+
+    @pytest.mark.parametrize("rows, error, message", (
+        ([], BadShapeError, "rank must be at least 1"),
+        ([[1, 0], [0]], BadShapeError, "row 1 has length 1, expected 2"),
+        # rows are checked in order, each for its length and then its entries
+        ([[1, 1.0], [0]], BadShapeError, "entry (0,1) is not an integer: 1.0"),
+        ([[1, 0], [0, True]], BadShapeError, "entry (1,1) is not an integer: True"),
+        ([[1, 0, 0], [0, 1, "1"], [0, 0, 1]], BadShapeError,
+         "entry (1,2) is not an integer: '1'"),
+        ([[1, 2], [3, 1]], NotSymmetricError, "entries (0,1)=2 and (1,0)=3 differ"),
+        # the first asymmetric pair, in row-major order of the upper triangle
+        ([[1, 0, 0], [0, 1, 5], [0, 6, 1]], NotSymmetricError,
+         "entries (1,2)=5 and (2,1)=6 differ"),
+        ([[1, 0, 7], [0, 1, 5], [0, 6, 1]], NotSymmetricError,
+         "entries (0,2)=7 and (2,0)=0 differ"),
+    ))
+    def test_messages(self, rows, error, message):
+        with pytest.raises(error) as info:
+            GramMatrix.from_rows(rows)
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_asymmetric_document_message(self):
+        with pytest.raises(NotSymmetricError) as info:
+            load_gram('{"rank": 2, "gram": [[1, 4], [0, 1]]}')
+        assert str(info.value) == "entries (0,1)=4 and (1,0)=0 differ"
+
+    def test_int_subclass_accepted(self):
+        class Small(int):
+            pass
+
+        g = GramMatrix.from_rows([[Small(2), Small(1)], [1, 2]])
+        assert g.entries == ((2, 1), (1, 2))
+        validate(GramMatrix(([1, 0], [0, 1])))  # rows held as lists
 
 
 class TestDeterminant:

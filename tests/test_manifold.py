@@ -10,6 +10,7 @@ from latgate import (
     InvalidKError,
     LineBundleClass,
     ManifoldDescriptor,
+    ModuliReport,
     NegativePerturbationNormError,
     NoLoopToSurgerError,
     NotNegativeDefiniteError,
@@ -231,6 +232,15 @@ class TestVerdictPipeline:
         assert report.verdict is Verdict.NOT_APPLICABLE
         assert "degenerate" in report.reason
         assert len(report.surgery_certificates) == 1
+
+    def test_not_applicable_report_names_only_its_verdict(self):
+        reason = "degenerate intersection form"
+        report = ModuliReport(Verdict.NOT_APPLICABLE, reason)
+        assert (report.k, report.virtual_dim, report.based_dim, report.boundary,
+                report.sw_number_nonzero, report.line_bundle) == (None,) * 6
+        assert report.surgery_certificates == ()
+        made = donaldson_verdict(ManifoldDescriptor(b1=0, form=DEGENERATE))
+        assert made == report
 
     def test_non_unimodular_raises(self):
         with pytest.raises(NotUnimodularError):
