@@ -200,8 +200,8 @@ def _unit_count(rows: list[list[int]]) -> tuple[int, EnumStats]:
     that counts them: an integral lattice has no norm strictly between 0 and
     1, so that ball holds 0 and both members of each pair +-e, and no more.
     """
-    pairs, _, stats = _search(rows, (0,) * len(rows), 1, 1)
-    return len(pairs) - 1, stats
+    vectors, _, _, stats = _search(rows, (0,) * len(rows), 1, 1)
+    return len(vectors) - 1, stats
 
 
 def _components(form: GramMatrix) -> list[list[int]]:
@@ -241,25 +241,25 @@ def _char_minimum(
     # minimizers
     stats = EnumStats(nodes=0, prunes=0)
     for c in range(n % 8, n + 1, 8):
-        pairs, scale, rung = _search(rows, w0, 2, Fraction(c, 4))
+        vectors, tots, scale, rung = _search(rows, w0, 2, Fraction(c, 4))
         stats += rung
-        if pairs:
+        if vectors:
             break
     else:
         raise NoSolutionError(f"internal error: no characteristic vector of norm <= {n}")
-    if any(4 * norm != c * scale for _, norm in pairs):
+    if any(4 * tot != c * scale for tot in tots):
         raise NoSolutionError(f"internal error: a characteristic norm in rung {c} is not {c}")
     # w' = w0 + 2u in form's basis is w = basis^T w' in the caller's; the
     # lex-least w is built one coordinate at a time, each computed only for
     # the minimizers that tie on every coordinate before it
-    mins = [tuple(x + 2 * y for x, y in zip(w0, u)) for u, _ in pairs]
+    mins = [tuple(x + 2 * y for x, y in zip(w0, u)) for u in vectors]
     least = []
     for column in zip(*basis):
         values = [sum(map(mul, w, column)) for w in mins]
         x = min(values)
         mins = [w for w, v in zip(mins, values) if v == x]
         least.append(x)
-    return c, len(pairs), tuple(least), stats
+    return c, len(vectors), tuple(least), stats
 
 
 def min_char_vector_with_stats(g: GramMatrix) -> tuple[CharVecResult, EnumStats]:

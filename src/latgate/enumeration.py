@@ -210,8 +210,15 @@ def _separators(M: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
     return list(accumulate(change[:n])), first
 
 
+def _dfs_columns(*problem, **kwargs):
+    """One kernel call, its points split into two lists once: (vectors,
+    scaled norms, nodes, prunes), the kernel's pairs taken apart."""
+    pairs, nodes, prunes = _kernel.dfs_enumerate(*problem, **kwargs)
+    return list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs)), nodes, prunes
+
+
 def _block_search(W, M, T, D, C, lo, hi, cuts, memo):
-    """The kernel's (pairs, nodes, prunes) for levels lo .. hi-1 of the
+    """(vectors, scaled norms, nodes, prunes) for levels lo .. hi-1 of the
     problem (W, M, T, D) at bound C, those levels' rows reading no level
     outside them: a search of the block's levels alone, with the coordinates
     of caller positions n-hi .. n-1-lo.
@@ -225,7 +232,8 @@ def _block_search(W, M, T, D, C, lo, hi, cuts, memo):
     sums of the blocks'.  `memo` keeps each block's result per bound, keyed
     by the block's weights, rows and shift, so a block is searched once per
     distinct leftover, and equal blocks (those of Z^n, or of E8 (+) E8) share
-    their searches.
+    their searches.  The lists it returns may be shared through `memo`, so
+    nothing appends to them.
     """
     block = tuple(W[lo:hi]), tuple(tuple(row[lo:hi]) for row in M[lo:hi]), tuple(T[lo:hi])
     key = block, C
@@ -233,28 +241,29 @@ def _block_search(W, M, T, D, C, lo, hi, cuts, memo):
         return memo[key]
     inner = [k for k in cuts if lo < k < hi]
     if not inner:
-        out = _kernel.dfs_enumerate(hi - lo, *block, D, C)
+        out = _dfs_columns(hi - lo, *block, D, C)
     else:
         k = min(inner, key=lambda c: abs(2 * c - lo - hi))
-        upper, nodes, prunes = _block_search(W, M, T, D, C, k, hi, cuts, memo)
-        pairs = []
+        ups, up_tots, nodes, prunes = _block_search(W, M, T, D, C, k, hi, cuts, memo)
+        vecs, tots = [], []
         summed = {}  # tot_a -> the lower block's points and their joint norms
-        for a, tot_a in upper:
+        for a, tot_a in zip(ups, up_tots):
             if tot_a not in summed:
-                low, n_low, p_low = _block_search(W, M, T, D, C - tot_a, lo, k, cuts, memo)
-                summed[tot_a] = [b for b, _ in low], [tot_a + t for _, t in low], n_low, p_low
+                bs, low, n_low, p_low = _block_search(W, M, T, D, C - tot_a, lo, k, cuts, memo)
+                summed[tot_a] = bs, [tot_a + t for t in low], n_low, p_low
             bs, norms, n_low, p_low = summed[tot_a]
             nodes += n_low
             prunes += p_low
-            pairs.extend(zip([a + b for b in bs], norms))
-        out = pairs, nodes, prunes
+            vecs += [a + b for b in bs]
+            tots += norms
+        out = vecs, tots, nodes, prunes
     memo[key] = out
     return out
 
 
 def _separator_search(W, M, T, D, C, k, sep):
-    """The kernel's (pairs, nodes, prunes) for the whole problem, split at
-    level k whose separator is `sep`, or None when the split does not pay.
+    """(vectors, scaled norms, nodes, prunes) for the whole problem, split
+    at level k whose separator is `sep`, or None when the split does not pay.
 
     The upper levels k .. n-1 are searched once at C.  Of those levels, the
     rows below k read only the separator's, so under an upper point a of
@@ -267,37 +276,39 @@ def _separator_search(W, M, T, D, C, k, sep):
     points and counters are joined as in `_block_search`.
     """
     n = len(M)
-    upper, nodes, prunes = _kernel.dfs_enumerate(
+    ups, up_tots, nodes, prunes = _dfs_columns(
         n - k, W[k:], [row[k:] for row in M[k:]], T[k:], D, C)
     at = itemgetter(*[n - 1 - j for j in sep])  # the separator's coordinates of a
-    states = [(tot_a, at(a)) for a, tot_a in upper]
+    states = list(zip(up_tots, map(at, ups)))
     if 2 * len(set(states)) > len(states):
         return None
     # the kernel reads the lower rows' entries at levels below k only
     W_low, M_low, T_low = W[:k], M[:k], T[:k]
     cols = [[row[j] for j in sep] for row in M_low]  # the separator's part of each row
     T_sep = [T[j] for j in sep]
-    pairs = []
+    vecs, tots = [], []
     summed = {}  # state -> the lower levels' points and their joint norms
-    for (a, tot_a), state in zip(upper, states):
+    for a, tot_a, state in zip(ups, up_tots, states):
         if state not in summed:
             coords = state[1] if len(sep) > 1 else (state[1],)
             w = [D * u + t for u, t in zip(coords, T_sep)]
-            low, n_low, p_low = _kernel.dfs_enumerate(
+            bs, low, n_low, p_low = _dfs_columns(
                 k, W_low, M_low, T_low, D, C - tot_a,
                 offset=[sum(map(mul, col, w)) for col in cols])
-            summed[state] = [b for b, _ in low], [tot_a + t for _, t in low], n_low, p_low
+            summed[state] = bs, [tot_a + t for t in low], n_low, p_low
         bs, norms, n_low, p_low = summed[state]
         nodes += n_low
         prunes += p_low
-        pairs.extend(zip([a + b for b in bs], norms))
-    return pairs, nodes, prunes
+        vecs += [a + b for b in bs]
+        tots += norms
+    return vecs, tots, nodes, prunes
 
 
 def _search(rows: Sequence[Sequence[int]], T: Sequence[int], D: int, radius: Fraction | int):
     """Search the ball Q(u + T/D) <= radius of the form whose pivot rows are
     `rows` (see `_scaled_problem`), T an integer vector and D > 0; returns
-    ((coords, scaled_norm) pairs, scale, stats).
+    (vectors, scaled norms, scale, stats), the vectors and their scaled
+    norms as two lists of equal length, index by index.
 
     The split is read off the rows (`_separators`): among the levels k
     whose separator has fewer levels than either side, the narrowest, ties
@@ -306,11 +317,13 @@ def _search(rows: Sequence[Sequence[int]], T: Sequence[int], D: int, radius: Fra
     form is split at, by `_separator_search`, when the upper points share
     their lower searches.  Any other form is one kernel call.
 
-    The pairs are every point of the ball, in strictly increasing
-    lexicographic order of the coordinates: each kernel call emits its
-    points in that order, and the splits join them a-major, so nothing
-    sorts them.  The stats are those of one search of the whole form.  The
-    rows come from `_reversed_pivots`, which refuses a form that is not
+    The vectors are every point of the ball, in strictly increasing
+    lexicographic order: each kernel call emits its points in that order,
+    and the splits join them a-major, so nothing sorts them.  The joins
+    extend the two lists apart, so a ball keeps one tuple per point, and
+    the kernel's (vector, scaled norm) pairs are dropped as soon as each
+    call returns.  The stats are those of one search of the whole form.
+    The rows come from `_reversed_pivots`, which refuses a form that is not
     positive definite, or from LLL, which reduces positive definite forms
     only.
     """
@@ -326,15 +339,16 @@ def _search(rows: Sequence[Sequence[int]], T: Sequence[int], D: int, radius: Fra
         if narrow:
             k = min(narrow)[2]
             out = _separator_search(W, rows, T, D, C, k, [j for j in range(k, n) if first[j] < k])
-    pairs, nodes, prunes = out or _kernel.dfs_enumerate(n, W, rows, T, D, C)
-    return pairs, scale, EnumStats(nodes=nodes, prunes=prunes)
+    vectors, tots, nodes, prunes = out or _dfs_columns(n, W, rows, T, D, C)
+    return vectors, tots, scale, EnumStats(nodes=nodes, prunes=prunes)
 
 
-def _exact_norms(pairs, scale: int) -> tuple[Fraction, ...]:
-    """Fraction(scaled_norm, scale) for each pair, one Fraction per distinct
-    norm: a ball holds many vectors but few distinct norms."""
-    norms = {s: Fraction(s, scale) for s in {p[1] for p in pairs}}
-    return tuple(norms[p[1]] for p in pairs)
+def _exact_norms(tots, scale: int) -> tuple[Fraction, ...]:
+    """Fraction(t, scale) for each scaled norm t of the list `tots`, one
+    Fraction per distinct norm: a ball holds many vectors but few distinct
+    norms, so its norms share those few objects."""
+    norms = {t: Fraction(t, scale) for t in set(tots)}
+    return tuple(map(norms.__getitem__, tots))
 
 
 def enumerate_coset(query: EnumQuery) -> EnumResult:
@@ -357,10 +371,10 @@ def enumerate_coset(query: EnumQuery) -> EnumResult:
     # arithmetic, so a fault in this step cannot hide from the cross-check
     D = lcm(*[s.denominator for s in query.shift])
     T = [s.numerator * (D // s.denominator) for s in query.shift]
-    pairs, scale, stats = _search(_reversed_pivots(query.form), T, D, query.radius)
+    vectors, tots, scale, stats = _search(_reversed_pivots(query.form), T, D, query.radius)
     return EnumResult(
-        vectors=tuple(map(itemgetter(0), pairs)),
-        norms=_exact_norms(pairs, scale),
+        vectors=tuple(vectors),
+        norms=_exact_norms(tots, scale),
         exhaustive=True,
         stats=stats,
     )
@@ -422,7 +436,7 @@ def _box_scan(query: EnumQuery, problem: tuple, box: int) -> EnumResult:
     pairs = _kernel.brute_scan(query.form.rank, query.form.entries, T, D, C2, box, reach=reach)
     return EnumResult(
         vectors=tuple(map(itemgetter(0), pairs)),
-        norms=_exact_norms(pairs, D * D),
+        norms=_exact_norms(list(map(itemgetter(1), pairs)), D * D),
         exhaustive=box >= sufficient,
     )
 

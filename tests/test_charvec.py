@@ -275,7 +275,10 @@ class TestMinCharVector:
         shift = tuple(Fraction(x, 2) for x in w0)
         res = min_char_vector(conj)
         for c in range(g.rank % 8, res.norm_m + 1, 8):
-            pairs, scale, _ = enumeration._search(_reversed_pivots(conj), w0, 2, Fraction(c, 4))
+            vectors, tots, scale, _ = enumeration._search(
+                _reversed_pivots(conj), w0, 2, Fraction(c, 4))
+            assert len(vectors) == len(tots)
+            pairs = list(zip(vectors, tots))
             ball = enumerate_coset(EnumQuery(form=conj, shift=shift, radius=Fraction(c, 4)))
             assert tuple(u for u, _ in pairs) == ball.vectors
             assert tuple(Fraction(norm, scale) for _, norm in pairs) == ball.norms
@@ -307,10 +310,10 @@ class TestMinCharVector:
         search = enumeration._search
 
         def off_ladder(rows, T, D, radius):
-            pairs, scale, stats = search(rows, T, D, radius)
+            vectors, tots, scale, stats = search(rows, T, D, radius)
             if any(T):  # the characteristic search, not the unit one
-                pairs = [(u, norm - 1) for u, norm in pairs]
-            return pairs, scale, stats
+                tots = [tot - 1 for tot in tots]
+            return vectors, tots, scale, stats
 
         monkeypatch.setattr(charvec, "_search", off_ladder)
         with pytest.raises(NoSolutionError, match="internal error: a characteristic norm"):
@@ -322,7 +325,7 @@ class TestMinCharVector:
         from latgate.cli import main
 
         monkeypatch.setattr(charvec, "_search", lambda rows, T, D, radius: (
-            [], 1, enumeration.EnumStats(nodes=0, prunes=0)))
+            [], [], 1, enumeration.EnumStats(nodes=0, prunes=0)))
         assert main(["analyze", "--catalog", "D12plus"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -756,8 +759,8 @@ class TestMapBack:
             h, form, rows = charvec._search_basis(conj)
             m, found, minimizer, _ = charvec._char_minimum(form, rows, h)
             w0 = charvec._solve_gf2(form)
-            pairs = enumeration._search(rows, w0, 2, Fraction(m, 4))[0]
-            mapped = _times([tuple(x + 2 * y for x, y in zip(w0, u)) for u, _ in pairs], h)
+            vectors = enumeration._search(rows, w0, 2, Fraction(m, 4))[0]
+            mapped = _times([tuple(x + 2 * y for x, y in zip(w0, u)) for u in vectors], h)
             assert found == len(mapped) == count
             assert minimizer == min(mapped)
             tied += sum(w[0] == minimizer[0] for w in mapped) > 1

@@ -259,7 +259,9 @@ class TestLexOrder:
             rows = _reversed_pivots(q.form)
             emitted.clear()
             halved.clear()
-            pairs, scale, _ = enumeration._search(rows, *cleared(q.shift), q.radius)
+            vectors, tots, scale, _ = enumeration._search(rows, *cleared(q.shift), q.radius)
+            assert len(vectors) == len(tots)
+            pairs = list(zip(vectors, tots))
             # a ball is one kernel call per block searched; one call is
             # returned as emitted, and blocks are joined into what one
             # call on the whole problem emits
@@ -494,9 +496,12 @@ def cut_levels(rows):
 def split_search(q):
     """(pairs, nodes, prunes) of `enumeration._search`, which splits q's
     ball at its blocks: the route of `enumerate_coset` and of the
-    characteristic searches alike."""
-    pairs, _, stats = enumeration._search(_reversed_pivots(q.form), *cleared(q.shift), q.radius)
-    return pairs, stats.nodes, stats.prunes
+    characteristic searches alike.  The pairs zip the vectors and scaled
+    norms that it returns as two lists of equal length."""
+    vectors, tots, _, stats = enumeration._search(
+        _reversed_pivots(q.form), *cleared(q.shift), q.radius)
+    assert len(vectors) == len(tots)
+    return list(zip(vectors, tots)), stats.nodes, stats.prunes
 
 
 class TestBlockSplit:
@@ -697,6 +702,43 @@ class TestSeparatorSplit:
         res = enumerate_coset(query("E8", radius=4))
         assert (len(res.vectors), res.stats.nodes, res.stats.prunes) == (2401, 5474, 0)
         assert [n for n, _ in calls] == [4] * 36
+
+
+class TestColumns:
+    """`_search` returns a ball's vectors and scaled norms as two lists of
+    equal length on every route; zipped, they are the pairs that one kernel
+    call on the whole problem emits."""
+
+    A2 = GramMatrix.from_rows([[2, 1], [1, 2]])  # its one separator is as wide as a side
+
+    @pytest.mark.parametrize("form, shift, radius, ranks", (
+        ("E8+Z1", None, 2, [8, 1, 1]),  # a cut
+        ("E8", None, 2, [4] * 15),  # a separator
+        ("D4", None, 2, [2, 4]),  # a separator that does not pay, then one call
+        (A2, None, 3, [2]),  # one call
+        ("Z1+E8", (Fraction(1, 2),) + (0,) * 8, 0, [1]),  # an empty ball
+    ), ids=("cut", "separator", "unshared", "unsplit", "empty"))
+    def test_columns_zip_to_joint_search(self, form, shift, radius, ranks, monkeypatch):
+        calls = kernel_calls(monkeypatch)
+        q = query(form, shift, radius) if isinstance(form, str) else EnumQuery(
+            form=form, shift=(0,) * form.rank, radius=radius)
+        vectors, tots, _, stats = enumeration._search(
+            _reversed_pivots(q.form), *cleared(q.shift), q.radius)
+        assert [n for n, _ in calls] == ranks
+        assert type(vectors) is list and type(tots) is list and len(vectors) == len(tots)
+        pairs, nodes, prunes = joint_search(q)
+        assert list(zip(vectors, tots)) == pairs
+        assert (stats.nodes, stats.prunes) == (nodes, prunes)
+        assert bool(pairs) == (shift is None)
+
+    def test_d16plus_norms_share_one_fraction_each(self):
+        # 62,401 vectors of three norms, 0, 2 and 4: the result holds one
+        # Fraction object per distinct norm, not one per vector
+        res = enumerate_coset(query("D16plus", radius=4))
+        assert (len(res.vectors), res.stats.nodes, res.stats.prunes) == (62401, 207570, 2048)
+        assert set(res.norms) == {0, 2, 4}
+        assert len({id(norm) for norm in res.norms}) == 3
+        assert all(type(norm) is Fraction for norm in res.norms)
 
 
 class TestAxisReach:
