@@ -1,52 +1,59 @@
 """The search kernels: the DFS behind every coset search and the oracle's box scan.
 
-The enumeration runs on a rescaled integer problem prepared by
-`latgate.enumeration` from the pivot rows M of a fraction-free elimination
-of the coordinate-reversed form, whose level i is the caller's coordinate
-n-1-i:
+`dfs_enumerate` runs on the rescaled integer problem that
+`latgate.enumeration._scaled_problem` reads off the pivot rows M of a
+fraction-free elimination of the coordinate-reversed form, whose level i
+is the caller's coordinate n-1-i:
 
     w_i = D*u[n-1-i] + T_i            (scaled coordinate, integer)
     S_i = M[i][i]*w_i + sum_{j>i} M[i][j]*w_j + offset_i
     accept u  iff  sum_i W[i]*S_i**2 <= C
 
-Every M[i][i] is positive, so S_i moves by M[i][i]*D per unit step.  The
-search fixes level n-1 (the caller's coordinate 0) outermost and level 0
-(coordinate n-1) innermost, each over an ascending interval, so leaves come
-out in lexicographic order of the caller's coordinates.
+Lex order.  Every M[i][i] is positive, so S_i moves by M[i][i]*D per unit
+step.  The search fixes level n-1 (the caller's coordinate 0) outermost
+and level 0 (coordinate n-1) innermost, each over an ascending interval,
+so leaves come out in lexicographic order of the caller's coordinates and
+nothing sorts them.  All interval endpoints come from `math.isqrt` and
+integer floor division, so every accept/reject decision is exact.  No
+floats anywhere.  The search has one mode: the bound C is fixed for the
+whole search, and every point within it comes back.
 
-The centre M[i][i]*T_i + sum_{j>i} M[i][j]*w_j of level i is not rebuilt
-on every descent.  Each level keeps a row of partial sums over the levels
-above it and a staleness index: the highest level whose w may have moved
-since that row was refreshed.  A descent refreshes only the stale part of
-the row, the centre sums of Schnorr and Euchner (Math. Programming 66,
-1994), here on the integer Fincke-Pohst search.  The tree is the one that
-recomputing every centre would give.
+Centre partial sums.  The centre c_i + sum_{j>i} M[i][j]*w_j of level i,
+with c_i = M[i][i]*T_i + offset_i, is not rebuilt on every descent.  Each
+level keeps a row of partial sums over the levels above it,
+sig[i][j] = c_i + sum_{j' >= j} M[i][j']*w_j' (sig[i][n] = c_i), and a
+staleness index stale[i]: the highest level whose w may have moved since
+row i was refreshed.  Entering level i refreshes only sig[i][j] for
+j = stale[i] .. i+1 and cuts the level's interval around its centre
+sig[i][i+1].  A descent into level i passes stale[i] down to row i-1,
+whose staleness is the larger of the two, and resets stale[i] to i+1, the
+level that moves next, so a descent costs a few multiply-adds rather than
+one per level above.  These are the centre sums of Schnorr and Euchner
+(Math. Programming 66, 1994), here on the integer Fincke-Pohst search.
+The tree is the one that recomputing every centre would give.
 
-The offset is 0 unless the caller passes one integer per level.
+Offset.  offset_i is 0 unless the caller passes one integer per level.
 `latgate.enumeration` does so when it searches the lower levels of a ball
 on their own, once for each value of the levels above them that they read
 (a separator): offset_i is the part of level i's centre that those fixed
 levels contribute, sum_{j in the separator} M[i][j]*w_j.
 
-When 2*T_i is a multiple of D at every level (the shift lies in half the
-lattice: every zero-shift ball, every unit search and every rung of the
-characteristic ladder), w -> -w maps the ball onto itself and keeps each
-norm; in the caller's coordinates that is u -> -u - 2*shift.  The search
-then visits only the lex-negative half of the tree (w whose first nonzero
-entry from the top level down is negative, plus w = 0), the symmetry of
-Fincke and Pohst (Math. Comp. 44, 1985) and of Schnorr and Euchner: at a
-level whose partial norm is 0, which holds exactly when every w above it
-is 0, the interval's upper end is cut to w_i <= 0.  The mirror reverses
-lexicographic order, so the whole ball in order is the half, then the
-mirror of the half walked backwards without the centre w = 0.  The
+Half tree.  When 2*T_i is a multiple of D at every level (the shift lies
+in half the lattice: every zero-shift ball, every unit search and every
+rung of the characteristic ladder), w -> -w maps the ball onto itself and
+keeps each norm; in the caller's coordinates that is u -> -u - 2*shift.
+The search then visits only the lex-negative half of the tree (w whose
+first nonzero entry from the top level down is negative, plus w = 0), the
+symmetry of Fincke and Pohst (Math. Comp. 44, 1985) and of Schnorr and
+Euchner: at a level whose partial norm is 0, which holds exactly when
+every w above it is 0, the interval's upper end is cut to w_i <= 0.  The
+mirror reverses lexicographic order, so the whole ball in order is the
+half, then the mirror of the half walked backwards without the centre
+w = 0 (`_unfold`), at about half the cost of the whole tree.  The
 counters returned are those of the whole tree, got from the half's in
-closed form, so every caller sees the same points, the same order and
-the same counts as from a search of both halves.  A nonzero offset
-moves the centre off that symmetry, so such a search is searched whole.
-
-All interval endpoints come from `math.isqrt` and integer floor division,
-so every accept/reject decision is exact.  No floats anywhere.  The bound C
-is fixed for the whole search.
+closed form, so every caller sees the same points, the same order and the
+same counts as from a search of both halves.  A nonzero offset moves the
+centre off that symmetry, so such a search is searched whole.
 """
 
 from __future__ import annotations
@@ -59,47 +66,21 @@ __all__ = ["dfs_enumerate", "brute_scan"]
 
 
 def dfs_enumerate(n, W, M, T, D, C, *, offset=None):
-    """Depth-first search over levels n-1 .. 0, ascending coordinate order.
+    """Every point of the ball sum_i W[i]*S_i**2 <= C of the module
+    docstring, searched depth first over levels n-1 .. 0.
 
     C is nonnegative, as every radius is.  Level i's coordinate is stored
-    at u[n-1-i].  Returns (results, nodes, prunes) where results is a list
-    of (coordinates, scaled_norm) pairs, one for every point with scaled
-    norm <= C, in strictly increasing lexicographic order of the
-    coordinates.  Every interval is cut at the bound C, so each node of the
-    tree has partial norm <= C.  Only the entries M[i][j] with j >= i are
-    read.
+    at u[n-1-i].  Only the entries M[i][j] with j >= i are read.  `offset`,
+    when given, holds one integer per level, offset_i.
 
-    nodes and prunes describe the ball's whole search tree: nodes counts
-    its prefixes (u[0], ..., u[n-1-i]) of partial norm <= C, prunes the
-    levels entered whose interval is empty.  When every 2*T[i] is a
-    multiple of D and no offset is nonzero, the loop visits about half of
-    that tree (the lex-negative half, see the module docstring) and
-    `_unfold` adds the mirror of the points and of the counts; any other
-    input is searched whole.
-
-    `offset`, when given, holds one integer per level, added to that
-    level's centre: S_i = M[i][i]*w_i + sum_{j>i} M[i][j]*w_j + offset[i].
-    The caller passes the part of each centre that comes from levels it
-    has fixed outside this search (see the module docstring).
-
-    One block enters every level, the top one included: it enters level i
-    at partial norm tot, with row i of the partial sums stale from level r
-    down, refreshes sig[i][j] = c_i + sum_{j' >= j} M[i][j']*w[j'] for
-    j = r .. i+1 only (sig[i][n] = c_i = M[i][i]*T[i] + offset[i]) and cuts
-    the level's interval around its centre sig[i][i+1].  Under the
-    symmetry, a level entered at tot = 0 (every w above it is 0) is cut
-    further to w[i] <= 0, that is u[n-1-i] <= (-T[i]) // D.  The top level
-    is entered with i = r = n-1 and tot = 0, which refreshes nothing.  The
-    level's nodes are then visited in ascending order: a leaf is emitted,
-    an exhausted level returns to its parent's next coordinate, and any
-    other node descends, which enters level i-1.
-
-    State per level i: the row sig[i]; stale[i], the highest level whose w
-    may have moved since row i was refreshed (a descent into level i passes
-    it down to row i-1, whose staleness is the larger of the two, and resets
-    it to i+1, the level that moves next); the interval's upper end
-    hi_arr[i]; the partial norm acc[i] above the level; the coordinate
-    u[n-1-i] and its scaled value w[i] = D*u[n-1-i] + T[i].
+    Returns (results, nodes, prunes) where results is a list of
+    (coordinates, scaled_norm) pairs, one for every point with scaled norm
+    <= C, in strictly increasing lexicographic order of the coordinates.
+    nodes and prunes describe the ball's whole search tree, whether it was
+    walked whole or as a half: nodes counts its prefixes
+    (u[0], ..., u[n-1-i]) of partial norm <= C, prunes the levels entered
+    whose interval is empty.  Every interval is cut at the bound C, so each
+    node of the tree has partial norm <= C.
     """
     results: list[tuple[tuple[int, ...], int]] = []
     inner = 0  # nodes that descend, once each; the others are the leaves
@@ -112,12 +93,19 @@ def dfs_enumerate(n, W, M, T, D, C, *, offset=None):
             row[n] += c
     cap = [(-t) // D for t in T]  # the largest u with w <= 0, per level
     step = [M[i][i] * D for i in range(n)]
+    # per level i: the row sig[i] and stale[i] of the module docstring; the
+    # interval's upper end hi_arr[i]; the partial norm acc[i] above the
+    # level; the coordinate u[n-1-i] and its scaled value w[i]
     stale = [n - 1] * n
     hi_arr = [0] * n
     acc = [0] * n
     w = [0] * n
     u = [0] * n
 
+    # the top level is entered with i = r = n-1 and tot = 0, which
+    # refreshes nothing; a level's nodes are visited in ascending order: a
+    # leaf is emitted, an exhausted level returns to its parent's next
+    # coordinate, and any other node descends into level i-1
     i = r = n - 1
     tot = 0
     while True:

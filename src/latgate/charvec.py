@@ -2,40 +2,62 @@
 
 A vector w is characteristic when (v, v + w) is even for every lattice
 vector v, which over the mod-2 reduction is the linear system
-G w = diag(G).  The solution set is a coset of 2*Z^n; its minimal-norm
-members drive the identity-or-short-vector dichotomy: a positive definite
-unimodular form is the standard Z^n form exactly when the minimal
-characteristic norm m equals the rank, and otherwise m <= rank - 8.
+G w = diag(G).  The solution set is a coset of 2*Z^n whose base is the
+lex-least 0/1 solution (`_solve_gf2`); its minimal-norm members drive the
+identity-or-short-vector dichotomy: a positive definite unimodular form is
+the standard Z^n form exactly when the minimal characteristic norm m
+equals the rank, and otherwise m <= rank - 8.
 
-Every odd form's searches run on its exact LLL-reduced basis, reversed: m,
-the number of minimizers and the unit-vector count do not depend on the
-basis, and the lex-least minimizer is chosen in the caller's coordinates,
-one coordinate at a time.  They run on one plan (`_search_basis`), whose
-pivot rows are those LLL computed, or on principal blocks of its form, so
-the `--stats` counters of an odd form depend only on its LLL reduction.
-An even form is not searched at all: w = 0 is characteristic and the only
-vector of norm 0, so m = 0, k = n/8 and there is one minimizer, and the
-counters are those of the search it skips, the radius-0 ball around 0, one
-path of n nodes and no prunes in any basis.
+The plan.  Every odd form's searches run on its exact LLL-reduced basis
+(`core._lll`), computed once and reversed, so that the search of the
+reversed form runs the tree of the LLL basis itself (`_search_basis`).
+m, the number of minimizers and the unit-vector count do not depend on
+the basis, and the lex-least minimizer is chosen in the caller's
+coordinates, one coordinate at a time among the minimizers still tied, so
+every answer is that of a search in the input basis.  The searches run
+on the pivot rows that LLL computed, or on principal blocks of the reduced
+form, so the `--stats` counters of an odd form depend only on its LLL
+reduction: a form and its reduction report the same ones.  Every search
+passes `enumeration._search` the pivot rows, the shift 0 as (0, 1) or
+w0/2 as (w0, 2), and the radius: no query and no shift Fraction.
 
-The norm-1 vectors of a positive definite integral lattice are +-e_1, ...,
-+-e_k, pairwise orthogonal, and they split off: L = Z^k (+) L' (Elkies, "A
-characterization of the Z^n lattice", Math. Res. Lett. 2, 1995).  One
-radius-1 search on the reduced basis counts them (`unit_vector_count`).
-The characteristic search does not build L': the reduced basis already
-shows the summands, as the connected components of its Gram graph
-(`_components`).  A block-diagonal unimodular form has unimodular blocks,
-each positive definite, so m is the sum of the blocks' minima, the number
-of minimizers their product, and, lex order being a group order, the
-lex-least minimizer the sum of theirs.  A rank-1 block is a unit: m = 1,
-two minimizers, +-its basis vector.  Every other block, an even one too,
-climbs the mod-8 ladder of norms c = n_b mod 8, ..., n_b (van der Blij 1959)
-and stops at the first that holds a point; a form of one component is
-searched on its plan's rows, each block of several on those of its own
-reversal.  Z^n itself needs no characteristic search at all, and a unit
-that LLL leaves off the basis stays inside its block, whose ladder finds it.
-Every search passes `enumeration._search` the pivot rows, the shift 0 as
-(0, 1) or w0/2 as (w0, 2), and the radius: no query and no shift Fraction.
+Even forms.  An even form is not searched at all: w = 0 is characteristic
+and the only vector of norm 0, so m = 0, k = n/8 and there is one
+minimizer (van der Blij 1959).  Its counters are those of the search it
+skips, the radius-0 ball around 0: one path of n nodes and no prunes, in
+any basis.
+
+Units.  The norm-1 vectors of a positive definite integral lattice are
++-e_1, ..., +-e_k, pairwise orthogonal, and they split off: L = Z^k (+) L'
+(Elkies, "A characterization of the Z^n lattice", Math. Res. Lett. 2,
+1995).  One radius-1 search on the pivot rows of the reduced basis counts
+them (`_unit_count`); the result carries their number as
+`unit_vector_count`, 2n exactly when m = n, which `analyze` prints.
+
+Components.  The characteristic search does not build L': the reduced
+basis already shows the summands, as the connected components of its Gram
+graph (`_components`).  A block-diagonal unimodular form has unimodular
+blocks, each positive definite, so each is answered on its own: m is the
+sum of the blocks' minima, the number of minimizers their product, and,
+lex order being a group order, the lex-least minimizer the sum of theirs,
+all in the caller's coordinates.  A rank-1 block is a unit, answered in
+closed form: m = 1, two minimizers, +-its basis vector.  So Z^n itself
+needs no characteristic search, and Z^24, at the rank cap, takes
+milliseconds.  A form of one component is searched on its plan's rows,
+and each block of several, a principal block of the reduced form that is
+not reduced again, on the pivot rows of its own reversal.  A unit that
+LLL leaves off the basis stays inside a larger block, whose ladder finds
+it.
+
+The mod-8 ladder.  Every other block, an even one too, climbs a ladder of
+fixed radii (`_char_minimum`).  Every characteristic norm of a unimodular
+lattice is congruent to its rank mod 8 (van der Blij 1959), so with n_b
+the block's rank the candidates for its minimum are c = n_b mod 8,
+n_b mod 8 + 8, ..., n_b.  The characteristic ball of norm c is searched
+for each in turn, and the first that is not empty holds exactly the
+minimizers, all of norm c.  The last rung always holds a point, since
+some characteristic vector has norm at most n_b.  The `--stats` counters
+add the unit search and every rung searched on every block.
 """
 
 from __future__ import annotations
@@ -119,10 +141,10 @@ def _solve_gf2(g: GramMatrix) -> IntVector:
     """Lex-least 0/1 solution of G w = diag(G) mod 2.
 
     Coordinate j sits at bit j of a row mask.  The Gauss-Jordan elimination
-    takes its pivot columns from n-1 down to 0, so each pivot row is left
-    holding its pivot and free coordinates before it only.  Two solutions
-    therefore first differ at a free coordinate, and the one with every
-    free coordinate 0 is the lex-least.
+    over GF(2) takes its pivot columns from n-1 down to 0, so each pivot row
+    is left holding its pivot and free coordinates before it only.  Two
+    solutions therefore first differ at a free coordinate, and the one with
+    every free coordinate 0 is the lex-least: no second pass is needed.
     """
     n = g.rank
     rows = []
@@ -177,18 +199,12 @@ def solve_char_coset(g: GramMatrix) -> CharCoset:
 
 def _search_basis(g: GramMatrix) -> tuple[IntMatrix, GramMatrix, list[list[int]]]:
     """(H, form, rows): the plan of the searches of the odd positive
-    definite g.  form is the basis they run on, H its rows in g's
-    coordinates, and rows the pivot rows the kernel reads,
-    `_reversed_pivots(form)` on and right of the diagonal.  The unit search
-    runs on rows, and so does the characteristic ladder when form is one
-    component; when it is several, each component that is not a unit
-    climbs its ladder on the rows of its own reversal instead.
-
-    g is LLL-reduced, in reversed basis order (H's rows reversed and
-    P*g'*P, P the coordinate reversal), so that the searches, which read
-    the pivot rows of the reversed form, run the LLL tree.  Those rows are
-    the elimination of g' itself, which LLL has just computed (`_lll`), so
-    nothing eliminates form again.
+    definite g (see the module docstring).  form is g LLL-reduced, in
+    reversed basis order: P*g'*P, P the coordinate reversal, with H the
+    reduced basis in g's coordinates, its rows reversed.  rows are the pivot
+    rows the kernel reads, `_reversed_pivots(form)` on and right of the
+    diagonal: the elimination of g' itself, which `_lll` has just computed,
+    so nothing eliminates form again.
     """
     h, reduced, rows = _lll(g)
     return h[::-1], GramMatrix(tuple(row[::-1] for row in reduced.entries[::-1])), rows
@@ -234,11 +250,8 @@ def _char_minimum(
     """
     n = form.rank
     w0 = _solve_gf2(form)  # unique, as the form is unimodular
-    # w = w0 + 2u, so (w, w) = 4 Q(u + w0/2).  Every characteristic norm is
-    # congruent to n mod 8 (van der Blij) and some characteristic vector has
-    # norm <= n, so the ball of radius c/4 is searched for c = n mod 8,
-    # n mod 8 + 8, ..., n: the first rung that is not empty holds exactly the
-    # minimizers
+    # w = w0 + 2u, so (w, w) = 4 Q(u + w0/2): rung c of the mod-8 ladder is
+    # the ball of radius c/4
     stats = EnumStats(nodes=0, prunes=0)
     for c in range(n % 8, n + 1, 8):
         vectors, tots, scale, rung = _search(rows, w0, 2, Fraction(c, 4))
@@ -263,10 +276,8 @@ def _char_minimum(
 
 
 def min_char_vector_with_stats(g: GramMatrix) -> tuple[CharVecResult, EnumStats]:
-    """Like `min_char_vector` but also returns the search counters: those of
-    the unit-vector search plus those of every component's ladder.  An even
-    form is answered without a search, with the counters that search
-    reports: one path of n nodes and no prunes."""
+    """Like `min_char_vector` but also returns the search counters, summed as
+    the module docstring says."""
     n = g.rank
     if definiteness(g) is not Definiteness.POSITIVE_DEFINITE:
         raise NotPositiveDefiniteError("minimal characteristic vectors need a positive definite form")
@@ -275,9 +286,7 @@ def min_char_vector_with_stats(g: GramMatrix) -> tuple[CharVecResult, EnumStats]
     _check_rank_cap(n)
     m, count, minimizer = 0, 1, (0,) * n
     if parity(g) is Parity.EVEN:
-        # w = 0 is characteristic and the only vector of norm 0: the search
-        # would be the radius-0 ball around 0, in any basis one path of n
-        # nodes with no prunes (every centre 0, every interval [0, 0])
+        # every centre 0, every interval [0, 0]: one path of n nodes
         units, stats = 0, EnumStats(nodes=n, prunes=0)
     else:
         h, form, rows = _search_basis(g)
@@ -352,8 +361,9 @@ def count_unit_vectors(g: GramMatrix) -> int:
     counted on the LLL-reduced form.  It runs the same `_search_basis` and
     `_unit_count` search as `min_char_vector`, so it can show leaked state
     or nondeterminism but not a wrong reduction or search: it is not an
-    independent route to `CharVecResult.unit_vector_count`.  An even form
-    has none and is not searched."""
+    independent route to `CharVecResult.unit_vector_count`, and the
+    self-test's searches in the unreduced basis are.  An even form has none
+    and is not searched."""
     _check_rank_cap(g.rank)
     if definiteness(g) is not Definiteness.POSITIVE_DEFINITE:
         _positive_pivots(g)  # refuses the form, naming its first non-positive pivot

@@ -39,6 +39,7 @@ from .errors import (
 )
 from .formats import (
     REPORT_FORMAT,
+    _is_inline,
     dumps_canonical,
     gram_to_obj,
     load_gram,
@@ -129,7 +130,9 @@ def _oracle_block(gram: GramMatrix, result) -> dict:
     """Independent confirmation: the exhaustive box scan of the characteristic
     coset when the cells it visits, clipped per axis by the determinant-only
     Cauchy-Schwarz bound, number at most `_ORACLE_CELL_CAP`; otherwise
-    direct structural checks on the claimed minimizer."""
+    direct structural checks on the claimed minimizer.  Either works on the
+    input's own Gram matrix, so it never sees the LLL reduction or the
+    block split of the search it checks."""
     n = gram.rank
     coset = solve_char_coset(gram)
     w0 = coset.base
@@ -178,7 +181,7 @@ def _load_form(args) -> tuple[str, GramMatrix]:
         raise _UsageError("provide exactly one of a Gram document path or --catalog ID")
     if args.catalog is not None:
         return args.catalog, _catalog_gram(args.catalog, searched=True)
-    name = "inline" if args.gram.lstrip().startswith("{") else args.gram
+    name = "inline" if _is_inline(args.gram) else args.gram
     return name, load_gram(args.gram)
 
 

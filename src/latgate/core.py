@@ -4,17 +4,15 @@ Everything runs over arbitrary-precision integers and `Fraction`; no code
 path here (or anywhere downstream) touches floating point.  Gram matrices
 are immutable values and safe to share across threads.
 
-One fraction-free integer elimination (`_bareiss`) serves every invariant
-of every symmetric form: it gives the determinant, the leading principal
-minors whose signs give the inertia (a determinant +-1 congruence brings a
-nonzero pivot forward when the next one vanishes, so Sylvester's law of
-inertia applies to every form, degenerate ones included), and the integer
-pivot rows that the lattice searches read (`_reversed_pivots`, the rows of
-the coordinate-reversed form, checked as `_positive_pivots` checks).  Its
-working matrix stays symmetric, so it updates only the entries on and
-right of the diagonal.  Each `GramMatrix` computes its determinant and
-inertia once, on first use, and keeps them; classification builds no
-Fraction.  `cholesky` reads the same rows as Fractions; no search uses it.
+One fraction-free integer elimination (`_bareiss`, which says how) serves
+every invariant of every symmetric form: it gives the determinant, the
+leading principal minors whose signs give the inertia of every form,
+degenerate ones included, and the integer pivot rows that the lattice
+searches read (`_reversed_pivots`, the rows of the coordinate-reversed
+form, checked as `_positive_pivots` checks).  Each `GramMatrix` computes
+its determinant and inertia once, on first use, and keeps them;
+classification builds no Fraction.  `cholesky`, a public convenience,
+reads the same rows as Fractions; no search uses it.
 
 `_times` is the package's one matrix product, on rows of ints or
 Fractions: the basis changes go through it.  The characteristic search
@@ -22,15 +20,9 @@ maps its minimizers back one coordinate at a time, and the oracle's
 arithmetic (`pairing`, `evaluate` and the box scan) does not use it either,
 so that a fault in the product cannot also hide from the cross-check.
 
-`lll_reduce` is the all-integer LLL reduction of a positive definite form
-(Lenstra, Lenstra and Lovasz 1982, in the Gram form of Cohen, Alg. 2.6.7).
-Its integer Gram-Schmidt data d and lambda are the `_bareiss` pivot rows of
-the reduced form, and the private `_lll` hands them back with it, so the
-searches of a reduced form run on LLL's rows and nothing eliminates that
-form again.  `latgate.charvec` reduces every odd input once, and never an
-even one (an even input is answered without a search), nor any block of a
-reduced basis: each block of rank > 1, even or odd, is searched on a
-principal block of the reduced form, with the pivot rows of its reversal.
+`lll_reduce` is the all-integer LLL reduction of a positive definite form;
+`_lll` computes it and hands back the pivot rows of the reduced form with
+it.  `latgate.charvec` says which forms it reduces.
 """
 
 from __future__ import annotations
@@ -391,7 +383,8 @@ def lll_reduce(g: GramMatrix) -> tuple[IntMatrix, GramMatrix]:
 def _lll(g: GramMatrix) -> tuple[IntMatrix, GramMatrix, list[list[int]]]:
     """(H, g', rows): `lll_reduce`, with the fraction-free elimination of g'.
 
-    The Gram-Schmidt data are kept as integers (Cohen, Alg. 2.6.7): d[i+1]
+    The reduction of Lenstra, Lenstra and Lovasz (1982) in the Gram form of
+    Cohen (Alg. 2.6.7).  The Gram-Schmidt data are kept as integers: d[i+1]
     is the Gram determinant of the first i+1 basis vectors (d[0] = 1) and
     lam[k][j] = d[j+1]*mu_kj, so size reduction rounds with
     q = (2*lam + d) // (2*d) and every other division is exact.  g' is
@@ -403,7 +396,8 @@ def _lll(g: GramMatrix) -> tuple[IntMatrix, GramMatrix, list[list[int]]]:
     the `_bareiss` pivot rows of g'.  So row i of `rows` holds d[i+1] on
     the diagonal and lam[j][i] at column j > i, and equals
     `_bareiss(g'.entries)[2][i]` on and right of the diagonal; its entries
-    left of the diagonal are 0 and are never read.
+    left of the diagonal are 0 and are never read.  The searches of a
+    reduced form run on these rows, so nothing eliminates g' again.
     """
     if definiteness(g) is not Definiteness.POSITIVE_DEFINITE:
         raise NotPositiveDefiniteError("LLL reduction needs a positive definite form")

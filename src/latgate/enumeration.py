@@ -1,55 +1,67 @@
 """Bounded-norm enumeration of shifted lattice points.
 
 Finds every integer vector u with Q(u + t) <= R for a positive definite
-form Q, exact rational shift t and radius R.  The recursion is the classic
-completed-squares interval search (Fincke and Pohst 1985), run on a rescaled
-all-integer problem read straight off the integer pivot rows of one
-fraction-free elimination (Bareiss 1968), so that the kernel
-(`latgate._pykernel`) decides membership with integer square roots only and
-no Fraction is built before the norms are reported.  The elimination is of
-the coordinate-reversed form, so the search fixes coordinate 0 outermost
-and emits the points in lexicographic order: nothing sorts them.  `_search`
+form Q, exact rational shift t and radius R.  `_scaled_problem` turns the
+ball into an all-integer problem on the pivot rows of a fraction-free
+elimination, and `latgate._pykernel` searches one such problem: lex order,
+the centre partial sums, the half tree and the offset are its.  `_search`
 takes no query: the pivot rows, the shift as T/D with T an integer vector
 and D a positive integer, and the radius.  `enumerate_coset` eliminates
-the query's form and clears its shift's denominators.  The characteristic
-searches pass their own rows: an odd form's unit search, and the ladder of
-a form of one component, read LLL's (`core._lll`), and a form of several
-components searches each non-unit block on the pivot rows of that block's
-own reversal.  They pass the shifts 0 and w0/2 as (0, 1) and (w0, 2), so
-they build no EnumQuery and no shift Fraction.  When the shift lies in
-(1/2)Z^n (every zero-shift ball, every unit search and every rung of the
-characteristic ladder), u -> -u - 2t maps the ball onto itself and keeps
-each norm, so the kernel searches only the lex-negative half of the tree
-and appends the mirror of that half in reverse, which keeps the order.
+the query's form (`core._reversed_pivots`) and clears its shift's
+denominators; the characteristic searches pass their own rows and shifts
+(`latgate.charvec`).
 
-`_search` splits a ball at a level k of its pivot rows where the levels
-below k depend on those above through few of them (`_separators`).  The
+Splits.  Every search splits its ball at a level k of its pivot rows where
+the levels below k depend on those above through few of them.  The
 separator at k is the set of levels at or above k that some row below k
-reads.  When it is empty, k is a cut: the form is an orthogonal sum
-A (+) B, the scaled norm of u = a + b is tot_a + tot_b, and the part in B
-depends on a only through the leftover radius.  The upper block is then
-searched at the whole radius and the lower block once per distinct
-leftover, splitting again at every cut inside either (`_block_search`).
-A form with no cut is split at its narrowest separator, ties to the
-middle, when that has fewer levels than either side: under an upper point
-a, each lower level's centre moves by a constant that a's separator
-coordinates fix, so the lower levels are searched once per distinct
-(leftover radius, separator coordinates), with that constant passed to
-the kernel as an offset (`_separator_search`, the centre sums of Fincke
-and Pohst and of Schnorr and Euchner shared across siblings).  That split
-is taken only when the upper points share their lower searches;
-otherwise, and for a form with no narrow separator, the ball is one
-kernel call.  Every caller takes this route.  The counters reported
-(`EnumStats`) are those of the ball's whole search tree in every case:
-nodes are the prefixes of partial norm within the radius, prunes the
-levels entered with an empty interval, computed in closed form from the
-halves and the blocks actually searched.
+reads (`_separators`, one pass over the rows from the top, finds them
+all).  Of the levels k whose separator has fewer levels than either side,
+`_search` takes the narrowest, ties to the middle.
+
+- The cut split.  When the separator is empty, k is a cut: the form is an
+  orthogonal sum A (+) B, the scaled norm of u = a + b is tot_a + tot_b,
+  and the part in B depends on a only through the leftover radius.  The
+  upper block is searched at the whole radius and the lower block once per
+  distinct leftover, splitting again at every cut inside either, the one
+  nearest the block's middle first (`_block_search`).
+- The separator split.  A form with no cut is split at its narrowest
+  separator: under an upper point a, each lower level's centre moves by a
+  constant that a's separator coordinates fix, so the lower levels are
+  searched once per distinct state (leftover radius, separator
+  coordinates), with that constant passed to the kernel as its offset
+  (`_separator_search`).  Only the whole form is split this way.
+- The sharing rule.  The separator split is taken only when the upper
+  points share their lower searches, at most one distinct state per two
+  points.  Otherwise, and for a form with neither a cut nor a narrow
+  separator, the ball is one kernel call.
+- The block memo.  `_block_search` keeps each block's result per bound,
+  keyed by the block's weights, rows and shift, so a block is searched once
+  per distinct leftover, and equal blocks (those of Z^n, or of E8 (+) E8)
+  share their searches.
+- The join.  The points are the sums a + b in a-major order, which is
+  lexicographic, with norm tot_a + tot_b in the one joint scale, so nothing
+  sorts them.  The joins extend two lists, the points and their scaled
+  norms, so a ball keeps one tuple per point and no (point, norm) pair.
+- The summed counters.  The counters reported (`EnumStats`) are those of
+  the ball's whole search tree in every case.  The joint tree holds the
+  upper part's tree and, under each upper point a, the lower part's tree at
+  a's leftover, so nodes = nodes_A + sum_a nodes_B(a), and likewise prunes,
+  each part's counters being its whole tree's (`_pykernel`).
+
+So E8 (+) E8 at radius 4 takes three kernel calls, one E8 search at each
+leftover 4, 2 and 0 serving both blocks, which visit about 6,200 nodes of
+the 204,388 it reports, and Z^16 at radius 3 takes four calls of rank 1.
+D16plus at radius 4 has no cut, but the rows below level 8 read, of the
+levels above, only level 8 and the glue level 15: its 4,017 upper points
+share 89 states, so it takes one upper and 89 lower calls of rank 8, whose
+trees hold about 24,700 nodes of the 207,570 it reports.  E8 at radius 4
+takes 1 + 35 calls of rank 4.
 
 The oracle (`brute_force_coset`, `sufficient_box`) is a second, independent
 route: it evaluates the Gram form on every cell of a box, and takes the
 box and its per-axis clip from one Cauchy-Schwarz bound built from
-determinants of principal minors (`_axis_reach`, the adjugate's diagonal),
-never from the pivot rows that the search reads.
+determinants of principal minors (`_axis_reach`, `_scan_problem`), never
+from the pivot rows that the search reads.
 """
 
 from __future__ import annotations
@@ -100,7 +112,8 @@ class EnumQuery:
     """A coset ball: all u in Z^n with (u+shift)^T form (u+shift) <= radius.
 
     The shift's entries and the radius are ints or Fractions, kept as
-    Fractions; a float, a bool or a string is refused, not coerced.
+    Fractions; a float, a bool or a string is refused with BadShapeError,
+    not coerced.
     """
 
     form: GramMatrix
@@ -123,9 +136,9 @@ class EnumQuery:
 class EnumStats:
     """The counters of a ball's whole search tree: nodes, its prefixes of
     partial norm within the radius, and prunes, the levels entered with an
-    empty interval.  They are the tree's whatever was searched to find the
-    points (a half and its mirror, or blocks once per leftover radius), so
-    they depend on the pivot rows and the query only."""
+    empty interval.  They describe the whole tree, whatever route was
+    searched to find the points (a half and its mirror, or the parts of a
+    split), so they depend on the pivot rows and the query only."""
 
     nodes: int
     prunes: int
@@ -157,10 +170,13 @@ def _scaled_problem(M: Sequence[Sequence[int]], T: Sequence[int], D: int, radius
     so that the kernel's outermost level is the caller's coordinate 0.  M
     is `_reversed_pivots(form)`, or rows equal to it on and right of the
     diagonal: the pivot rows of P*G*P, with d_{i+1} = M[i][i] its leading
-    minors.  T' = P*T, L is the lcm of the products d_i*d_{i+1} and
-    W[i] = L / (d_i*d_{i+1}), so that scale*Q(u + T/D) is
-    sum_i W[i]*(M_i . w)^2 with w = D*P*u + T' and scale = L*D^2.  C is
-    floor(scale*radius); exact norms are Fraction(scaled_norm, scale).
+    minors, all positive.  Completing the squares (Fincke and Pohst 1985)
+    gives Q(y) = sum_i (M_i . y)^2 / (d_i*d_{i+1}).  T' = P*T, L is the lcm
+    of the products d_i*d_{i+1} and W[i] = L / (d_i*d_{i+1}), so that
+    scale*Q(u + T/D) is sum_i W[i]*(M_i . w)^2 with w = D*P*u + T' and
+    scale = L*D^2.  C is floor(scale*radius).  The search builds no
+    Fraction: the exact norms, Fraction(scaled_norm, scale), are made only
+    when a ball is reported (`_exact_norms`).
     """
     minors = [1] + [row[i] for i, row in enumerate(M)]
     products = [a * b for a, b in zip(minors, minors[1:])]
@@ -180,14 +196,9 @@ def _separators(M: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
     """(widths, first) of the pivot rows M: first[j] is the first row that
     reads level j (the least i with M[i][j] nonzero, j itself when no row
     above reads it), and widths[k], for 0 < k < n, is the number of levels
-    j >= k with first[j] < k (widths[0] is 0).
-
-    Those levels are the separator at k: the only levels at or above k
-    that a row below k reads.  With their coordinates fixed, the levels
-    below k depend on the levels above only through them.  A separator of
-    width 0 is a cut: no row below k reads a level at or above it, so the
-    ball's scaled norm is the sum of two blocks'.  One pass over the rows
-    from the top, reading in each row only the columns right of its
+    j >= k with first[j] < k (widths[0] is 0): the separator at k of the
+    module docstring, and a cut where the width is 0.  One pass over the
+    rows from the top, reading in each row only the columns right of its
     diagonal that no row above reads; it stops once every column is read.
     """
     n = len(M)
@@ -223,16 +234,9 @@ def _block_search(W, M, T, D, C, lo, hi, cuts, memo):
     outside them: a search of the block's levels alone, with the coordinates
     of caller positions n-hi .. n-1-lo.
 
-    At a cut k inside the block (the one nearest its middle), the upper
-    levels k .. hi-1 are searched at C and, for each of their points a of
-    scaled norm tot_a, the lower levels lo .. k-1 at the leftover C - tot_a.
-    The points are a + b in a-major order, which is lexicographic, with norm
-    tot_a + tot_b.  The joint tree holds the upper block's nodes and, under
-    each point a, the lower block's tree at C - tot_a, so its counters are
-    sums of the blocks'.  `memo` keeps each block's result per bound, keyed
-    by the block's weights, rows and shift, so a block is searched once per
-    distinct leftover, and equal blocks (those of Z^n, or of E8 (+) E8) share
-    their searches.  The lists it returns may be shared through `memo`, so
+    The cut split of the module docstring, at the cut in `cuts` inside the
+    block nearest its middle, or one kernel call when there is none.  `memo`
+    is the block memo; the lists it returns may be shared through it, so
     nothing appends to them.
     """
     block = tuple(W[lo:hi]), tuple(tuple(row[lo:hi]) for row in M[lo:hi]), tuple(T[lo:hi])
@@ -265,15 +269,11 @@ def _separator_search(W, M, T, D, C, k, sep):
     """(vectors, scaled norms, nodes, prunes) for the whole problem, split
     at level k whose separator is `sep`, or None when the split does not pay.
 
-    The upper levels k .. n-1 are searched once at C.  Of those levels, the
-    rows below k read only the separator's, so under an upper point a of
-    scaled norm tot_a the lower levels' tree is the search of levels
-    0 .. k-1 at the leftover C - tot_a with sum_{j in sep} M[i][j]*w_j added
-    to level i's centre (the kernel's `offset`).  That search depends on a
-    only through its state (tot_a, a's coordinates at the separator's
-    levels), so it runs once per state.  The split pays only when the upper
-    points share their states: at most half as many states as points.  The
-    points and counters are joined as in `_block_search`.
+    The separator split of the module docstring: the upper levels k .. n-1
+    are searched once at C, and, under the sharing rule, the levels
+    0 .. k-1 once per state (tot_a, a's coordinates at the separator's
+    levels), at the leftover C - tot_a with sum_{j in sep} M[i][j]*w_j as
+    level i's offset.
     """
     n = len(M)
     ups, up_tots, nodes, prunes = _dfs_columns(
@@ -310,22 +310,12 @@ def _search(rows: Sequence[Sequence[int]], T: Sequence[int], D: int, radius: Fra
     (vectors, scaled norms, scale, stats), the vectors and their scaled
     norms as two lists of equal length, index by index.
 
-    The split is read off the rows (`_separators`): among the levels k
-    whose separator has fewer levels than either side, the narrowest, ties
-    to the middle.  A cut splits the form into orthogonal blocks, searched
-    by `_block_search`; a separator of width w > 0, which only the whole
-    form is split at, by `_separator_search`, when the upper points share
-    their lower searches.  Any other form is one kernel call.
-
     The vectors are every point of the ball, in strictly increasing
-    lexicographic order: each kernel call emits its points in that order,
-    and the splits join them a-major, so nothing sorts them.  The joins
-    extend the two lists apart, so a ball keeps one tuple per point, and
-    the kernel's (vector, scaled norm) pairs are dropped as soon as each
-    call returns.  The stats are those of one search of the whole form.
-    The rows come from `_reversed_pivots`, which refuses a form that is not
-    positive definite, or from LLL, which reduces positive definite forms
-    only.
+    lexicographic order, found by the split the module docstring chooses or
+    by one kernel call; the stats are those of one search of the whole
+    form.  The rows come from `_reversed_pivots`, which refuses a form that
+    is not positive definite, or from LLL, which reduces positive definite
+    forms only.
     """
     W, T, C, scale = _scaled_problem(rows, T, D, radius)
     n = len(rows)
@@ -352,16 +342,9 @@ def _exact_norms(tots, scale: int) -> tuple[Fraction, ...]:
 
 
 def enumerate_coset(query: EnumQuery) -> EnumResult:
-    """All u with Q(u + shift) <= radius, in lexicographic order: the search
-    emits them in that order, so nothing sorts them.
-
-    The ball is searched on the form's reversed pivot rows by `_search`:
-    split at its orthogonal blocks, each searched once per distinct
-    leftover radius, or at a narrow separator, the levels below it once
-    per distinct leftover radius and separator coordinates, or else in one
-    kernel call.  The result carries the counters of the whole search tree,
-    summed from the parts' in closed form, so they equal those of one
-    search of the whole form.
+    """All u with Q(u + shift) <= radius, in lexicographic order, with their
+    exact norms and the counters of the ball's whole search tree
+    (`EnumStats`), searched by `_search` on the form's reversed pivot rows.
 
     Raises on rank above `DEFAULT_RANK_CAP` and on non-positive-definite
     forms, naming the first non-positive pivot.
@@ -415,7 +398,9 @@ def _scan_problem(query: EnumQuery) -> tuple[int, list[int], int, list[int], int
     size holds every hit, and it never binds the per-axis clip.  cells is
     the number of cells the scan at box visits: the product over axes of
     the count of u_i with |D*u_i + T_i| <= reach_i, an interval of length
-    2*reach_i/D >= 0, so no count is negative.
+    2*reach_i/D >= 0, so no count is negative.  The clip drops only cells
+    that cannot be hits, so the scan returns what a scan of the whole cube
+    would.  The plan takes no Cholesky factor and builds no inverse.
     """
     if definiteness(query.form) is not Definiteness.POSITIVE_DEFINITE:
         raise NotPositiveDefiniteError("brute-force scan requires a positive definite form")
@@ -442,15 +427,10 @@ def _box_scan(query: EnumQuery, problem: tuple, box: int) -> EnumResult:
 
 
 def brute_force_coset(query: EnumQuery, box: int) -> EnumResult:
-    """Oracle twin of `enumerate_coset`: every hit in the cube |u_i| <= box.
-
-    Evaluates the Gram form directly and bounds the scan by determinants
-    only (`_axis_reach`), so the two routes share no pivot rows.  The
-    scan covers the cube clipped per axis to the proven Cauchy-Schwarz
-    extents, which drops only cells that cannot be hits, so the result is
-    exactly that of the full cube, in lexicographic order.  The result is
-    marked `exhaustive` when box >= `sufficient_box(query)`, which makes
-    it complete.
+    """Oracle twin of `enumerate_coset`: every hit in the cube |u_i| <= box,
+    in lexicographic order, by the scan that `_scan_problem` plans.  The
+    result is marked `exhaustive` when box >= `sufficient_box(query)`,
+    which makes it complete.
     """
     if box < 0:
         raise BadShapeError("box must be nonnegative")
@@ -458,11 +438,9 @@ def brute_force_coset(query: EnumQuery, box: int) -> EnumResult:
 
 
 def sufficient_box(query: EnumQuery) -> int:
-    """A box size that provably contains every vector of the coset ball.
-
-    Built from determinants only (`_axis_reach`, see `_scan_problem`), with
-    no Cholesky factor and no inverse.  Raises NotPositiveDefiniteError
-    unless the form is positive definite.
+    """A box size that provably contains every vector of the coset ball
+    (see `_scan_problem`).  Raises NotPositiveDefiniteError unless the form
+    is positive definite.
     """
     *_, box, _ = _scan_problem(query)
     return box

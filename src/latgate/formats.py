@@ -66,11 +66,17 @@ def gram_from_obj(obj: Any) -> GramMatrix:
     return GramMatrix.from_rows(entries)
 
 
+def _is_inline(text: str) -> bool:
+    """Text whose first non-blank character is '{' is an inline JSON document;
+    anything else names a file."""
+    return text.lstrip().startswith("{")
+
+
 def _read_source(source: str | os.PathLike) -> str:
-    """Text starting with '{' is inline JSON; anything else is a file path."""
+    """The document `source` holds inline (`_is_inline`) or names as a path."""
     if not isinstance(source, os.PathLike):
         text = str(source)
-        if text.lstrip().startswith("{"):
+        if _is_inline(text):
             return text
         source = text
     try:

@@ -321,6 +321,19 @@ class TestCliAnalyze:
         assert captured.out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
         assert captured.err == ""
 
+    @pytest.mark.parametrize("lead", [" ", "\n", " \t\n  "], ids=["space", "newline", "mixed"])
+    def test_blank_led_document_is_inline(self, capsys, lead):
+        # the document is read inline, not as a path, and named as such
+        doc = lead + '{"rank": 2, "gram": [[2, 1], [1, 2]]}'
+        assert main(["analyze", doc]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("form inline: rank 2, determinant 3, PositiveDefinite, Even,")
+        assert captured.err == ""
+        assert main(["analyze", doc, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["form_id"] == "inline"
+        assert report["gram"] == {"rank": 2, "gram": [[2, 1], [1, 2]]}
+
     def test_text_search_and_oracle_lines(self, capsys):
         assert main(["analyze", "--catalog", "E8+Z1", "--stats", "--oracle"]) == 0
         captured = capsys.readouterr()

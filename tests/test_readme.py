@@ -1,8 +1,13 @@
 """README examples against the code: the Library block runs, each
-`$ latgate ...` transcript is what `main` prints for that command line, and
-the CLI synopsis names the options the parser accepts."""
+`$ latgate ...` transcript is what `main` prints for that command line, the
+CLI synopsis names the options the parser accepts, every `latgate.<name>`
+the README points to resolves to a documented module, and the README names
+every key of the `--stats` object."""
 
 import argparse
+import importlib
+import inspect
+import json
 import re
 import shlex
 from pathlib import Path
@@ -45,3 +50,37 @@ def test_synopsis_matches_parser():
                        if opt not in ("-h", "--help")}
                 for name, sub in subparsers.choices.items()}
     assert documented == accepted
+
+
+
+POINTERS = sorted(set(re.findall(r"\blatgate(?:\.[A-Za-z_]\w*)+", README)))
+
+
+def test_pointers_found():
+    assert {"latgate.core", "latgate.enumeration", "latgate.charvec"} <= set(POINTERS)
+
+
+@pytest.mark.parametrize("pointer", POINTERS)
+def test_pointer_resolves(pointer):
+    # the longest importable prefix is the module, the rest names in it
+    parts = pointer.split(".")
+    cut = len(parts)
+    while True:
+        try:
+            module = importlib.import_module(".".join(parts[:cut]))
+            break
+        except ModuleNotFoundError:
+            cut -= 1
+            assert cut > 1, f"{pointer} names no latgate module"
+    assert (module.__doc__ or "").strip(), f"{module.__name__} has no docstring"
+    target = module
+    for name in parts[cut:]:
+        assert hasattr(target, name), f"{pointer}: {target.__name__} has no {name}"
+        target = getattr(target, name)
+
+
+def test_stats_keys_named(capsys):
+    assert main(["analyze", "--catalog", "Zn:2", "--json", "--stats"]) == 0
+    keys = json.loads(capsys.readouterr().out)["stats"].keys()
+    assert keys
+    assert [key for key in keys if f"`{key}`" not in README] == []
