@@ -159,6 +159,14 @@ class RationalCholesky:
         return total
 
 
+def _exact(x, name: str) -> Fraction:
+    """x as a Fraction when it is an int or a Fraction; a float, a bool, a
+    string or anything else is refused with BadShapeError, not coerced."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise BadShapeError(f"{name} is not an int or a Fraction: {x!r}")
+    return Fraction(x)
+
+
 def validate(g: GramMatrix) -> None:
     """Raise unless g is a square symmetric matrix of Python ints, rank >= 1."""
     rows = g.entries

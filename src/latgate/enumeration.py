@@ -11,13 +11,25 @@ the query's form (`core._reversed_pivots`) and clears its shift's
 denominators; the characteristic searches pass their own rows and shifts
 (`latgate.charvec`).
 
-Splits.  Every search splits its ball at a level k of its pivot rows where
-the levels below k depend on those above through few of them.  The
-separator at k is the set of levels at or above k that some row below k
-reads (`_separators`, one pass over the rows from the top, finds them
-all).  Of the levels k whose separator has fewer levels than either side,
-`_search` takes the narrowest, ties to the middle.
+Splits.  A search whose ball is big enough splits it at a level k of its
+pivot rows where the levels below k depend on those above through few of
+them.  The separator at k is the set of levels at or above k that some row
+below k reads (`_separators`, one pass over the rows from the top, finds
+them all).  Of the levels k whose separator has fewer levels than either
+side, `_search` takes the narrowest, ties to the middle.
 
+- The size gate.  Before it looks for a split, `_search` estimates the
+  ball's search tree by the Gaussian heuristic (`_small_tree`): the top k
+  levels hold about V_k * sqrt(R^k * d_{n-k} / d_n) nodes, V_k the volume
+  of the unit k-ball, R the radius and d_i the leading minors of the pivot
+  rows, in integer arithmetic only.  A ball estimated under `_SPLIT_NODES`
+  = 300 nodes is one kernel call: on so small a tree the separator scan,
+  the block keys and the joins cost more than the searches they share.
+  The unit search and the characteristic rungs of a conjugate of
+  E8 (+) Z^k are typically that small; the rank-16 balls of radius 2 and
+  more are far above it.  Only the whole ball is gated, not the blocks of
+  a split.  The gate picks a route only: both return the same points,
+  order and counters.
 - The cut split.  When the separator is empty, k is a cut: the form is an
   orthogonal sum A (+) B, the scaled norm of u = a + b is tot_a + tot_b,
   and the part in B depends on a only through the leftover radius.  The
@@ -33,7 +45,8 @@ all).  Of the levels k whose separator has fewer levels than either side,
 - The sharing rule.  The separator split is taken only when the upper
   points share their lower searches, at most one distinct state per two
   points.  Otherwise, and for a form with neither a cut nor a narrow
-  separator, the ball is one kernel call.
+  separator, the ball is one kernel call, as is every ball below the size
+  gate.
 - The block memo.  `_block_search` keeps each block's result per bound,
   keyed by the block's weights, rows and shift, so a block is searched once
   per distinct leftover, and equal blocks (those of Z^n, or of E8 (+) E8)
@@ -55,7 +68,9 @@ D16plus at radius 4 has no cut, but the rows below level 8 read, of the
 levels above, only level 8 and the glue level 15: its 4,017 upper points
 share 89 states, so it takes one upper and 89 lower calls of rank 8, whose
 trees hold about 24,700 nodes of the 207,570 it reports.  E8 at radius 4
-takes 1 + 35 calls of rank 4.
+takes 1 + 35 calls of rank 4, and at radius 2, estimated at about 367
+nodes, 1 + 14; at radius 1, estimated at 64, it is one call of rank 8, as
+is the radius-1 unit search of Z^16, one call of rank 16.
 
 The oracle (`brute_force_coset`, `sufficient_box`) is a second, independent
 route: it evaluates the Gram form on every cell of a box, and takes the
@@ -69,7 +84,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from math import isqrt, lcm, prod
+from math import factorial, isqrt, lcm, prod
 from operator import itemgetter, mul
 from typing import Sequence
 
@@ -77,6 +92,7 @@ from . import _pykernel as _kernel
 from .core import (
     Definiteness,
     GramMatrix,
+    _exact,
     _reversed_pivots,
     definiteness,
 )
@@ -99,12 +115,6 @@ DEFAULT_RANK_CAP = 24
 def kernel_name() -> str:
     """The search kernel's name, reported by `--stats`: always 'python'."""
     return "python"
-
-
-def _exact(x, name: str) -> Fraction:
-    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-        raise BadShapeError(f"{name} is not an int or a Fraction: {x!r}")
-    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -221,6 +231,54 @@ def _separators(M: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
     return list(accumulate(change[:n])), first
 
 
+# The size gate of the module docstring: a ball whose estimated tree has
+# fewer than _SPLIT_NODES nodes is one kernel call.  _BALL_VOLUME_SQ[k] is
+# V_k**2 * 4**_GATE_BITS, rounded down, V_k = pi**(k/2) / Gamma(k/2 + 1) the
+# volume of the unit k-ball with pi taken as 355/113: V_k**2 is
+# pi**k / (k/2)!**2 for even k and 4**((k+1)/2) * pi**(k-1) / k!!**2 for odd k.
+_SPLIT_NODES = 300
+_GATE_BITS = 12
+
+
+def _ball_volume_sq(k: int) -> int:
+    m, odd = divmod(k, 2)
+    num, den = 355 ** (2 * m), 113 ** (2 * m)
+    if odd:
+        num, den = num * 4 ** (m + 1), den * prod(range(1, k + 1, 2)) ** 2
+    else:
+        den *= factorial(m) ** 2
+    return (num << 2 * _GATE_BITS) // den
+
+
+_BALL_VOLUME_SQ = [_ball_volume_sq(k) for k in range(DEFAULT_RANK_CAP + 1)]
+
+
+def _small_tree(minors: Sequence[int], radius: Fraction | int) -> bool:
+    """Whether the ball of `radius` on pivot rows with leading minors
+    `minors` (minors[0] = 1, minors[i+1] = M[i][i]) has an estimated search
+    tree of fewer than _SPLIT_NODES nodes.
+
+    The estimate is the Gaussian heuristic: the top k levels hold about
+    V_k * sqrt(R**k * d_{n-k} / d_n) nodes, since level i's coordinate
+    reaches sqrt(C / (W[i]*(M[i][i]*D)**2)) = sqrt(R*d_i/d_{i+1}) in the
+    scaled problem and the product over the top k levels telescopes.  Each term is
+    taken by `isqrt` of its square in units of 2**-_GATE_BITS, and the sum
+    stops once it reaches the constant: integers only, at any radius.
+    """
+    n = len(minors) - 1
+    p, q = radius.numerator, radius.denominator
+    limit = _SPLIT_NODES << _GATE_BITS
+    total = 0
+    top, bottom = 1, minors[n]
+    for k in range(1, n + 1):
+        top *= p
+        bottom *= q
+        total += isqrt(_BALL_VOLUME_SQ[k] * top * minors[n - k] // bottom)
+        if total >= limit:
+            return False
+    return True
+
+
 def _dfs_columns(*problem, **kwargs):
     """One kernel call, its points split into two lists once: (vectors,
     scaled norms, nodes, prunes), the kernel's pairs taken apart."""
@@ -311,24 +369,27 @@ def _search(rows: Sequence[Sequence[int]], T: Sequence[int], D: int, radius: Fra
     norms as two lists of equal length, index by index.
 
     The vectors are every point of the ball, in strictly increasing
-    lexicographic order, found by the split the module docstring chooses or
-    by one kernel call; the stats are those of one search of the whole
-    form.  The rows come from `_reversed_pivots`, which refuses a form that
+    lexicographic order.  A ball whose tree the size gate (`_small_tree`)
+    estimates under `_SPLIT_NODES` nodes is one kernel call; a bigger one
+    is split as the module docstring chooses, or is one call when no split
+    applies.  The stats are those of one search of the whole form.  The rows come from `_reversed_pivots`, which refuses a form that
     is not positive definite, or from LLL, which reduces positive definite
     forms only.
     """
     W, T, C, scale = _scaled_problem(rows, T, D, radius)
     n = len(rows)
-    widths, first = _separators(rows)
-    cuts = [k for k in range(1, n) if not widths[k]]
     out = None
-    if cuts:
-        out = _block_search(W, rows, T, D, C, 0, n, cuts, {})
-    else:
-        narrow = [(w, abs(2 * k - n), k) for k, w in enumerate(widths) if w < k and w < n - k]
-        if narrow:
-            k = min(narrow)[2]
-            out = _separator_search(W, rows, T, D, C, k, [j for j in range(k, n) if first[j] < k])
+    if not _small_tree([1] + [row[i] for i, row in enumerate(rows)], radius):
+        widths, first = _separators(rows)
+        cuts = [k for k in range(1, n) if not widths[k]]
+        if cuts:
+            out = _block_search(W, rows, T, D, C, 0, n, cuts, {})
+        else:
+            narrow = [(w, abs(2 * k - n), k) for k, w in enumerate(widths) if w < k and w < n - k]
+            if narrow:
+                k = min(narrow)[2]
+                out = _separator_search(
+                    W, rows, T, D, C, k, [j for j in range(k, n) if first[j] < k])
     vectors, tots, nodes, prunes = out or _dfs_columns(n, W, rows, T, D, C)
     return vectors, tots, scale, EnumStats(nodes=nodes, prunes=prunes)
 

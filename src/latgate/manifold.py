@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .charvec import CharVecResult, min_char_vector
-from .core import Definiteness, GramMatrix, definiteness, is_unimodular, negate, signature
+from .core import Definiteness, GramMatrix, _exact, definiteness, is_unimodular, negate, signature
 from .errors import (
     BadShapeError,
     InconsistentDimensionError,
@@ -308,11 +308,13 @@ def weitzenbock_bound(s_min: Fraction | int, p: Fraction | int) -> Fraction:
     """Pointwise spinor-norm bound max(0, 4p - 2*s_min).
 
     `s_min` is the scalar curvature minimum (any sign), `p` the squared
-    perturbation norm (must be >= 0).  On the round sphere (s_min > 0,
-    p = 0) the bound is 0: solutions are forced to vanish.
+    perturbation norm (must be >= 0), each an int or a Fraction; a float, a
+    bool or a string is refused with BadShapeError, not coerced.  On the
+    round sphere (s_min > 0, p = 0) the bound is 0: solutions are forced to
+    vanish.
     """
-    s_min = Fraction(s_min)
-    p = Fraction(p)
+    s_min = _exact(s_min, "s_min")
+    p = _exact(p, "p")
     if p < 0:
         raise NegativePerturbationNormError(f"perturbation norm {p} is negative")
     bound = 4 * p - 2 * s_min

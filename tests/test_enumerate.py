@@ -1,3 +1,5 @@
+import ast
+import inspect
 import random
 from fractions import Fraction
 from math import comb, isqrt, lcm, prod
@@ -216,7 +218,8 @@ class TestClippedScan:
 class TestLexOrder:
     """The search emits its points in lexicographic order of the caller's
     coordinates, and `_search` returns them as emitted, or joins its blocks'
-    in that order: nothing sorts them."""
+    in that order: nothing sorts them.  The balls are small, so the size
+    gate is set to 0 to split every one that can be split."""
 
     FORMS = ("Zn:1", "Zn:2", "Zn:3", "D4", "D5", "Zn:6", "Zn:7", "Zn:8")
 
@@ -245,6 +248,7 @@ class TestLexOrder:
 
         monkeypatch.setattr(enumeration._kernel, "dfs_enumerate", recording)
         monkeypatch.setattr(_pykernel, "_unfold", spy)
+        split_always(monkeypatch)
         gram = catalog_get(fid).gram
         n = gram.rank
         rng = random.Random(11)
@@ -486,6 +490,13 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+def split_always(monkeypatch):
+    """Set the size gate to 0 nodes, so that `_search` splits every ball
+    that has a cut or a narrow separator, however small its tree: the route
+    that the tests of the split machinery drive."""
+    monkeypatch.setattr(enumeration, "_SPLIT_NODES", 0)
+
+
 def cut_levels(rows):
     """The levels at which the pivot rows `rows` split into orthogonal
     blocks: those whose separator is empty."""
@@ -495,8 +506,8 @@ def cut_levels(rows):
 
 def split_search(q):
     """(pairs, nodes, prunes) of `enumeration._search`, which splits q's
-    ball at its blocks: the route of `enumerate_coset` and of the
-    characteristic searches alike.  The pairs zip the vectors and scaled
+    ball at its blocks when it is above the size gate: the route of
+    `enumerate_coset` and of the characteristic searches alike.  The pairs zip the vectors and scaled
     norms that it returns as two lists of equal length."""
     vectors, tots, _, stats = enumeration._search(
         _reversed_pivots(q.form), *cleared(q.shift), q.radius)
@@ -505,9 +516,10 @@ def split_search(q):
 
 
 class TestBlockSplit:
-    """Every search splits its ball at its orthogonal blocks and searches
-    each once per leftover radius; its points, scaled norms, order and
-    counters must be those of one search of the whole problem."""
+    """A search above the size gate splits its ball at its orthogonal blocks
+    and searches each once per leftover radius; its points, scaled norms,
+    order and counters must be those of one search of the whole problem.
+    The tests on small balls set the gate to 0 (`split_always`)."""
 
     @pytest.mark.parametrize("fid, radii, blocks", (
         ("E8+Z1", (0, 1, Fraction(5, 2), 3), 2),
@@ -518,6 +530,7 @@ class TestBlockSplit:
     ))
     def test_matches_joint_search(self, fid, radii, blocks, monkeypatch):
         calls = kernel_calls(monkeypatch)
+        split_always(monkeypatch)
         gram = catalog_get(fid).gram
         n = gram.rank
         rng = random.Random(19)
@@ -535,9 +548,10 @@ class TestBlockSplit:
                 hits += len(got[0])
         assert hits > 0
 
-    def test_empty_upper_block(self):
+    def test_empty_upper_block(self, monkeypatch):
         # coordinate 0 is a Z1 block at shift 1/2: below radius 1/4 it has
         # no point, so the ball is empty and the lower block never searched
+        split_always(monkeypatch)
         form = catalog_get("Z1+E8").gram
         shift = (Fraction(1, 2),) + (Fraction(0),) * 8
         for radius in (0, Fraction(1, 5)):
@@ -548,8 +562,9 @@ class TestBlockSplit:
                     ("Zn:3", "Zn:3"))
 
     @pytest.mark.parametrize("parts", BRUTE_BLOCKS, ids="+".join)
-    def test_matches_oracle(self, parts):
+    def test_matches_oracle(self, parts, monkeypatch):
         # each block conjugated on its own keeps the cuts and moves the rows
+        split_always(monkeypatch)
         rng = random.Random(23)
         checked = 0
         for _ in range(3):
@@ -578,6 +593,7 @@ class TestBlockSplit:
         # the upper points that share them.  It is the E8+Z1 ball with its
         # coordinates permuted
         calls = kernel_calls(monkeypatch)
+        split_always(monkeypatch)
         gram = catalog_get("E8+Z1").gram
         perm = (0, 1, 2, 3, 8, 4, 5, 6, 7)  # position p holds E8+Z1's coordinate perm[p]
         mixed = GramMatrix.from_rows([[gram.entries[i][j] for j in perm] for i in perm])
@@ -625,10 +641,12 @@ class TestBlockSplit:
 
 class TestSeparatorSplit:
     """A form with no cut is split at its narrowest separator, the levels
-    above the split that the rows below it read, when the upper points
-    share their lower searches: the lower levels are searched once per
-    (leftover radius, separator coordinates).  Its points, scaled norms,
-    order and counters must be those of one search of the whole problem."""
+    above the split that the rows below it read, when its ball is above the
+    size gate and the upper points share their lower searches: the lower
+    levels are searched once per (leftover radius, separator coordinates).
+    Its points, scaled norms, order and counters must be those of one
+    search of the whole problem.  The tests on small balls set the gate to
+    0 (`split_always`)."""
 
     RADII = {"D4": (0, 1, Fraction(5, 2), 4), "D5": (0, 1, Fraction(5, 2), 4),
              "E8": (1, 2, 4), "D12plus": (1, 2, 3), "D16plus": (1, 2)}
@@ -645,6 +663,7 @@ class TestSeparatorSplit:
     @pytest.mark.parametrize("fid", tuple(RADII))
     def test_matches_joint_search(self, fid, monkeypatch):
         calls = kernel_calls(monkeypatch)
+        split_always(monkeypatch)
         rng = random.Random(37)
         split = hits = 0
         for form in self.forms(fid, rng):
@@ -664,6 +683,7 @@ class TestSeparatorSplit:
     @pytest.mark.parametrize("fid", ("D5", "D6"))
     def test_matches_oracle(self, fid, monkeypatch):
         calls = kernel_calls(monkeypatch)
+        split_always(monkeypatch)
         rng = random.Random(41)
         split = checked = 0
         for form in self.forms(fid, rng):
@@ -707,7 +727,8 @@ class TestSeparatorSplit:
 class TestColumns:
     """`_search` returns a ball's vectors and scaled norms as two lists of
     equal length on every route; zipped, they are the pairs that one kernel
-    call on the whole problem emits."""
+    call on the whole problem emits.  The gate is set to 0, so each ball
+    takes the route named in its id."""
 
     A2 = GramMatrix.from_rows([[2, 1], [1, 2]])  # its one separator is as wide as a side
 
@@ -720,6 +741,7 @@ class TestColumns:
     ), ids=("cut", "separator", "unshared", "unsplit", "empty"))
     def test_columns_zip_to_joint_search(self, form, shift, radius, ranks, monkeypatch):
         calls = kernel_calls(monkeypatch)
+        split_always(monkeypatch)
         q = query(form, shift, radius) if isinstance(form, str) else EnumQuery(
             form=form, shift=(0,) * form.rank, radius=radius)
         vectors, tots, _, stats = enumeration._search(
@@ -739,6 +761,74 @@ class TestColumns:
         assert set(res.norms) == {0, 2, 4}
         assert len({id(norm) for norm in res.norms}) == 3
         assert all(type(norm) is Fraction for norm in res.norms)
+
+
+def leading_minors(rows):
+    """[1, d_1, ..., d_n]: the leading minors on the diagonal of the pivot
+    rows `rows`."""
+    return [1] + [row[i] for i, row in enumerate(rows)]
+
+
+class TestSizeGate:
+    """A ball whose estimated tree is under `_SPLIT_NODES` nodes is one
+    kernel call, and a larger one is split as before; both routes return the
+    same points, scaled norms and counters."""
+
+    @pytest.mark.parametrize("fid, split_ranks", (
+        ("E8", [4] * 15),  # radius 2 splits at a separator: 1 + 14 calls
+        ("E8+Z1", [8, 1, 1]),  # and E8+Z1 at its cut
+    ))
+    def test_one_call_below_split_above(self, fid, split_ranks, monkeypatch):
+        calls = kernel_calls(monkeypatch)
+        q = query(fid)
+        rows = _reversed_pivots(q.form)
+        n = len(rows)
+        for radius, small in ((1, True), (2, False)):
+            assert enumeration._small_tree(leading_minors(rows), radius) is small
+            routes = []
+            for gate in (enumeration._SPLIT_NODES, 0):
+                with monkeypatch.context() as m:
+                    m.setattr(enumeration, "_SPLIT_NODES", gate)
+                    calls.clear()
+                    vectors, tots, scale, stats = enumeration._search(rows, [0] * n, 1, radius)
+                routes.append(([n for n, _ in calls], vectors, tots, scale, stats))
+            (gated, *answer), (forced, *forced_answer) = routes
+            assert answer == forced_answer  # EnumStats compares nodes and prunes
+            assert answer[0]  # the ball holds points
+            assert max(forced) < n  # the forced route split the ball
+            assert gated == ([n] if small else forced)
+
+    def test_z1_splits_from_radius_22500(self):
+        # the estimate of Z1 at radius R is V_1*sqrt(R) = 2*sqrt(R), which
+        # reaches 300 exactly at R = 150**2
+        assert enumeration._small_tree([1, 1], 22_499) is True
+        assert enumeration._small_tree([1, 1], 22_500) is False
+        assert enumeration._small_tree([1, 1], Fraction(89_999, 4)) is True
+        assert enumeration._small_tree([1, 1], Fraction(90_000, 4)) is False
+        # a leading minor of 4 halves the reach: 2*sqrt(R/4) reaches 300 at R = 90,000
+        assert enumeration._small_tree([1, 4], 89_999) is True
+        assert enumeration._small_tree([1, 4], 90_000) is False
+
+    def test_decides_beyond_float_range(self):
+        big = 10 ** 400
+        with pytest.raises(OverflowError):
+            float(big)
+        # two levels of minors 1, 10**400, 10**800: the terms are
+        # 2*sqrt(R/10**400) and pi*R/10**400
+        assert enumeration._small_tree([1, big, big * big], big) is True
+        assert enumeration._small_tree([1, big, big * big], Fraction(90 * big, 1)) is False
+        assert enumeration._small_tree([1, 1, 1], big) is False
+        assert enumeration._small_tree([1] * 25, Fraction(1, big)) is True
+
+    def test_estimate_is_integer_only(self):
+        for fn in (enumeration._small_tree, enumeration._ball_volume_sq):
+            tree = ast.parse(inspect.getsource(fn))
+            for node in ast.walk(tree):
+                assert not (isinstance(node, ast.Constant) and isinstance(node.value, float))
+                assert not isinstance(node, ast.Div)
+                assert not (isinstance(node, ast.Attribute) and node.attr == "pi")
+                assert not (isinstance(node, ast.Name) and node.id in ("pi", "float", "sqrt"))
+        assert all(type(v) is int and v > 0 for v in enumeration._BALL_VOLUME_SQ)
 
 
 class TestAxisReach:

@@ -303,6 +303,12 @@ class TestWeitzenbock:
         assert isinstance(out, Fraction)
         assert out == expected
 
+    @pytest.mark.parametrize("s_min, p", ((-0.1, 0), (True, 0), ("1", 0), (0, 0.25)))
+    def test_rejects_inexact_values(self, s_min, p):
+        # a float would be taken at its binary value and a bool as 0 or 1
+        with pytest.raises(BadShapeError, match="is not an int or a Fraction"):
+            weitzenbock_bound(s_min, p)
+
     def test_rejects_negative_perturbation(self):
         with pytest.raises(NegativePerturbationNormError):
             weitzenbock_bound(1, -1)
