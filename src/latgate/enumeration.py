@@ -15,45 +15,42 @@ Splits.  A search whose ball is big enough splits it at a level k of its
 pivot rows where the levels below k depend on those above through few of
 them.  The separator at k is the set of levels at or above k that some row
 below k reads (`_separators`, one pass over the rows from the top, finds
-them all).  Of the levels k whose separator has fewer levels than either
-side, `_search` takes the narrowest, ties to the middle.
+them all).  Every part is split by one rule (`_split`): of the levels k
+whose separator has fewer levels than either side, take the narrowest,
+ties to the middle.  A cut, where the form is an orthogonal sum A (+) B,
+is a separator of width 0, so it always wins.
 
-- The size gate.  Before it looks for a split, `_search` estimates the
-  ball's search tree by the Gaussian heuristic (`_small_tree`): the top k
-  levels hold about V_k * sqrt(R^k * d_{n-k} / d_n) nodes, V_k the volume
-  of the unit k-ball, R the radius and d_i the leading minors of the pivot
-  rows, in integer arithmetic only.  A ball estimated under `_SPLIT_NODES`
-  = 300 nodes is one kernel call: on so small a tree the separator scan,
-  the block keys and the joins cost more than the searches they share.
-  The unit search and the characteristic rungs of a conjugate of
-  E8 (+) Z^k are typically that small; the rank-16 balls of radius 2 and
-  more are far above it.  Only the whole ball is gated, not the blocks of
-  a split.  The gate picks a route only: both return the same points,
-  order and counters.
-- The cut split.  When the separator is empty, k is a cut: the form is an
-  orthogonal sum A (+) B, the scaled norm of u = a + b is tot_a + tot_b,
-  and the part in B depends on a only through the leftover radius.  The
-  upper block is searched at the whole radius and the lower block once per
-  distinct leftover, splitting again at every cut inside either, the one
-  nearest the block's middle first (`_block_search`).
-- The separator split.  A form with no cut is split at its narrowest
-  separator: under an upper point a, each lower level's centre moves by a
-  constant that a's separator coordinates fix, so the lower levels are
-  searched once per distinct state (leftover radius, separator
-  coordinates), with that constant passed to the kernel as its offset
-  (`_separator_search`).  Only the whole form is split this way.
-- The sharing rule.  The separator split is taken only when the upper
-  points share their lower searches, at most one distinct state per two
-  points.  Otherwise, and for a form with neither a cut nor a narrow
-  separator, the ball is one kernel call, as is every ball below the size
-  gate.
-- The block memo.  `_block_search` keeps each block's result per bound,
-  keyed by the block's weights, rows and shift, so a block is searched once
+- The size gate.  Before it splits, `_search` estimates the ball's search
+  tree by the Gaussian heuristic (`_small_tree`): the top k levels hold
+  about V_k * sqrt(R^k * d_{n-k} / d_n) nodes, V_k the volume of the unit
+  k-ball, R the radius and d_i the leading minors of the pivot rows, in
+  integer arithmetic only.  A ball estimated under `_SPLIT_NODES` = 300
+  nodes is one kernel call: on so small a tree the separator scan, the
+  block keys and the joins cost more than the searches they share.  The
+  unit search and the characteristic rungs of a conjugate of E8 (+) Z^k
+  are typically that small; the rank-16 balls of radius 2 and more are
+  far above it.  Only the whole ball is gated, not the parts of a split.
+  The gate picks a route only: both return the same points, order and
+  counters.
+- The recursion.  The upper levels k .. n-1 read no level below k, so they
+  are a problem of their own, split again by the same rule.  Under an
+  upper point a, each lower level's centre moves by a constant that a's
+  separator coordinates fix, so the lower levels are searched once per
+  distinct state (leftover radius, separator coordinates).  Under a cut
+  the state is the leftover alone and the lower levels read nothing above
+  k, so they are split again too; under a separator each state is one
+  kernel call of the lower levels, with that constant as its offset.
+- The sharing rule.  A split at a non-empty separator is taken only when
+  the upper points share their lower searches, at most one distinct state
+  per two points.  Otherwise, and for a part with no narrow separator,
+  the part is one kernel call.
+- The block memo.  `_split` keeps each part's result per bound, keyed by
+  its weights, rows and shift, so a block under a cut is searched once
   per distinct leftover, and equal blocks (those of Z^n, or of E8 (+) E8)
   share their searches.
 - The join.  The points are the sums a + b in a-major order, which is
   lexicographic, with norm tot_a + tot_b in the one joint scale, so nothing
-  sorts them.  The joins extend two lists, the points and their scaled
+  sorts them.  The join extends two lists, the points and their scaled
   norms, so a ball keeps one tuple per point and no (point, norm) pair.
 - The summed counters.  The counters reported (`EnumStats`) are those of
   the ball's whole search tree in every case.  The joint tree holds the
@@ -61,16 +58,20 @@ side, `_search` takes the narrowest, ties to the middle.
   a's leftover, so nodes = nodes_A + sum_a nodes_B(a), and likewise prunes,
   each part's counters being its whole tree's (`_pykernel`).
 
-So E8 (+) E8 at radius 4 takes three kernel calls, one E8 search at each
-leftover 4, 2 and 0 serving both blocks, which visit about 6,200 nodes of
-the 204,388 it reports, and Z^16 at radius 3 takes four calls of rank 1.
-D16plus at radius 4 has no cut, but the rows below level 8 read, of the
-levels above, only level 8 and the glue level 15: its 4,017 upper points
-share 89 states, so it takes one upper and 89 lower calls of rank 8, whose
-trees hold about 24,700 nodes of the 207,570 it reports.  E8 at radius 4
-takes 1 + 35 calls of rank 4, and at radius 2, estimated at about 367
-nodes, 1 + 14; at radius 1, estimated at 64, it is one call of rank 8, as
-is the radius-1 unit search of Z^16, one call of rank 16.
+So E8 at radius 4 splits at a separator of one level: its 191 upper points
+share 35 states, 1 + 35 calls of rank 4.  At radius 2, estimated at about
+367 nodes, it takes 1 + 14; at radius 1, estimated at 64, it is one call
+of rank 8, as is the radius-1 unit search of Z^16, one call of rank 16.
+E8 (+) E8 at radius 4 is cut into two equal E8 blocks, so one E8 search at
+each leftover 4, 2 and 0 serves both: 36 and 15 calls of rank 4 as above,
+and at leftover 0 one upper call whose single point does not pay, then one
+of rank 8.  Its 53 calls visit 1,862 nodes of the 204,388 it reports.
+Z^16 at radius 3 takes four calls of rank 1.  D16plus at radius 4 has no
+cut, but the rows below level 8 read, of the levels above, only level 8
+and the glue level 15: its 4,017 upper points share 89 states.  The upper
+eight levels split again at a separator, in 63 calls of rank 4, and the
+lower take 89 calls of rank 8; the 152 calls visit 20,274 nodes of the
+207,570 it reports.
 
 The oracle (`brute_force_coset`, `sufficient_box`) is a second, independent
 route: it evaluates the Gram form on every cell of a box, and takes the
@@ -286,80 +287,56 @@ def _dfs_columns(*problem, **kwargs):
     return list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs)), nodes, prunes
 
 
-def _block_search(W, M, T, D, C, lo, hi, cuts, memo):
-    """(vectors, scaled norms, nodes, prunes) for levels lo .. hi-1 of the
-    problem (W, M, T, D) at bound C, those levels' rows reading no level
-    outside them: a search of the block's levels alone, with the coordinates
-    of caller positions n-hi .. n-1-lo.
+def _split(W, M, T, D, C, memo):
+    """(vectors, scaled norms, nodes, prunes) of the problem (W, M, T, D) at
+    bound C, given as tuples, whose rows read no level outside it.
 
-    The cut split of the module docstring, at the cut in `cuts` inside the
-    block nearest its middle, or one kernel call when there is none.  `memo`
-    is the block memo; the lists it returns may be shared through it, so
-    nothing appends to them.
+    The split of the module docstring: at the narrowest separator, ties to
+    the middle, the upper levels split again by `_split`, and the lower ones
+    split again under a cut or searched once per state under a separator;
+    one kernel call when no separator is narrow or the split does not pay.
+    `memo` is the block memo; the lists it returns may be shared through
+    it, so nothing appends to them.
     """
-    block = tuple(W[lo:hi]), tuple(tuple(row[lo:hi]) for row in M[lo:hi]), tuple(T[lo:hi])
-    key = block, C
+    key = W, M, T, C
     if key in memo:
         return memo[key]
-    inner = [k for k in cuts if lo < k < hi]
-    if not inner:
-        out = _dfs_columns(hi - lo, *block, D, C)
-    else:
-        k = min(inner, key=lambda c: abs(2 * c - lo - hi))
-        ups, up_tots, nodes, prunes = _block_search(W, M, T, D, C, k, hi, cuts, memo)
-        vecs, tots = [], []
-        summed = {}  # tot_a -> the lower block's points and their joint norms
-        for a, tot_a in zip(ups, up_tots):
-            if tot_a not in summed:
-                bs, low, n_low, p_low = _block_search(W, M, T, D, C - tot_a, lo, k, cuts, memo)
-                summed[tot_a] = bs, [tot_a + t for t in low], n_low, p_low
-            bs, norms, n_low, p_low = summed[tot_a]
-            nodes += n_low
-            prunes += p_low
-            vecs += [a + b for b in bs]
-            tots += norms
-        out = vecs, tots, nodes, prunes
-    memo[key] = out
-    return out
-
-
-def _separator_search(W, M, T, D, C, k, sep):
-    """(vectors, scaled norms, nodes, prunes) for the whole problem, split
-    at level k whose separator is `sep`, or None when the split does not pay.
-
-    The separator split of the module docstring: the upper levels k .. n-1
-    are searched once at C, and, under the sharing rule, the levels
-    0 .. k-1 once per state (tot_a, a's coordinates at the separator's
-    levels), at the leftover C - tot_a with sum_{j in sep} M[i][j]*w_j as
-    level i's offset.
-    """
     n = len(M)
-    ups, up_tots, nodes, prunes = _dfs_columns(
-        n - k, W[k:], [row[k:] for row in M[k:]], T[k:], D, C)
-    at = itemgetter(*[n - 1 - j for j in sep])  # the separator's coordinates of a
-    states = list(zip(up_tots, map(at, ups)))
-    if 2 * len(set(states)) > len(states):
-        return None
-    # the kernel reads the lower rows' entries at levels below k only
-    W_low, M_low, T_low = W[:k], M[:k], T[:k]
-    cols = [[row[j] for j in sep] for row in M_low]  # the separator's part of each row
-    T_sep = [T[j] for j in sep]
-    vecs, tots = [], []
-    summed = {}  # state -> the lower levels' points and their joint norms
-    for a, tot_a, state in zip(ups, up_tots, states):
-        if state not in summed:
-            coords = state[1] if len(sep) > 1 else (state[1],)
-            w = [D * u + t for u, t in zip(coords, T_sep)]
-            bs, low, n_low, p_low = _dfs_columns(
-                k, W_low, M_low, T_low, D, C - tot_a,
-                offset=[sum(map(mul, col, w)) for col in cols])
-            summed[state] = bs, [tot_a + t for t in low], n_low, p_low
-        bs, norms, n_low, p_low = summed[state]
-        nodes += n_low
-        prunes += p_low
-        vecs += [a + b for b in bs]
-        tots += norms
-    return vecs, tots, nodes, prunes
+    widths, first = _separators(M)
+    narrow = [(w, abs(2 * k - n), k) for k, w in enumerate(widths) if w < k and w < n - k]
+    out = None
+    if narrow:
+        k = min(narrow)[2]
+        sep = [j for j in range(k, n) if first[j] < k]
+        ups, up_tots, nodes, prunes = _split(
+            W[k:], tuple(row[k:] for row in M[k:]), T[k:], D, C, memo)
+        states = up_tots  # under a cut, the lower levels see only the leftover
+        if sep:
+            at = itemgetter(*[n - 1 - j for j in sep])  # the separator's coordinates of a
+            states = list(zip(up_tots, map(at, ups)))
+        if not sep or 2 * len(set(states)) <= len(states):
+            low = W[:k], tuple(row[:k] for row in M[:k]), T[:k]
+            cols = [[row[j] for j in sep] for row in M[:k]]  # the separator's part of each row
+            vecs, tots = [], []
+            summed = {}  # state -> the lower levels' points and their joint norms
+            for a, tot_a, state in zip(ups, up_tots, states):
+                if state not in summed:
+                    if sep:
+                        w = [D * a[n - 1 - j] + T[j] for j in sep]
+                        part = _dfs_columns(k, *low, D, C - tot_a,
+                                            offset=[sum(map(mul, col, w)) for col in cols])
+                    else:
+                        part = _split(*low, D, C - tot_a, memo)
+                    bs, low_tots, n_low, p_low = part
+                    summed[state] = bs, [tot_a + t for t in low_tots], n_low, p_low
+                bs, norms, n_low, p_low = summed[state]
+                nodes += n_low
+                prunes += p_low
+                vecs += [a + b for b in bs]
+                tots += norms
+            out = vecs, tots, nodes, prunes
+    memo[key] = out = out or _dfs_columns(n, W, M, T, D, C)
+    return out
 
 
 def _search(rows: Sequence[Sequence[int]], T: Sequence[int], D: int, radius: Fraction | int):
@@ -371,26 +348,18 @@ def _search(rows: Sequence[Sequence[int]], T: Sequence[int], D: int, radius: Fra
     The vectors are every point of the ball, in strictly increasing
     lexicographic order.  A ball whose tree the size gate (`_small_tree`)
     estimates under `_SPLIT_NODES` nodes is one kernel call; a bigger one
-    is split as the module docstring chooses, or is one call when no split
-    applies.  The stats are those of one search of the whole form.  The rows come from `_reversed_pivots`, which refuses a form that
+    goes to `_split`.  The stats are those of one search of the whole
+    form.  The rows come from `_reversed_pivots`, which refuses a form that
     is not positive definite, or from LLL, which reduces positive definite
     forms only.
     """
     W, T, C, scale = _scaled_problem(rows, T, D, radius)
     n = len(rows)
-    out = None
-    if not _small_tree([1] + [row[i] for i, row in enumerate(rows)], radius):
-        widths, first = _separators(rows)
-        cuts = [k for k in range(1, n) if not widths[k]]
-        if cuts:
-            out = _block_search(W, rows, T, D, C, 0, n, cuts, {})
-        else:
-            narrow = [(w, abs(2 * k - n), k) for k, w in enumerate(widths) if w < k and w < n - k]
-            if narrow:
-                k = min(narrow)[2]
-                out = _separator_search(
-                    W, rows, T, D, C, k, [j for j in range(k, n) if first[j] < k])
-    vectors, tots, nodes, prunes = out or _dfs_columns(n, W, rows, T, D, C)
+    if _small_tree([1] + [row[i] for i, row in enumerate(rows)], radius):
+        out = _dfs_columns(n, W, rows, T, D, C)
+    else:
+        out = _split(tuple(W), tuple(map(tuple, rows)), tuple(T), D, C, {})
+    vectors, tots, nodes, prunes = out
     return vectors, tots, scale, EnumStats(nodes=nodes, prunes=prunes)
 
 
@@ -491,8 +460,11 @@ def brute_force_coset(query: EnumQuery, box: int) -> EnumResult:
     """Oracle twin of `enumerate_coset`: every hit in the cube |u_i| <= box,
     in lexicographic order, by the scan that `_scan_problem` plans.  The
     result is marked `exhaustive` when box >= `sufficient_box(query)`,
-    which makes it complete.
+    which makes it complete.  A box that is not an int (a bool, a float or
+    a string) or is negative is refused with BadShapeError.
     """
+    if isinstance(box, bool) or not isinstance(box, int):
+        raise BadShapeError(f"box is not an int: {box!r}")
     if box < 0:
         raise BadShapeError("box must be nonnegative")
     return _box_scan(query, _scan_problem(query), box)

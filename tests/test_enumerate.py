@@ -588,10 +588,11 @@ class TestBlockSplit:
     def test_interleaved_summands_split_at_a_separator(self, monkeypatch):
         # E8+Z1 with the Z1 coordinate moved to the middle: no contiguous
         # cut separates the summands, but the levels below the middle read
-        # only one level above it, so the ball is split there: one search
-        # of the upper five levels, then one of the lower four per state of
-        # the upper points that share them.  It is the E8+Z1 ball with its
-        # coordinates permuted
+        # only one level above it, so the ball is split there.  The upper
+        # five levels are four of E8 over the Z1 level, split again at their
+        # cut: one search of the four, then Z1 once per leftover; then the
+        # lower four levels once per state of the upper points that share
+        # them.  It is the E8+Z1 ball with its coordinates permuted
         calls = kernel_calls(monkeypatch)
         split_always(monkeypatch)
         gram = catalog_get("E8+Z1").gram
@@ -602,10 +603,12 @@ class TestBlockSplit:
         assert enumeration._separators(rows)[0] == [0, 1, 1, 1, 1, 1, 2, 2, 1]
         shift = (Fraction(1, 2), 0, 0, Fraction(-1, 3), 1, 0, 0, 0, Fraction(1, 2))
         # (radius, the rank of each kernel call): at radius 0 the upper
-        # levels hold no point; at radius 1 their 11 points have 10 states,
-        # too many to pay, so the form is searched whole after them; at
-        # radius 5/2, 120 points share 59 states
-        for radius, ranks in ((0, [5]), (1, [5, 9]), (Fraction(5, 2), [5] + [4] * 59)):
+        # four levels hold no point; at radius 1 the upper five hold 11
+        # points (5 leftovers under the cut) of 10 states, too many to pay,
+        # so the form is searched whole after them; at radius 5/2 their 120
+        # points (19 leftovers) share 59 states
+        for radius, ranks in ((0, [4]), (1, [4] + [1] * 5 + [9]),
+                              (Fraction(5, 2), [4] + [1] * 19 + [4] * 59)):
             q = EnumQuery(form=mixed, shift=shift, radius=radius)
             calls.clear()
             got = split_search(q)
@@ -621,13 +624,17 @@ class TestBlockSplit:
 
     def test_e8_plus_e8_searches_each_block_once_per_leftover(self, monkeypatch):
         # E8+E8 at radius 4: the two E8 blocks are equal, so one E8 search
-        # at each leftover 4, 2 and 0 serves both, about 6,200 visited
+        # at each leftover 4, 2 and 0 serves both.  Each is split again at
+        # its separator, 1 + 35 and 1 + 14 calls of rank 4, except at
+        # leftover 0, where one point is one state and the split does not
+        # pay: one call of rank 4, then one of rank 8.  They visit 1,862
         # nodes for the 204,388 the whole tree holds (pinned in
         # TestFrozenResults)
         calls = kernel_calls(monkeypatch)
         res = enumerate_coset(query("E8+E8", radius=4))
         assert (len(res.vectors), res.stats.nodes) == (62401, 204388)
-        assert len(calls) <= 4 and sum(nodes for _, nodes in calls) < 12_000
+        assert sorted(n for n, _ in calls) == [4] * 52 + [8]
+        assert sum(nodes for _, nodes in calls) < 12_000
 
     def test_equal_blocks_share_their_searches(self, monkeypatch):
         # Z^16 at radius 3 is sixteen equal Z1 blocks: one search of Z1 at
@@ -705,13 +712,14 @@ class TestSeparatorSplit:
     def test_d16plus_searches_lower_levels_once_per_state(self, monkeypatch):
         # D16plus at radius 4: the rows below level 8 read, of the levels
         # above, only level 8 and the glue level 15, so its 4,017 upper
-        # points share 89 states: one 8-level upper search and one 8-level
-        # lower search per state, for the whole tree's counters
+        # points share 89 states: the 8 upper levels, split again at their
+        # own separator in 63 calls of rank 4, and one 8-level lower search
+        # per state, for the whole tree's counters
         calls = kernel_calls(monkeypatch)
         q = query("D16plus", radius=4)
         res = enumerate_coset(q)
         assert (len(res.vectors), res.stats.nodes, res.stats.prunes) == (62401, 207570, 2048)
-        assert [n for n, _ in calls] == [8] * len(calls) and 1 < len(calls) <= 1 + 89
+        assert [n for n, _ in calls] == [4] * 63 + [8] * 89
         assert sum(nodes for _, nodes in calls) < 207570 // 4
         assert split_search(q) == joint_search(q)
 
@@ -724,6 +732,66 @@ class TestSeparatorSplit:
         assert [n for n, _ in calls] == [4] * 36
 
 
+def moved_coordinate(gram, src, dst):
+    """gram with its coordinate `src` moved to position `dst`."""
+    perm = [i for i in range(gram.rank) if i != src]
+    perm.insert(dst, src)
+    return GramMatrix.from_rows([[gram.entries[i][j] for j in perm] for i in perm])
+
+
+class TestNestedSplits:
+    """Every part of a split is split again by the one rule: a block of a
+    cut at its own separator, and the upper part of a separator split at
+    its own cut.  Some kernel call is then narrower than the part of the
+    first split that it searches, and the points, scaled norms, order and
+    counters must still be those of one search of the whole problem, and
+    the points and norms those of the oracle, at radii on both sides of
+    the size gate.  The gate is set to 0 (`split_always`)."""
+
+    # (form, the ranks that only a nested split calls): E8+Z1 and Z1+D5
+    # have a cut whose wide block splits at a separator; E8+Z1 and D5+Z1
+    # with Z1 moved up split at a separator whose upper part has a cut
+    JOINT = (
+        (catalog_get("E8+Z1").gram, {2, 3, 4, 5, 6, 7}),
+        (moved_coordinate(catalog_get("E8+Z1").gram, 8, 4), {1, 2, 3}),
+    )
+    ORACLE = (
+        (catalog_get("Z1+D5").gram, {2, 3, 4}),
+        (moved_coordinate(catalog_get("D5+Z1").gram, 5, 2), {1, 2}),
+    )
+
+    def check(self, form, nested, radii, oracle, monkeypatch):
+        gate = {enumeration._small_tree(leading_minors(_reversed_pivots(form)), r) for r in radii}
+        assert gate == {True, False}  # radii below and above the size gate
+        calls = kernel_calls(monkeypatch)
+        split_always(monkeypatch)
+        rng = random.Random(47)
+        hits = 0
+        for denominator in (1, 2, 3):
+            flipped = sign_flipped(form, rng)
+            shift = tuple(Fraction(rng.randint(-1, 1), denominator) for _ in range(form.rank))
+            for radius in radii:
+                q = EnumQuery(form=flipped, shift=shift, radius=Fraction(radius))
+                calls.clear()
+                got = split_search(q)
+                assert nested & {n for n, _ in calls}  # some call is on a nested part
+                assert got == joint_search(q)
+                if oracle:
+                    fast = enumerate_coset(q)
+                    slow = brute_force_coset(q, sufficient_box(q))
+                    assert (fast.vectors, fast.norms) == (slow.vectors, slow.norms)
+                hits += len(got[0])
+        assert hits > 0
+
+    @pytest.mark.parametrize("form, nested", JOINT, ids=("E8+Z1", "E8+Z1-moved"))
+    def test_matches_joint_search(self, form, nested, monkeypatch):
+        self.check(form, nested, (1, Fraction(3, 2), 2, Fraction(5, 2)), False, monkeypatch)
+
+    @pytest.mark.parametrize("form, nested", ORACLE, ids=("Z1+D5", "D5+Z1-moved"))
+    def test_matches_oracle(self, form, nested, monkeypatch):
+        self.check(form, nested, (2, 3, 4, 5), True, monkeypatch)
+
+
 class TestColumns:
     """`_search` returns a ball's vectors and scaled norms as two lists of
     equal length on every route; zipped, they are the pairs that one kernel
@@ -733,7 +801,7 @@ class TestColumns:
     A2 = GramMatrix.from_rows([[2, 1], [1, 2]])  # its one separator is as wide as a side
 
     @pytest.mark.parametrize("form, shift, radius, ranks", (
-        ("E8+Z1", None, 2, [8, 1, 1]),  # a cut
+        ("E8+Z1", None, 2, [4] * 15 + [1, 1]),  # a cut, its E8 block split at a separator
         ("E8", None, 2, [4] * 15),  # a separator
         ("D4", None, 2, [2, 4]),  # a separator that does not pay, then one call
         (A2, None, 3, [2]),  # one call
@@ -776,7 +844,7 @@ class TestSizeGate:
 
     @pytest.mark.parametrize("fid, split_ranks", (
         ("E8", [4] * 15),  # radius 2 splits at a separator: 1 + 14 calls
-        ("E8+Z1", [8, 1, 1]),  # and E8+Z1 at its cut
+        ("E8+Z1", [4] * 15 + [1, 1]),  # and E8+Z1 at its cut, then E8 at its separator
     ))
     def test_one_call_below_split_above(self, fid, split_ranks, monkeypatch):
         calls = kernel_calls(monkeypatch)
@@ -962,6 +1030,15 @@ class TestValidationAndCaps:
         with pytest.raises(NotPositiveDefiniteError):
             brute_force_coset(q, 1)
 
-    def test_negative_box_rejected(self):
-        with pytest.raises(BadShapeError):
-            brute_force_coset(query("Zn:2"), -1)
+    @pytest.mark.parametrize("box, message", [
+        (-1, "box must be nonnegative"),
+        (0.5, "box is not an int: 0.5"),
+        (1.0, "box is not an int: 1.0"),
+        (True, "box is not an int: True"),
+        ("1", "box is not an int: '1'"),
+    ], ids=("negative", "half", "float", "bool", "string"))
+    def test_bad_box_rejected(self, box, message):
+        # a negative box, and a float, bool or string, which is not coerced
+        with pytest.raises(BadShapeError) as info:
+            brute_force_coset(query("Zn:2"), box)
+        assert str(info.value) == message
