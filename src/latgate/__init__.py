@@ -9,29 +9,36 @@ form into a Realizable/Forbidden verdict.
 
 The package's public names are those of its library modules, each declared
 once, in its own module's `__all__`, and republished here; `cli` and the
-pure-Python kernel stay out.
+pure-Python kernel stay out. A name is loaded on first use (PEP 562), so
+importing the package, or one module of it, imports no module it does not
+need.
 """
 
-from . import catalog, charvec, core, enumeration, errors, formats, manifold, selftest
-from .catalog import *
-from .charvec import *
-from .core import *
-from .enumeration import *
-from .errors import *
-from .formats import *
-from .manifold import *
-from .selftest import *
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    *catalog.__all__,
-    *charvec.__all__,
-    *core.__all__,
-    *enumeration.__all__,
-    *errors.__all__,
-    *formats.__all__,
-    *manifold.__all__,
-    *selftest.__all__,
-]
+_MODULES = ("catalog", "charvec", "core", "enumeration", "errors", "formats", "manifold",
+            "selftest")
+
+
+def __getattr__(name: str):
+    if name in _MODULES:
+        return _import_module(f"{__name__}.{name}")
+    if name == "__all__":
+        value = ["__version__",
+                 *(n for m in _MODULES for n in _import_module(f"{__name__}.{m}").__all__)]
+    else:
+        for m in _MODULES:
+            module = _import_module(f"{__name__}.{m}")
+            if name in module.__all__:
+                value = getattr(module, name)
+                break
+        else:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__getattr__("__all__")})

@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 usage, parse or input errors (including a rank
 above the search cap), 2 verification failures (a failed self-test, a
 failed oracle cross-check, or a mathematical precondition that does not
 hold for the given input).
+
+A command imports only the modules it runs: `donaldson` loads `manifold`
+and `selftest` loads `selftest`, so `analyze` loads neither.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import functools
 import sys
 from fractions import Fraction
 
-from . import selftest as selftest_mod
 from .catalog import _unimodular_rank, catalog_get
 from .charvec import charvec_report_with_stats, solve_char_coset
 from .core import (
@@ -46,7 +48,6 @@ from .formats import (
     load_manifold,
     moduli_report_to_obj,
 )
-from .manifold import ManifoldDescriptor, Verdict, donaldson_verdict
 
 __all__ = ["main"]
 
@@ -253,6 +254,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_donaldson(args) -> int:
+    from .manifold import ManifoldDescriptor, Verdict, donaldson_verdict
+
     if (args.manifold is None) == (args.catalog is None):
         raise _UsageError("provide exactly one of a manifold document path or --catalog ID")
     if args.manifold is not None:
@@ -303,8 +306,10 @@ def _cmd_donaldson(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    results = selftest_mod.run_selftest(max_rank=args.max_rank)
-    print(selftest_mod.format_table(results))
+    from .selftest import format_table, run_selftest
+
+    results = run_selftest(max_rank=args.max_rank)
+    print(format_table(results))
     return 0 if all(r.ok for r in results) else 2
 
 

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .core import GramMatrix
 from .errors import BadShapeError, ParseError
-from .manifold import ManifoldDescriptor, ModuliReport
+
+if TYPE_CHECKING:  # for annotations: `manifold_from_obj` imports manifold when it runs
+    from .manifold import ManifoldDescriptor, ModuliReport
 
 __all__ = [
     "REPORT_FORMAT",
@@ -99,6 +101,8 @@ def load_gram(source: str | os.PathLike) -> GramMatrix:
 
 
 def manifold_from_obj(obj: Any) -> ManifoldDescriptor:
+    from .manifold import ManifoldDescriptor
+
     if not isinstance(obj, dict):
         raise ParseError(f"manifold document must be a JSON object, got {type(obj).__name__}")
     missing = {"b1", "form"} - obj.keys()

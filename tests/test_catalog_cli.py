@@ -907,3 +907,28 @@ class TestModuleEntry:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == "latgate: error: rank 25 exceeds the cap of 24\n"
+
+    def test_donaldson(self):
+        proc = self.run("donaldson", "--catalog", "E8", "--negate")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1].startswith("verdict: Forbidden (")
+
+
+def test_a_command_imports_only_what_it_runs():
+    # a fresh isolated interpreter, so that no other test's import hides one
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    script = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from latgate.cli import main\n"
+        "def run(argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    return code, [m for m in ('latgate.manifold', 'latgate.selftest') if m in sys.modules]\n"
+        "print(run(['analyze', '--catalog', 'D12plus', '--json']))\n"
+        "print(run(['donaldson', '--catalog', 'E8', '--negate', '--json']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["(0, [])", "(0, ['latgate.manifold'])"]

@@ -865,6 +865,7 @@ class TestSizeGate:
             assert answer[0]  # the ball holds points
             assert max(forced) < n  # the forced route split the ball
             assert gated == ([n] if small else forced)
+        assert forced == split_ranks  # at radius 2, the route the parameter names
 
     def test_z1_splits_from_radius_22500(self):
         # the estimate of Z1 at radius R is V_1*sqrt(R) = 2*sqrt(R), which
