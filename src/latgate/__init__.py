@@ -11,7 +11,9 @@ The package's public names are those of its library modules, each declared
 once, in its own module's `__all__`, and republished here; `cli` and the
 pure-Python kernel stay out. A name is loaded on first use (PEP 562), so
 importing the package, or one module of it, imports no module it does not
-need.
+need. A submodule name resolves to the submodule before any module is
+searched, so `from latgate import cli` loads what `import latgate.cli` does;
+`__main__` is not resolved, because importing it runs the command line.
 """
 
 from importlib import import_module as _import_module
@@ -23,7 +25,7 @@ _MODULES = ("catalog", "charvec", "core", "enumeration", "errors", "formats", "m
 
 
 def __getattr__(name: str):
-    if name in _MODULES:
+    if name in _MODULES or name in ("cli", "_pykernel"):
         return _import_module(f"{__name__}.{name}")
     if name == "__all__":
         value = ["__version__",

@@ -2,15 +2,23 @@
 
 A Gram document is {"rank": n, "gram": [[...], ...]} with plain integer
 entries.  A manifold document is {"b1": b1, "form": <Gram document>}.
-Emitted reports carry "format": 1 and are serialized canonically (sorted
-keys, two-space indent, trailing newline) so equal reports are
-byte-identical.
+Emitted reports carry "format": 1 and are serialized canonically, so equal
+reports are byte-identical: `dumps_canonical` writes exactly the bytes of
+`json.dumps(obj, indent=2, sort_keys=True)` plus a newline.  It writes them
+directly, because with `indent` set `json.dumps` skips the C encoder and
+yields once per integer, and most lines of a report are Gram matrix
+entries.  A list or tuple of plain ints (a Gram row, a vector) is written
+with one `%`-format call; every other value takes json's own type tests in
+json's order, and floats and values json rejects go to `json.dumps`, so
+NaN, infinities, int and float subclasses and the `TypeError` for an
+unserializable object are json's own.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any
 
 from .core import GramMatrix
@@ -159,4 +167,56 @@ def moduli_report_to_obj(report: ModuliReport, descriptor: ManifoldDescriptor) -
 
 
 def dumps_canonical(obj: Any) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(obj, indent=2, sort_keys=True) + "\\n"`, written directly
+    with each list of plain ints formatted in one call.  `obj` must be
+    acyclic: a cycle raises `RecursionError`, not json's `ValueError`."""
+    return _dump(obj, "\n") + "\n"
+
+
+def _dump(obj: Any, newline: str) -> str:
+    """`obj` as json writes it at the indent that `newline` ("\\n" plus the
+    enclosing indent) sets."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        items = tuple(obj)
+        if set(map(type, items)) == {int}:
+            return ("[" + inner + ("," + inner).join(["%d"] * len(items)) + newline + "]") % items
+        return "[" + inner + ("," + inner).join([_dump(x, inner) for x in items]) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join([
+            encode_basestring_ascii(_key(key)) + ": " + _dump(value, inner)
+            for key, value in sorted(obj.items())
+        ]) + newline + "}"
+    return json.dumps(obj)  # a float, or json's TypeError
+
+
+def _key(key: Any) -> str:
+    """A dict key as the string json writes for it."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return json.dumps(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")

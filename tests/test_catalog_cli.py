@@ -1,12 +1,16 @@
 import dataclasses
+import enum
 import json
 import os
 import random
 import subprocess
 import sys
+import textwrap
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latgate import (
     BadShapeError,
@@ -34,6 +38,33 @@ from latgate.formats import load_gram, load_manifold, manifold_from_obj
 from latgate.manifold import ExactSequence, Verdict
 from latgate.selftest import CheckResult
 from oracle_helpers import det_gauss, dn_basis, dn_plus_basis, gram_from_vectors
+
+
+def _json_layout(obj):
+    """The canonical layout `dumps_canonical` promises, as json writes it."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+class Sign(enum.IntEnum):
+    MINUS = -1
+    PLUS = 1
+
+
+class SortedDict(dict):
+    pass
+
+
+_INTS = st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-2**64)
+_FLOATS = st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf")])
+# any text, and text drawn from json's escapes and from non-ASCII up to the astral planes
+_TEXT = st.text() | st.text(st.sampled_from('\x00\x1f\x7f"\\/\n\t \u00e9\u2028\U0001d53d'))
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | _INTS | _FLOATS | _TEXT
+    | st.lists(_INTS) | st.lists(_INTS).map(tuple),
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(_TEXT, children, max_size=4)),
+    max_leaves=20,
+)
 
 
 class TestCatalogGrammar:
@@ -98,12 +129,66 @@ class TestFormats:
         assert gram_from_obj(gram_to_obj(g)) == g
 
     def test_canonical_dumps(self):
-        obj = {"b": 2, "a": {"d": [3, 1], "c": 0}}
-        text = dumps_canonical(obj)
-        assert text.endswith("\n")
-        assert json.loads(text) == obj
-        assert text == dumps_canonical(obj)
-        assert text.index('"a"') < text.index('"b"')
+        obj = {"b": 2, "a": {"d": [3, 1], "c": 0}, "e": [[1, -2], [], {}],
+               "f": (True, None, "x\u00e9")}
+        assert dumps_canonical(obj) == textwrap.dedent("""\
+            {
+              "a": {
+                "c": 0,
+                "d": [
+                  3,
+                  1
+                ]
+              },
+              "b": 2,
+              "e": [
+                [
+                  1,
+                  -2
+                ],
+                [],
+                {}
+              ],
+              "f": [
+                true,
+                null,
+                "x\\u00e9"
+              ]
+            }
+            """)
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(obj=JSON_TREES)
+    def test_canonical_dumps_is_json_layout(self, obj):
+        assert dumps_canonical(obj) == _json_layout(obj)
+
+    @pytest.mark.parametrize("obj", [
+        {1: "a", -2**70: "b", 0: [1]},
+        {1.5: 0, float("nan"): 1, float("inf"): 2, -0.0: 3},
+        {True: 1},
+        {False: [True, False]},
+        {None: None},
+        {Sign.PLUS: [Sign.MINUS, 1], Sign.MINUS: (Sign.PLUS,)},
+        Sign.PLUS,
+        SortedDict(b=[2, 1], a=SortedDict()),
+        [SortedDict(z=0), (1, 2), [True, 1], [1.0, 2]],
+    ], ids=["int-keys", "float-keys", "true-key", "false-key", "none-key", "int-enum",
+            "int-enum-top", "dict-subclass", "mixed-rows"])
+    def test_canonical_dumps_special_values(self, obj):
+        assert dumps_canonical(obj) == _json_layout(obj)
+
+    @pytest.mark.parametrize("obj", [
+        object(),
+        [1, {"a": {1, 2}}],
+        {(1, 2): 3},
+        {"a": 1, 2: 3},
+    ], ids=["object", "nested-set", "tuple-key", "mixed-keys"])
+    def test_canonical_dumps_rejects_what_json_rejects(self, obj):
+        with pytest.raises(TypeError) as expected:
+            _json_layout(obj)
+        with pytest.raises(TypeError) as got:
+            dumps_canonical(obj)
+        assert str(got.value) == str(expected.value)
 
     def test_inline_gram(self):
         g = load_gram('{"rank": 2, "gram": [[2, 1], [1, 2]]}')
@@ -468,6 +553,49 @@ class TestCliDonaldson:
     def test_not_applicable(self, capsys):
         assert main(["donaldson", "--catalog", "E8"]) == 0
         assert "NotApplicable" in capsys.readouterr().out
+
+
+class TestJsonLayout:
+    """Every `--json` report is, byte for byte, json's `indent=2, sort_keys=True`
+    layout of itself, which pins the layout without snapshot files."""
+
+    @staticmethod
+    def _conjugate(fid, seed):
+        g = catalog_get(fid).gram
+        u = random_unimodular(g.rank, random.Random(seed))
+        return json.dumps(gram_to_obj(basis_change(g, u)))
+
+    @staticmethod
+    def _report(capsys, argv):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        report = json.loads(out)
+        assert out == _json_layout(report)
+        return report
+
+    @pytest.mark.parametrize("flags", [[], ["--stats"], ["--oracle"], ["--stats", "--oracle"]])
+    @pytest.mark.parametrize("source", [
+        ["--catalog", "Zn:3"], ["--catalog", "E8+Z1"], ["--catalog", "D12plus"],
+        [("D12plus", 2)], [("Zn:5", 1)], [("E8+Z1", 3)],
+        ['{"rank": 2, "gram": [[1, 0], [0, -1]]}'],
+    ], ids=["Zn:3", "E8+Z1", "D12plus", "D12plus-conj", "Zn:5-conj", "E8+Z1-conj", "indefinite"])
+    def test_analyze(self, capsys, source, flags):
+        source = [self._conjugate(*x) if isinstance(x, tuple) else x for x in source]
+        report = self._report(capsys, ["analyze", *source, "--json", *flags])
+        searched = report["charvec"] is not None  # an indefinite form skips the search
+        assert ("stats" in report) == ("--stats" in flags and searched)
+        assert ("oracle" in report) == ("--oracle" in flags and searched)
+
+    @pytest.mark.parametrize("b1", range(4))
+    @pytest.mark.parametrize("source, verdict", [
+        (["--catalog", "E8", "--negate"], "Forbidden"),
+        (["--catalog", "Zn:3", "--negate"], "Realizable"),
+        (["--catalog", "E8"], "NotApplicable"),
+    ])
+    def test_donaldson(self, capsys, source, verdict, b1):
+        report = self._report(capsys, ["donaldson", *source, "--b1", str(b1), "--json"])
+        assert report["verdict"] == verdict
+        assert len(report["surgery_certificates"]) == b1
 
 
 def _run_child(argv):

@@ -73,6 +73,23 @@ LAZY_CHECKS = {
     "dir_lists_all": """
         assert set(latgate.__all__) <= set(dir(latgate))
     """,
+    "from_import_cli_loads_only_what_cli_needs": """
+        from latgate import cli
+        assert cli is sys.modules["latgate.cli"]
+        assert [m for m in ("latgate.manifold", "latgate.selftest") if m in sys.modules] == []
+        from latgate import _pykernel
+        assert _pykernel is sys.modules["latgate._pykernel"]
+        assert not {"cli", "_pykernel"} & set(latgate.__all__)
+    """,
+    "main_module_does_not_resolve": """
+        try:
+            latgate.__main__
+        except AttributeError:
+            pass
+        else:
+            raise AssertionError("latgate.__main__ resolved")
+        assert "latgate.__main__" not in sys.modules
+    """,
     "unknown_name_raises": """
         try:
             latgate.no_such_name
