@@ -398,21 +398,30 @@ def _axis_reach(form: GramMatrix, C2: int) -> list[int]:
 
     Cauchy-Schwarz in the inner product of G gives
     v_i^2 <= (G^-1)_ii * v^T G v, and (G^-1)_ii = adj_ii / det with adj_ii
-    the principal minor of G without row and column i.  All n of them come
-    from one fraction-free Gauss-Jordan elimination of [G | I], which ends
-    at [det*I | adj G]: every division is exact, and G is positive definite,
-    so no pivot vanishes.  Built from determinants only, so the scan shares
-    no pivot rows with the search it checks.
+    the principal minor of G without row and column i.  At C2 = 0 every
+    reach is 0 and nothing is eliminated.  Otherwise all n of them come
+    from one fraction-free Gauss-Jordan elimination of [G | I] (Bareiss
+    1968), which ends at [det*I | adj G]: every division is exact, and G
+    is positive definite, so no pivot vanishes.  Only the live columns are
+    eliminated.  Before step k, the right-hand column n+k is 0 off row k,
+    and row k holds there the previous pivot (1 scaled by each pivot over
+    its predecessor), so step k writes that entry into a zero block and
+    updates the columns k+1 .. n+k: n per row, not 2n-k-1.  Built from
+    determinants only, so the scan shares no pivot rows with the search it
+    checks.
     """
     n = form.rank
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(form.entries)]
+    if not C2:
+        return [0] * n
+    a = [list(row) + [0] * n for row in form.entries]
     prev = 1
     for k in range(n):
         pivot_row, pivot = a[k], a[k][k]
+        pivot_row[n + k] = prev
         for i, row in enumerate(a):
             if i != k:
                 f = row[k]
-                for j in range(k + 1, 2 * n):
+                for j in range(k + 1, n + k + 1):
                     row[j] = (pivot * row[j] - f * pivot_row[j]) // prev
         prev = pivot
     return [isqrt(C2 * a[i][n + i] // prev) for i in range(n)]
@@ -430,7 +439,12 @@ def _scan_problem(query: EnumQuery) -> tuple[int, list[int], int, list[int], int
     the count of u_i with |D*u_i + T_i| <= reach_i, an interval of length
     2*reach_i/D >= 0, so no count is negative.  The clip drops only cells
     that cannot be hits, so the scan returns what a scan of the whole cube
-    would.  The plan takes no Cholesky factor and builds no inverse.
+    would.  The plan takes no Cholesky factor and builds no inverse.  At
+    C2 = 0 (the characteristic ball of an even form, radius 0 around 0)
+    every reach is 0 and `_axis_reach` eliminates nothing: the scan is the
+    one cell u = -T/D when the shift is integral, and none otherwise.  The
+    form's definiteness is checked first, so an indefinite or degenerate
+    form is refused at any radius.
     """
     if definiteness(query.form) is not Definiteness.POSITIVE_DEFINITE:
         raise NotPositiveDefiniteError("brute-force scan requires a positive definite form")

@@ -610,11 +610,12 @@ class TestClassifiedOnce:
         assert eliminated == {form.entries: 1}
 
     def test_oracle_adds_no_cholesky(self, monkeypatch, capsys):
-        # the oracle bounds its scan by the adjugate's diagonal, from one
-        # Gauss-Jordan elimination of [G | I] in `_axis_reach`, run once for
-        # the plan that the gate and the scan share: it adds no `_bareiss` run, on
-        # the input or on a principal minor (E8 is even, so its minimum is
-        # answered without a search: nothing is reduced or searched)
+        # the oracle bounds its scan by the adjugate's diagonal in
+        # `_axis_reach`, asked once for the plan that the gate and the scan
+        # share: it adds no `_bareiss` run, on the input or on a principal
+        # minor (E8 is even, so its minimum is answered without a search:
+        # nothing is reduced or searched, and its scan has radius 0, so
+        # `_axis_reach` eliminates nothing)
         form = basis_change(catalog_get("E8").gram, random_unimodular(8, random.Random(3)))
         reached = []
         axis_reach = enumeration._axis_reach

@@ -1,5 +1,3 @@
-import ast
-import inspect
 import random
 from fractions import Fraction
 from math import comb, isqrt, lcm, prod
@@ -22,9 +20,11 @@ from latgate import (
     cholesky,
     direct_sum,
     enumerate_coset,
+    evaluate,
     kernel_name,
     negate,
     random_unimodular,
+    solve_char_coset,
     sufficient_box,
 )
 from oracle_helpers import cube_scan, det_gauss, e8_ambient_count_norm_le2
@@ -890,19 +890,15 @@ class TestSizeGate:
         assert enumeration._small_tree([1] * 25, Fraction(1, big)) is True
 
     def test_estimate_is_integer_only(self):
-        for fn in (enumeration._small_tree, enumeration._ball_volume_sq):
-            tree = ast.parse(inspect.getsource(fn))
-            for node in ast.walk(tree):
-                assert not (isinstance(node, ast.Constant) and isinstance(node.value, float))
-                assert not isinstance(node, ast.Div)
-                assert not (isinstance(node, ast.Attribute) and node.attr == "pi")
-                assert not (isinstance(node, ast.Name) and node.id in ("pi", "float", "sqrt"))
+        # tests/test_exactness.py finds no float in the estimate's code
         assert all(type(v) is int and v > 0 for v in enumeration._BALL_VOLUME_SQ)
 
 
 class TestAxisReach:
-    @pytest.mark.parametrize("fid", ("D4", "D5", "E8", "E8+Z4", "D12plus", "Zn:16", "D16plus",
-                                     "E8+E8", "D20plus+Z4", "D12plus+D12plus", "Zn:24"))
+    # Zn:1 and Zn:2 are where the live columns k+1 .. n+k are fewest
+    @pytest.mark.parametrize("fid", ("Zn:1", "Zn:2", "D4", "D5", "E8", "E8+Z4", "D12plus",
+                                     "Zn:16", "D16plus", "E8+E8", "D20plus+Z4",
+                                     "D12plus+D12plus", "Zn:24"))
     def test_matches_principal_minors(self, fid):
         # reach_i = isqrt(C2 * adj_ii // det), with adj_ii the determinant
         # of the principal minor without row and column i
@@ -915,6 +911,57 @@ class TestAxisReach:
                for i in range(n)]
         for C2 in (0, 1, 7, 4 * n, 10**12 + 39):
             assert enumeration._axis_reach(conj, C2) == [isqrt(C2 * a // det) for a in adj]
+
+
+class TestRadiusZeroPlan:
+    """The characteristic ball of an even form is the radius-0 ball around
+    w = 0, whose scan is the one cell u = 0: C2 = 0, so every reach is 0
+    and `_axis_reach` eliminates nothing."""
+
+    @pytest.mark.parametrize("fid", ("E8", "E8+E8", "D16plus"))
+    def test_even_characteristic_query_is_one_cell(self, fid):
+        # the query that `analyze --oracle` builds (`cli._oracle_block`)
+        gram = catalog_get(fid).gram
+        n = gram.rank
+        rng = random.Random(36)
+        for _ in range(3):
+            conj = basis_change(gram, random_unimodular(n, rng))
+            w0 = solve_char_coset(conj).base
+            q = EnumQuery(form=conj, shift=tuple(Fraction(w, 2) for w in w0),
+                          radius=Fraction(min(evaluate(conj, w0), n), 4))
+            assert enumeration._scan_problem(q) == (1, [0] * n, 0, [0] * n, 0, 1)
+            scan = brute_force_coset(q, 0)
+            assert (scan.vectors, scan.norms, scan.exhaustive) == (((0,) * n,), (0,), True)
+
+    def test_zero_bound_eliminates_nothing(self):
+        # a form whose entries cannot be read: at C2 = 0 nothing reads them
+        class Unread:
+            rank = 5
+
+            @property
+            def entries(self):
+                raise AssertionError("the form was eliminated")
+
+        assert enumeration._axis_reach(Unread(), 0) == [0] * 5
+        with pytest.raises(AssertionError, match="eliminated"):
+            enumeration._axis_reach(Unread(), 1)
+
+    @pytest.mark.parametrize("shift, radius, hits", [
+        ((0, 0, 0), 0, [(0, 0, 0)]),
+        ((1, -2, 0), 0, [(-1, 2, 0)]),
+        ((Fraction(1, 2), 0, 0), 0, []),  # no cell: v = 2u + (1, 0, 0) is never 0
+        ((Fraction(1, 3), Fraction(-2, 3), 1), Fraction(1, 10), []),  # C2 = floor(9/10) = 0
+        ((0, 1, 0), Fraction(1, 2), [(0, -1, 0)]),  # C2 = floor(1/2) = 0
+    ])
+    def test_zero_bound_scan_matches_search(self, shift, radius, hits):
+        form = basis_change(catalog_get("Zn:3").gram, random_unimodular(3, random.Random(4)))
+        q = EnumQuery(form=form, shift=tuple(map(Fraction, shift)), radius=Fraction(radius))
+        D, T, C2, reach, box, cells = enumeration._scan_problem(q)
+        assert (C2, reach, cells) == (0, [0, 0, 0], len(hits))
+        slow = brute_force_coset(q, box)
+        assert list(slow.vectors) == hits and slow.exhaustive
+        fast = enumerate_coset(q)
+        assert (slow.vectors, slow.norms) == (fast.vectors, fast.norms)
 
 
 class TestSufficientBox:
@@ -964,14 +1011,19 @@ class TestSufficientBox:
                 assert max(abs(x) for x in u) <= box
 
     @pytest.mark.parametrize(
-        "rows", [[[1, 0], [0, -1]], [[0, 1], [1, 0]], [[1, 0], [0, 0]], [[-1]]],
-        ids=["indefinite", "hyperbolic", "degenerate", "negative"],
+        "rows", [[[1, 0], [0, -1]], [[0, 1], [1, 0]], [[1, 0], [0, 0]], [[-1]],
+                 negate(catalog_get("E8").gram).entries],
+        ids=["indefinite", "hyperbolic", "degenerate", "negative", "negative-even"],
     )
     def test_not_positive_definite_rejected(self, rows):
+        # at radius 0 too, where the scan plan eliminates nothing
         gram = GramMatrix.from_rows(rows)
-        q = EnumQuery(form=gram, shift=(Fraction(0),) * gram.rank, radius=Fraction(1))
-        with pytest.raises(NotPositiveDefiniteError):
-            sufficient_box(q)
+        for radius in (0, 1):
+            q = EnumQuery(form=gram, shift=(Fraction(0),) * gram.rank, radius=Fraction(radius))
+            with pytest.raises(NotPositiveDefiniteError):
+                sufficient_box(q)
+            with pytest.raises(NotPositiveDefiniteError):
+                brute_force_coset(q, 0)
 
 
 class TestWorkersAndStats:
