@@ -402,26 +402,20 @@ def _axis_reach(form: GramMatrix, C2: int) -> list[int]:
     reach is 0 and nothing is eliminated.  Otherwise all n of them come
     from one fraction-free Gauss-Jordan elimination of [G | I] (Bareiss
     1968), which ends at [det*I | adj G]: every division is exact, and G
-    is positive definite, so no pivot vanishes.  Only the live columns are
-    eliminated.  Before step k, the right-hand column n+k is 0 off row k,
-    and row k holds there the previous pivot (1 scaled by each pivot over
-    its predecessor), so step k writes that entry into a zero block and
-    updates the columns k+1 .. n+k: n per row, not 2n-k-1.  Built from
-    determinants only, so the scan shares no pivot rows with the search it
-    checks.
+    is positive definite, so no pivot vanishes.  Built from determinants
+    only, so the scan shares no pivot rows with the search it checks.
     """
     n = form.rank
     if not C2:
         return [0] * n
-    a = [list(row) + [0] * n for row in form.entries]
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(form.entries)]
     prev = 1
     for k in range(n):
         pivot_row, pivot = a[k], a[k][k]
-        pivot_row[n + k] = prev
         for i, row in enumerate(a):
             if i != k:
                 f = row[k]
-                for j in range(k + 1, n + k + 1):
+                for j in range(k + 1, 2 * n):
                     row[j] = (pivot * row[j] - f * pivot_row[j]) // prev
         prev = pivot
     return [isqrt(C2 * a[i][n + i] // prev) for i in range(n)]

@@ -100,13 +100,22 @@ MUTANTS = (
            "if definiteness(query.form) is not Definiteness.POSITIVE_DEFINITE:",
            "if query.radius and definiteness(query.form) is not Definiteness.POSITIVE_DEFINITE:",
            (f"{ENUM}::TestSufficientBox::test_not_positive_definite_rejected",)),
-    Mutant("axis_reach_live_range", "enumeration.py",
-           "for j in range(k + 1, n + k + 1):",
-           "for j in range(k + 1, n + k):",
+    Mutant("axis_reach_range_short", "enumeration.py",
+           "for j in range(k + 1, 2 * n):",
+           "for j in range(k + 1, 2 * n - 1):",
            (f"{ENUM}::TestAxisReach",)),
     Mutant("axis_reach_true_division", "enumeration.py",
            "return [isqrt(C2 * a[i][n + i] // prev) for i in range(n)]",
            "return [isqrt(int(C2 * a[i][n + i] / prev)) for i in range(n)]",
+           ("tests/test_exactness.py",)),
+    # floats from outside math: the exactness scan must see them too
+    Mutant("ball_volume_cmath_pi", "enumeration.py",
+           "num, den = 355 ** (2 * m), 113 ** (2 * m)",
+           "num, den = round(cmath.pi ** (2 * m) * 2 ** 64), 2 ** 64",
+           ("tests/test_exactness.py",)),
+    Mutant("ball_volume_bare_pi", "enumeration.py",
+           "num, den = 355 ** (2 * m), 113 ** (2 * m)",
+           "num, den = round(pi ** (2 * m) * 2 ** 64), 2 ** 64",
            ("tests/test_exactness.py",)),
 )
 

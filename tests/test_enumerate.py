@@ -895,7 +895,7 @@ class TestSizeGate:
 
 
 class TestAxisReach:
-    # Zn:1 and Zn:2 are where the live columns k+1 .. n+k are fewest
+    # Zn:1 and Zn:2: the elimination of [G | I] at its fewest steps and columns
     @pytest.mark.parametrize("fid", ("Zn:1", "Zn:2", "D4", "D5", "E8", "E8+Z4", "D12plus",
                                      "Zn:16", "D16plus", "E8+E8", "D20plus+Z4",
                                      "D12plus+D12plus", "Zn:24"))
