@@ -53,7 +53,9 @@ w = 0 (`_unfold`), at about half the cost of the whole tree.  The
 counters returned are those of the whole tree, got from the half's in
 closed form, so every caller sees the same points, the same order and the
 same counts as from a search of both halves.  A nonzero offset moves the
-centre off that symmetry, so such a search is searched whole.
+centre off that symmetry, so such a search is searched whole;
+`latgate.enumeration._split` uses the same symmetry one level up, searching
+one of each pair of lower searches at offsets o and -o.
 """
 
 from __future__ import annotations

@@ -39,11 +39,23 @@ is a separator of width 0, so it always wins.
   distinct state (leftover radius, separator coordinates).  Under a cut
   the state is the leftover alone and the lower levels read nothing above
   k, so they are split again too; under a separator each state is one
-  kernel call of the lower levels, with that constant as its offset.
+  kernel call of the lower levels, with that constant as its offset, or
+  the mirror of another state's call.
 - The sharing rule.  A split at a non-empty separator is taken only when
   the upper points share their lower searches, at most one distinct state
   per two points.  Otherwise, and for a part with no narrow separator,
   the part is one kernel call.
+- The mirror.  When the shift lies in half the lattice (2*T_i a multiple of
+  D at every level, the kernel's half test), w -> -w maps the ball onto
+  itself, so under a separator the upper points pair up: a and its mirror
+  a', with the same leftover and separator coordinates x' = -x - 2*T/D
+  there, so a' has offset -o and its lower search is the mirror of a's.
+  Only the first state of each pair that the join meets is searched, the
+  lex-negative one; the other's points are -b - 2*T/D over the lower
+  levels in reverse order, its norms the same list reversed, and its
+  counters the same, the mirrored tree having the same shape.  A state
+  that is its own mirror has offset 0, and the kernel searches it as a
+  half.  A part split again applies the rule to its own separator.
 - The block memo.  `_split` keeps each part's result per bound, keyed by
   its weights, rows and shift, so a block under a cut is searched once
   per distinct leftover, and equal blocks (those of Z^n, or of E8 (+) E8)
@@ -59,18 +71,20 @@ is a separator of width 0, so it always wins.
   each part's counters being its whole tree's (`_pykernel`).
 
 So E8 at radius 4 splits at a separator of one level: its 191 upper points
-share 35 states, 1 + 35 calls of rank 4.  At radius 2, estimated at about
-367 nodes, it takes 1 + 14; at radius 1, estimated at 64, it is one call
-of rank 8, as is the radius-1 unit search of Z^16, one call of rank 16.
-E8 (+) E8 at radius 4 is cut into two equal E8 blocks, so one E8 search at
-each leftover 4, 2 and 0 serves both: 36 and 15 calls of rank 4 as above,
-and at leftover 0 one upper call whose single point does not pay, then one
-of rank 8.  Its 53 calls visit 1,862 nodes of the 204,388 it reports.
-Z^16 at radius 3 takes four calls of rank 1.  D16plus at radius 4 has no
-cut, but the rows below level 8 read, of the levels above, only level 8
-and the glue level 15: its 4,017 upper points share 89 states.  The upper
-eight levels split again at a separator, in 63 calls of rank 4, and the
-lower take 89 calls of rank 8; the 152 calls visit 20,274 nodes of the
+share 35 states, 16 mirror pairs and 3 states that are their own mirrors,
+so 1 + 19 calls of rank 4 visit 985 nodes.  At radius 2, estimated at
+about 367 nodes, its 14 states take 1 + 8; at radius 1, estimated at 64,
+it is one call of rank 8, as is the radius-1 unit search of Z^16, one
+call of rank 16.  E8 (+) E8 at radius 4 is cut into two equal E8 blocks,
+so one E8 search at each leftover 4, 2 and 0 serves both: 20 and 9 calls
+of rank 4 as above, and at leftover 0 one upper call whose single point
+does not pay, then one of rank 8.  Its 31 calls visit 1,237 nodes of the
+204,388 it reports.  Z^16 at radius 3 takes four calls of rank 1.  D16plus
+at radius 4 has no cut, but the rows below level 8 read, of the levels
+above, only level 8 and the glue level 15: its 4,017 upper points share
+89 states, 43 mirror pairs and 3 states that are their own mirrors.  The
+upper eight levels split again at a separator, in 33 calls of rank 4, and
+the lower take 46 calls of rank 8; the 79 calls visit 12,008 nodes of the
 207,570 it reports.
 
 The oracle (`brute_force_coset`, `sufficient_box`) is a second, independent
@@ -86,7 +100,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial, isqrt, lcm, prod
-from operator import itemgetter, mul
+from operator import itemgetter, mul, sub
 from typing import Sequence
 
 from . import _pykernel as _kernel
@@ -293,7 +307,8 @@ def _split(W, M, T, D, C, memo):
 
     The split of the module docstring: at the narrowest separator, ties to
     the middle, the upper levels split again by `_split`, and the lower ones
-    split again under a cut or searched once per state under a separator;
+    split again under a cut or searched once per state under a separator,
+    once per mirror pair of states when the shift lies in half the lattice;
     one kernel call when no separator is narrow or the split does not pay.
     `memo` is the block memo; the lists it returns may be shared through
     it, so nothing appends to them.
@@ -317,6 +332,9 @@ def _split(W, M, T, D, C, memo):
         if not sep or 2 * len(set(states)) <= len(states):
             low = W[:k], tuple(row[:k] for row in M[:k]), T[:k]
             cols = [[row[j] for j in sep] for row in M[:k]]  # the separator's part of each row
+            half = sep and all(2 * t % D == 0 for t in T)  # the kernel's half test
+            flip = [-2 * t // D for t in T[::-1]]  # the mirror w -> -w, in coordinate order
+            low_flip = flip[n - k:]
             vecs, tots = [], []
             summed = {}  # state -> the lower levels' points and their joint norms
             for a, tot_a, state in zip(ups, up_tots, states):
@@ -328,7 +346,13 @@ def _split(W, M, T, D, C, memo):
                     else:
                         part = _split(*low, D, C - tot_a, memo)
                     bs, low_tots, n_low, p_low = part
-                    summed[state] = bs, [tot_a + t for t in low_tots], n_low, p_low
+                    norms = [tot_a + t for t in low_tots]
+                    summed[state] = bs, norms, n_low, p_low
+                    if half:  # a's mirror a' is at offset -o: the mirror of this search
+                        mirror = tot_a, at(tuple(map(sub, flip, a)))
+                        if mirror != state:
+                            summed[mirror] = ([tuple(map(sub, low_flip, b)) for b in reversed(bs)],
+                                              norms[::-1], n_low, p_low)
                 bs, norms, n_low, p_low = summed[state]
                 nodes += n_low
                 prunes += p_low

@@ -26,7 +26,7 @@ from .core import (
     negate,
     parity,
 )
-from .enumeration import EnumQuery, brute_force_coset, enumerate_coset, sufficient_box
+from .enumeration import EnumQuery, _box_scan, _scan_problem, enumerate_coset
 from .manifold import (
     ManifoldDescriptor,
     Verdict,
@@ -103,6 +103,15 @@ def _check_goldens(entries: list[CatalogEntry], max_rank: int):
         yield CheckResult(f"golden[{entry.id}]", ok, "; ".join(problems) or "ok")
 
 
+def _whole_scan(query: EnumQuery):
+    """The oracle's scan of the whole ball, on one plan: what
+    `brute_force_coset(query, sufficient_box(query))` returns, without
+    planning the scan twice."""
+    problem = _scan_problem(query)
+    *_, box, _ = problem
+    return _box_scan(query, problem, box)
+
+
 def _check_oracle(entries: list[CatalogEntry], max_rank: int, rng: random.Random):
     cap = min(_ORACLE_RANK, max_rank)
     forms = [(e.id, e.gram) for e in entries if e.gram.rank <= cap]
@@ -119,7 +128,7 @@ def _check_oracle(entries: list[CatalogEntry], max_rank: int, rng: random.Random
             radius = Fraction(rng.randint(1, 5), 2)
             query = EnumQuery(form=gram, shift=shift, radius=radius)
             fast = enumerate_coset(query)
-            slow = brute_force_coset(query, sufficient_box(query))
+            slow = _whole_scan(query)
             ok = fast.vectors == slow.vectors and fast.norms == slow.norms
             detail = "ok" if ok else (
                 f"fast {len(fast.vectors)} vs brute {len(slow.vectors)} vectors"
@@ -175,7 +184,7 @@ def _unreduced_search_problems(conj: GramMatrix, result: CharVecResult, units: i
     quarter_m = Fraction(result.norm_m, 4)
     query = EnumQuery(form=conj, shift=shift, radius=quarter_m)
     if result.norm_m == 0:
-        res = brute_force_coset(query, sufficient_box(query))
+        res = _whole_scan(query)
     else:
         res = enumerate_coset(query)
     mins = [u for u, nu in zip(res.vectors, res.norms) if nu == quarter_m]

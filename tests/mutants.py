@@ -52,6 +52,18 @@ MUTANTS = (
            "w = [D * a[n - 1 - j] + T[j] for j in sep]",
            "w = [D * a[n - 1 - j] for j in sep]",
            (f"{ENUM}::TestNestedSplits",)),
+    Mutant("mirror_not_reversed", "enumeration.py",
+           "for b in reversed(bs)]",
+           "for b in bs]",
+           (f"{ENUM}::TestMirroredStates",)),
+    Mutant("mirror_without_half_test", "enumeration.py",
+           "half = sep and all(2 * t % D == 0 for t in T)",
+           "half = sep and True",
+           (f"{ENUM}::TestMirroredStates",)),
+    Mutant("mirror_low_flip_level_order", "enumeration.py",
+           "low_flip = flip[n - k:]",
+           "low_flip = [-2 * t // D for t in T[:k]]",
+           (f"{ENUM}::TestMirroredStates",)),
     # start-up: a command imports only the modules it runs
     Mutant("cli_eager_manifold", "cli.py",
            "from .charvec import charvec_report_with_stats, solve_char_coset",

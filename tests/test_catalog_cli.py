@@ -832,8 +832,8 @@ _SELFTEST_FAULTS = [
      "golden[Zn:2]", "dichotomy verdict disagrees with m == n"),
     (_patch("count_unit_vectors", lambda count: lambda g: 2),
      "golden[Zn:2]", "unit count 2 disagrees with verdict"),
-    (_patch("brute_force_coset", lambda scan: lambda q, box: dataclasses.replace(
-        scan(q, box), vectors=(), norms=())), "oracle[Zn:2#0]", "fast 7 vs brute 0 vectors"),
+    (_patch("_box_scan", lambda scan: lambda q, plan, box: dataclasses.replace(
+        scan(q, plan, box), vectors=(), norms=())), "oracle[Zn:2#0]", "fast 7 vs brute 0 vectors"),
     (_patch("signature_mod8_check", lambda check: lambda g: False),
      "mod8[Zn:2#0]", "residue mismatch"),
     (_patch("determinant", lambda det: lambda g: det(g) + (g is not _ZN2.gram)),
@@ -879,6 +879,22 @@ class TestCliSelftest:
         assert main(["selftest"]) == 0
         assert capsys.readouterr().out.rstrip().endswith("133/133 checks passed")
 
+    def test_each_oracle_scan_planned_once(self, monkeypatch):
+        # every box scan of the self-test runs on a plan of its own, made
+        # once: 25 scans (24 oracle rows and the even GL conjugate), 25 plans
+        import latgate.selftest as selftest_mod
+        from latgate import run_selftest
+
+        plans, scans = [], []
+        plan, scan = selftest_mod._scan_problem, selftest_mod._box_scan
+        monkeypatch.setattr(selftest_mod, "_scan_problem",
+                            lambda q: plans.append(plan(q)) or plans[-1])
+        monkeypatch.setattr(selftest_mod, "_box_scan",
+                            lambda q, problem, box: scans.append(problem) or scan(q, problem, box))
+        assert all(r.ok for r in run_selftest())
+        assert len(plans) == len(scans) == 25
+        assert all(a is b for a, b in zip(plans, scans))
+
     def test_gl_check_of_even_conjugate_is_independent(self, monkeypatch):
         # an even conjugate is answered without a search, and the GL check
         # does not search it either: the clipped scan is its only check, so
@@ -902,16 +918,16 @@ class TestCliSelftest:
             return unreduced(conj, result, units)
 
         scanned = []
-        scan = selftest_mod.brute_force_coset
+        scan = selftest_mod._box_scan
 
-        def scanning(query, box):
+        def scanning(query, plan, box):
             scanned.append(query.form.entries)
-            return scan(query, box)
+            return scan(query, plan, box)
 
         for module in (charvec, enumeration):
             monkeypatch.setattr(module, "_search", recording)
         monkeypatch.setattr(selftest_mod, "_unreduced_search_problems", capturing)
-        monkeypatch.setattr(selftest_mod, "brute_force_coset", scanning)
+        monkeypatch.setattr(selftest_mod, "_box_scan", scanning)
         results = run_selftest()
         assert len(results) == 133 and all(r.ok for r in results)
         [e8] = [conj for conj, m in checked if m == 0]

@@ -625,15 +625,15 @@ class TestBlockSplit:
     def test_e8_plus_e8_searches_each_block_once_per_leftover(self, monkeypatch):
         # E8+E8 at radius 4: the two E8 blocks are equal, so one E8 search
         # at each leftover 4, 2 and 0 serves both.  Each is split again at
-        # its separator, 1 + 35 and 1 + 14 calls of rank 4, except at
-        # leftover 0, where one point is one state and the split does not
-        # pay: one call of rank 4, then one of rank 8.  They visit 1,862
-        # nodes for the 204,388 the whole tree holds (pinned in
-        # TestFrozenResults)
+        # its separator, 1 + 19 and 1 + 8 calls of rank 4 (one per mirror
+        # pair of states), except at leftover 0, where one point is one
+        # state and the split does not pay: one call of rank 4, then one of
+        # rank 8.  They visit 1,237 nodes for the 204,388 the whole tree
+        # holds (pinned in TestFrozenResults)
         calls = kernel_calls(monkeypatch)
         res = enumerate_coset(query("E8+E8", radius=4))
         assert (len(res.vectors), res.stats.nodes) == (62401, 204388)
-        assert sorted(n for n, _ in calls) == [4] * 52 + [8]
+        assert sorted(n for n, _ in calls) == [4] * 30 + [8]
         assert sum(nodes for _, nodes in calls) < 12_000
 
     def test_equal_blocks_share_their_searches(self, monkeypatch):
@@ -712,24 +712,110 @@ class TestSeparatorSplit:
     def test_d16plus_searches_lower_levels_once_per_state(self, monkeypatch):
         # D16plus at radius 4: the rows below level 8 read, of the levels
         # above, only level 8 and the glue level 15, so its 4,017 upper
-        # points share 89 states: the 8 upper levels, split again at their
-        # own separator in 63 calls of rank 4, and one 8-level lower search
-        # per state, for the whole tree's counters
+        # points share 89 states, 43 mirror pairs and 3 states that are
+        # their own mirrors: the 8 upper levels, split again at their own
+        # separator in 33 calls of rank 4, and one 8-level lower search per
+        # pair or self-mirrored state, for the whole tree's counters
         calls = kernel_calls(monkeypatch)
         q = query("D16plus", radius=4)
         res = enumerate_coset(q)
         assert (len(res.vectors), res.stats.nodes, res.stats.prunes) == (62401, 207570, 2048)
-        assert [n for n, _ in calls] == [4] * 63 + [8] * 89
+        assert [n for n, _ in calls] == [4] * 33 + [8] * 46
         assert sum(nodes for _, nodes in calls) < 207570 // 4
         assert split_search(q) == joint_search(q)
 
     def test_e8_searches_lower_levels_once_per_state(self, monkeypatch):
         # E8 at radius 4 splits at level 4, whose separator is one level:
-        # 191 upper points share 35 states
+        # 191 upper points share 35 states, 16 mirror pairs and 3 states
+        # that are their own mirrors, so 1 + 19 calls
         calls = kernel_calls(monkeypatch)
         res = enumerate_coset(query("E8", radius=4))
         assert (len(res.vectors), res.stats.nodes, res.stats.prunes) == (2401, 5474, 0)
-        assert [n for n, _ in calls] == [4] * 36
+        assert [n for n, _ in calls] == [4] * 20
+
+
+def kernel_offsets(monkeypatch):
+    """A list that records (problem, bound, offset) of every kernel call
+    from now on: the problem its (n, W, M, T), the offset a tuple, empty
+    when none is passed."""
+    calls = []
+    dfs = enumeration._kernel.dfs_enumerate
+
+    def recording(n, W, M, T, D, C, offset=None):
+        calls.append(((n, tuple(W), tuple(map(tuple, M)), tuple(T)), C, tuple(offset or ())))
+        return dfs(n, W, M, T, D, C, offset=offset)
+
+    monkeypatch.setattr(enumeration._kernel, "dfs_enumerate", recording)
+    return calls
+
+
+def mirrored_calls(calls):
+    """The calls on the same problem and bound as another call whose offset
+    is the negation of theirs, a nonzero one."""
+    seen = {(p, C, o) for p, C, o in calls}
+    return [(p, C, o) for p, C, o in calls if any(o) and (p, C, tuple(-x for x in o)) in seen]
+
+
+class TestMirroredStates:
+    """When the shift lies in half the lattice (2*T_i a multiple of D at
+    every level, the kernel's half test), the upper points of a separator
+    split pair up as a and its mirror a', whose lower search is the mirror
+    of a's at the negated offset.  `_split` searches the first of each
+    pair and builds the other's points and norms from it, reversed; the
+    points, scaled norms, order and counters must still be those of one
+    search of the whole problem.  The gate is set to 0 (`split_always`),
+    except where a test pins the route of a benchmark ball."""
+
+    RADII = {"E8": (2, 4), "D5": (1, Fraction(5, 2), 4), "D16plus": (2,)}
+
+    @pytest.mark.parametrize("fid", tuple(RADII))
+    def test_mirror_pairs_share_a_search(self, fid, monkeypatch):
+        calls = kernel_offsets(monkeypatch)
+        split_always(monkeypatch)
+        rng = random.Random(53)
+        offsets = hits = 0
+        for form in TestSeparatorSplit.forms(fid, rng):
+            for denominator in (1, 2):
+                shift = tuple(Fraction(rng.randint(-3, 3), denominator) for _ in range(form.rank))
+                for radius in self.RADII[fid]:
+                    q = EnumQuery(form=form, shift=shift, radius=Fraction(radius))
+                    calls.clear()
+                    got = split_search(q)
+                    assert mirrored_calls(calls) == []
+                    offsets += any(any(o) for _, _, o in calls)
+                    assert got == joint_search(q)
+                    hits += len(got[0])
+        assert offsets > 0 and hits > 0  # some lower search was off the centre
+
+    @pytest.mark.parametrize("fid", tuple(RADII))
+    def test_no_half_shift_no_mirror(self, fid, monkeypatch):
+        # the upper levels' shift is integral, so their points still pair
+        # up at offsets o and -o, but the last coordinate (level 0, always a
+        # lower level) is at 1/3 or 1/4: the lower searches are not mirrors
+        # of each other, and both are searched
+        calls = kernel_offsets(monkeypatch)
+        split_always(monkeypatch)
+        rng = random.Random(59)
+        both = 0
+        for form in TestSeparatorSplit.forms(fid, rng)[:2]:
+            for off in (Fraction(1, 3), Fraction(-1, 4)):
+                shift = tuple(Fraction(rng.randint(-3, 3)) for _ in range(form.rank - 1))
+                q = EnumQuery(form=form, shift=shift + (off,), radius=Fraction(self.RADII[fid][-1]))
+                calls.clear()
+                got = split_search(q)
+                both += bool(mirrored_calls(calls))
+                assert got == joint_search(q)
+        assert both > 0
+
+    def test_dense_output_e8_takes_20_calls(self, monkeypatch):
+        # the E8 ball of the dense_output benchmark at radius 4, above the
+        # gate as it stands: 1 upper call, then one lower call for each of
+        # its 16 mirror pairs of states and 3 states that are their own
+        calls = kernel_calls(monkeypatch)
+        form = sign_flipped(catalog_get("E8").gram, random.Random(61))
+        res = enumerate_coset(EnumQuery(form=form, shift=(0,) * 8, radius=4))
+        assert (len(res.vectors), res.stats.nodes, res.stats.prunes) == (2401, 5474, 0)
+        assert len(calls) == 20
 
 
 def moved_coordinate(gram, src, dst):
@@ -801,8 +887,8 @@ class TestColumns:
     A2 = GramMatrix.from_rows([[2, 1], [1, 2]])  # its one separator is as wide as a side
 
     @pytest.mark.parametrize("form, shift, radius, ranks", (
-        ("E8+Z1", None, 2, [4] * 15 + [1, 1]),  # a cut, its E8 block split at a separator
-        ("E8", None, 2, [4] * 15),  # a separator
+        ("E8+Z1", None, 2, [4] * 9 + [1, 1]),  # a cut, its E8 block split at a separator
+        ("E8", None, 2, [4] * 9),  # a separator
         ("D4", None, 2, [2, 4]),  # a separator that does not pay, then one call
         (A2, None, 3, [2]),  # one call
         ("Z1+E8", (Fraction(1, 2),) + (0,) * 8, 0, [1]),  # an empty ball
@@ -843,8 +929,8 @@ class TestSizeGate:
     same points, scaled norms and counters."""
 
     @pytest.mark.parametrize("fid, split_ranks", (
-        ("E8", [4] * 15),  # radius 2 splits at a separator: 1 + 14 calls
-        ("E8+Z1", [4] * 15 + [1, 1]),  # and E8+Z1 at its cut, then E8 at its separator
+        ("E8", [4] * 9),  # radius 2 splits at a separator: 14 states, 1 + 8 calls
+        ("E8+Z1", [4] * 9 + [1, 1]),  # and E8+Z1 at its cut, then E8 at its separator
     ))
     def test_one_call_below_split_above(self, fid, split_ranks, monkeypatch):
         calls = kernel_calls(monkeypatch)
