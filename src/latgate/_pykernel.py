@@ -62,7 +62,7 @@ from __future__ import annotations
 
 from itertools import islice
 from math import isqrt
-from operator import neg, sub
+from operator import mul, neg, sub
 
 __all__ = ["dfs_enumerate", "brute_scan"]
 
@@ -192,8 +192,12 @@ def brute_scan(n, gram, T, D, C2, box, *, reach):
     Independent of the search's pivot rows on purpose: accepts u with
     v^T gram v <= C2 where v = D*u + T.  Each axis is clipped to
     |v_i| <= reach[i], which the caller proves holds for every accepted v,
-    so the clip drops only cells that cannot be hits.  The odometer keeps
-    gram*v and v^T gram v up to date, so each cell costs O(n).  Returns
+    so the clip drops only cells that cannot be hits.  The scan walks one
+    row of the last axis at a time.  It keeps gram*v and v^T gram v for
+    the row's first cell, and moving u_{n-1} by one adds
+    step = 2*D*(gram*v)_{n-1} + D^2*gram[n-1][n-1] to the norm, a step that
+    itself grows by 2*D^2*gram[n-1][n-1] per cell: each cell costs two
+    additions, and a move of an outer axis O(n).  Returns
     (coordinates, scaled_norm) pairs in lexicographic product order.
     """
     out: list[tuple[tuple[int, ...], int]] = []
@@ -201,16 +205,28 @@ def brute_scan(n, gram, T, D, C2, box, *, reach):
     hi = [min(box, (reach[i] - T[i]) // D) for i in range(n)]
     if any(a > b for a, b in zip(lo, hi)):
         return out
-    cur = lo[:]
+    last = n - 1
+    cur = lo[:last]
     v = [D * lo[i] + T[i] for i in range(n)]
-    gv = [sum(gram[i][j] * v[j] for j in range(n)) for i in range(n)]
-    tot = sum(v[i] * gv[i] for i in range(n))
+    gv = [sum(map(mul, row, v)) for row in gram]
+    tot = sum(map(mul, v, gv))
+    dd = D * D * gram[last][last]
+    second = 2 * dd
+    span = range(lo[last], hi[last] + 1)
     while True:
-        if tot <= C2:
-            out.append((tuple(cur), tot))
-        # odometer, last coordinate fastest; moving axis i by d adds
-        # d*D*gram[i] to gram*v (gram is symmetric)
-        i = n - 1
+        # the row of the last axis: the norm moves by the first difference
+        # `step`, which moves by the constant second difference
+        head = tuple(cur)
+        t = tot
+        step = 2 * D * gv[last] + dd
+        for u in span:
+            if t <= C2:
+                out.append((head + (u,), t))
+            t += step
+            step += second
+        # odometer over the outer axes; moving axis i by d adds d*D*gram[i]
+        # to gram*v (gram is symmetric)
+        i = last - 1
         while i >= 0:
             d = 1 if cur[i] < hi[i] else lo[i] - cur[i]
             if d:

@@ -13,7 +13,7 @@ unedited copy, where they must pass.  Run it from anywhere:
 It prints one line per mutant and exits 1 when a mutant survives, an edit
 no longer applies, or a named test does not pass unedited.  pytest does
 not collect this file, since its name does not start with `test_`.  It
-uses the standard library only, and takes about 30 seconds on a 2-core
+uses the standard library only, and takes about 40 seconds on a 2-core
 machine.
 """
 
@@ -120,6 +120,15 @@ MUTANTS = (
            "return [isqrt(C2 * a[i][n + i] // prev) for i in range(n)]",
            "return [isqrt(int(C2 * a[i][n + i] / prev)) for i in range(n)]",
            ("tests/test_exactness.py",)),
+    # the oracle's box scan walks each row by its first and second difference
+    Mutant("brute_row_second_difference_halved", "_pykernel.py",
+           "second = 2 * dd",
+           "second = dd",
+           (f"{ENUM}::TestClippedScan",)),
+    Mutant("brute_row_step_without_square", "_pykernel.py",
+           "step = 2 * D * gv[last] + dd",
+           "step = 2 * D * gv[last]",
+           (f"{ENUM}::TestClippedScan",)),
     # floats from outside math: the exactness scan must see them too
     Mutant("ball_volume_cmath_pi", "enumeration.py",
            "num, den = 355 ** (2 * m), 113 ** (2 * m)",

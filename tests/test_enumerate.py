@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb, isqrt, lcm, prod
 
@@ -153,18 +154,28 @@ CUBE_CELLS = 40_000
 CLIP_FORMS = ("Zn:1", "Zn:2", "Zn:3", "Zn:4", "D4", "D5")
 
 
-def visited_cells(plan):
-    """The cells the scan of `plan` visits, counted one coordinate at a time
-    over the plan's cube: the u_i with |D*u_i + T_i| <= reach_i per axis."""
+def axis_cells(plan):
+    """The cells the scan of `plan` visits on each axis, counted one
+    coordinate at a time over the plan's cube: the u_i with
+    |D*u_i + T_i| <= reach_i."""
     D, T, _, reach, box, _ = plan
-    return prod(sum(1 for u in range(-box, box + 1) if abs(D * u + t) <= r)
-                for t, r in zip(T, reach))
+    return [sum(1 for u in range(-box, box + 1) if abs(D * u + t) <= r)
+            for t, r in zip(T, reach)]
 
 
 class TestClippedScan:
     """brute_force_coset clips the cube per axis; the result must be that of
     the whole cube, for boxes below, at and above what the hits need, and
     is marked exhaustive exactly when the box reaches `sufficient_box`."""
+
+    @staticmethod
+    def matches_cube(q, b):
+        """The scan at box b, after checking it against the whole cube."""
+        ref = cube_scan(q.form.entries, q.shift, q.radius, b)
+        res = brute_force_coset(q, b)
+        assert res.vectors == tuple(u for u, _ in ref)
+        assert res.norms == tuple(nu for _, nu in ref)
+        return res
 
     @pytest.mark.parametrize("fid", CLIP_FORMS)
     def test_matches_full_cube(self, fid):
@@ -181,21 +192,73 @@ class TestClippedScan:
                     q = EnumQuery(form=conj, shift=shift, radius=radius)
                     box = sufficient_box(q)
                     plan = enumeration._scan_problem(q)
-                    assert plan[-1] == visited_cells(plan)
+                    assert plan[-1] == prod(axis_cells(plan))
                     if (2 * box + 1) ** n > CUBE_CELLS:
                         break
                     for b in (0, 1, box // 2, box):
-                        ref = cube_scan(conj.entries, shift, radius, b)
-                        res = brute_force_coset(q, b)
-                        assert res.vectors == tuple(u for u, _ in ref)
-                        assert res.norms == tuple(nu for _, nu in ref)
-                        assert res.exhaustive == (b >= box)
+                        assert self.matches_cube(q, b).exhaustive == (b >= box)
                     checked += 1
                     empty += plan[-1] == 0
         # a radius-0 ball about a shift with a non-integer coordinate has an
         # axis with no admissible u_i: the scan visits no cell of a nonempty
         # cube, and its empty result is still exhaustive at box
         assert checked >= 6 and empty >= 1
+
+    # The scan walks each row of the last axis by a first and a second
+    # difference of the norm.  The cases below pin the row walk's edges.
+
+    @pytest.mark.parametrize("a", (1, 3))
+    @pytest.mark.parametrize("shift", (0, Fraction(1, 2), Fraction(-2, 3)))
+    def test_rank_one_is_one_row(self, a, shift):
+        """A rank-1 scan is one row: |u + shift| <= 21 holds 42 or 43 hits,
+        and the box reaches at least 20, where it binds, and then past it."""
+        q = EnumQuery(form=GramMatrix.from_rows([[a]]), shift=(shift,), radius=a * 21 ** 2)
+        box = sufficient_box(q)
+        assert box >= 20
+        for b in (0, 1, 20, box, box + 3):
+            res = self.matches_cube(q, b)
+        assert len(res.vectors) >= 42
+
+    @pytest.mark.parametrize("fid", CLIP_FORMS)
+    def test_radius_zero_only_last_axis_empty(self, fid):
+        """Radius 0 about a shift whose last coordinate alone is fractional:
+        each outer axis keeps its one cell and only the last axis's clip is
+        empty, so the scan returns nothing at every box."""
+        gram = catalog_get(fid).gram
+        n = gram.rank
+        rng = random.Random(43)
+        conj = basis_change(gram, random_unimodular(n, rng))
+        shift = tuple(Fraction(rng.randint(-2, 2)) for _ in range(n - 1)) + (Fraction(1, 2),)
+        q = EnumQuery(form=conj, shift=shift, radius=0)
+        plan = enumeration._scan_problem(q)
+        assert axis_cells(plan) == [1] * (n - 1) + [0] and plan[-1] == 0
+        for b in (0, 1, plan[4]):
+            assert self.matches_cube(q, b).vectors == ()
+
+    def test_fractional_shift_long_rows(self):
+        """D > 1, at boxes 0, 1 and `sufficient_box`, on each form as built
+        and on two conjugates: every shift coordinate is fractional, the
+        last axis spans at least four cells and some row holds three hits
+        or more, so a norm read after the first difference and one read
+        after the second are both checked."""
+        rng = random.Random(47)
+        checked = long_rows = 0
+        for fid in CLIP_FORMS:
+            gram = catalog_get(fid).gram
+            n = gram.rank
+            for conj in (gram, *(basis_change(gram, random_unimodular(n, rng)) for _ in range(2))):
+                shift = tuple(rng.randint(-1, 1) + Fraction(1, rng.choice((2, 3))) for _ in range(n))
+                q = EnumQuery(form=conj, shift=shift, radius=4)
+                plan = enumeration._scan_problem(q)
+                box = plan[4]
+                assert plan[0] > 1 and axis_cells(plan)[-1] >= 4
+                if (2 * box + 1) ** n > CUBE_CELLS:
+                    continue
+                for b in (0, 1, box):
+                    res = self.matches_cube(q, b)
+                checked += 1
+                long_rows += max(Counter(u[:-1] for u in res.vectors).values()) >= 3
+        assert checked >= 12 and long_rows >= 6
 
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
     @given(
